@@ -200,7 +200,16 @@ class Instance:
         return bool(self.shared_candidates)
 
     def with_k(self, k: int) -> "Instance":
-        return replace(self, k=k)
+        """The same agents and candidates with another k.
+
+        Distance matrices already built are shared with the new instance;
+        the digest is not, because it covers k.
+        """
+        out = replace(self, k=k)
+        for attr in ("distance_matrix", "agent_distances"):
+            if attr in self.__dict__:
+                out.__dict__[attr] = self.__dict__[attr]
+        return out
 
     # -- distances -----------------------------------------------------
 

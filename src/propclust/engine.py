@@ -1,24 +1,33 @@
-"""Radius-sweep center selection with exact weighted supports.
+"""Quota-jump center selection with exact weighted supports.
 
-The sweep grows a shared radius over the finite schedule of realized
-agent-candidate distances.  Whenever a remaining candidate's weighted
-support reaches the quota n/k, the candidate with the largest support is
-selected (ties to the lowest candidate index), its supporters give up
-exactly n/k of weight, and the same radius is examined again before the
-sweep advances.
+Every agent starts with one unit of weight.  A candidate's threshold is
+the smallest radius at which the weight within that radius of it reaches
+the quota n/k.  Each round jumps straight to the smallest threshold over
+the remaining candidates; among the candidates at that radius the one with
+the largest support wins (ties to the lowest candidate index), and its
+supporters give up exactly n/k of weight, closest first.  Weights only
+fall, so thresholds only rise and the rounds visit radii in ascending
+order: the outcome is the same as lowering one shared threshold through
+every distinct distance.
+
+Each candidate's distances are sorted once.  Per candidate the sweep keeps
+the first sorted position at which its prefix weight reaches the quota and
+that prefix weight.  After a payment only the candidates whose prefix held
+a paying agent are charged, and those that fall below the quota move
+their position forward in chunks that double on each pass.  The work is
+O(k·n·m) in vector operations, plus one O(n·m·log n) sort.
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
-integer-exact; the public state, trace, and helper operations speak
-`fractions.Fraction`.  Selection is sequential by design; concurrent
-sweeps over shared instances are safe because instances are immutable.
+integer-exact; the trace speaks `fractions.Fraction`.  Selection is
+sequential by design; concurrent sweeps over shared instances are safe
+because instances are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -26,79 +35,12 @@ from propclust.core import InputError, Instance, Outcome
 
 __all__ = [
     "SweepRound",
-    "SweepState",
     "SweepTrace",
-    "initial_state",
-    "reduce_weights",
     "select_prf_centers",
-    "weighted_support",
 ]
 
-_SENTINEL = np.iinfo(np.int64).min // 4
-
-
-@dataclass(frozen=True)
-class SweepState:
-    """Snapshot of a sweep: exact weights, remaining candidates, selections."""
-
-    weights: tuple[Fraction, ...]
-    remaining: frozenset[int]
-    selected: tuple[int, ...]
-    radius_cursor: int = 0
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-
-def initial_state(inst: Instance) -> SweepState:
-    return SweepState(
-        weights=(Fraction(1),) * inst.n,
-        remaining=frozenset(range(inst.m)),
-        selected=(),
-        radius_cursor=0,
-    )
-
-
-def weighted_support(inst: Instance, state: SweepState, candidate: int, radius: float) -> Fraction:
-    """Total current weight of agents within ``radius`` of ``candidate``."""
-    if candidate not in state.remaining:
-        raise InputError(f"candidate {candidate} is not in the remaining pool")
-    col = inst.distance_matrix[:, candidate]
-    total = Fraction(0)
-    for i in np.nonzero(col <= radius)[0]:
-        total += state.weights[int(i)]
-    return total
-
-
-def reduce_weights(
-    state: SweepState,
-    supporters: Sequence[int],
-    distances: Sequence[float],
-    amount: Fraction,
-) -> SweepState:
-    """Remove exactly ``amount`` of weight from the supporter set.
-
-    Supporters are zeroed in ascending (distance, agent index) order; the
-    last agent touched is reduced fractionally so the total removed is
-    exactly ``amount``.  Raises if the supporters do not hold that much.
-    """
-    supporters = [int(i) for i in supporters]
-    if len(supporters) != len(distances):
-        raise InputError("supporters and distances must align")
-    held = sum((state.weights[i] for i in supporters), Fraction(0))
-    if held < amount:
-        raise InputError(f"supporter weight {held} is below the reduction amount {amount}")
-    order = sorted(range(len(supporters)), key=lambda p: (distances[p], supporters[p]))
-    weights = list(state.weights)
-    left = Fraction(amount)
-    for p in order:
-        if left == 0:
-            break
-        i = supporters[p]
-        take = min(weights[i], left)
-        weights[i] -= take
-        left -= take
-    return replace(state, weights=tuple(weights))
+# sorted positions a candidate reads on its first pass when it falls below the quota
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -123,6 +65,48 @@ class SweepTrace:
     rounds: tuple[SweepRound, ...]
 
 
+def _advance(
+    order: np.ndarray,
+    w: np.ndarray,
+    pos: np.ndarray,
+    prefix: np.ndarray,
+    cands: np.ndarray,
+    quota: int,
+) -> None:
+    """Move each of ``cands`` to the first sorted position where its prefix weight reaches ``quota``.
+
+    ``pos[c]`` is the last position already counted in ``prefix[c]``; both
+    are updated in place.  Each pass reads the next chunk of every
+    unfinished candidate's row and doubles the chunk for the next pass.
+    """
+    n = order.shape[1]
+    size = min(_CHUNK, n)
+    while cands.size:
+        start = pos[cands] + 1
+        idx = start[:, None] + np.arange(size)
+        past = idx >= n
+        gained = w[order[cands[:, None], np.minimum(idx, n - 1)]]
+        gained[past] = 0
+        cums = np.cumsum(gained, axis=1) + prefix[cands][:, None]
+        reached = cums >= quota
+        hit = reached.any(axis=1)
+        stuck = (idx[:, -1] >= n - 1) & ~hit
+        if stuck.any():
+            raise RuntimeError(
+                f"sweep invariant broken: candidate {int(cands[stuck][0])} holds "
+                f"{int(cums[stuck][0, -1])} scaled weight over its whole row, below the quota {quota}"
+            )
+        first = reached[hit].argmax(axis=1)
+        done = cands[hit]
+        pos[done] = start[hit] + first
+        prefix[done] = cums[hit, first]
+        rest = ~hit
+        cands = cands[rest]
+        pos[cands] = start[rest] + size - 1
+        prefix[cands] = cums[rest, -1]
+        size = min(2 * size, n)
+
+
 def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     """Select k centers by the weighted radius sweep.
 
@@ -136,42 +120,40 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
         raise InputError(f"insufficient candidates: k={k} but only {m} candidate locations")
 
     D = inst.distance_matrix
-    schedule = np.unique(D)
-    flat_order = np.argsort(D, axis=None, kind="stable")
-    d_sorted = D.ravel()[flat_order]
-    # events with distance <= schedule[j] occupy d_sorted[:bounds[j]]
-    bounds = np.searchsorted(d_sorted, schedule, side="right")
-    ev_agent = flat_order // m
-    ev_cand = flat_order % m
+    # (m, n): row c holds candidate c's distance to every agent; D is symmetric when shared
+    DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
+    order = np.argsort(DT, axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
+    rows = np.arange(m)
 
     # weights scaled by k: start at k each, quota is n, all arithmetic exact
     w = np.full(n, k, dtype=np.int64)
-    support = np.zeros(m, dtype=np.int64)
     quota = n
+    frac = [Fraction(j, k) for j in range(k + 1)]
+
+    pos = np.full(m, -1, dtype=np.intp)
+    prefix = np.zeros(m, dtype=np.int64)
+    _advance(order, w, pos, prefix, rows, quota)
+    threshold = DT[rows, order[rows, pos]]
+    # a mask, not an infinite threshold: overflowing coordinates make real thresholds infinite
+    remaining = np.ones(m, dtype=bool)
 
     selected: list[int] = []
     rounds: list[SweepRound] = []
-    pos = 0
-    j = 0
-    while len(selected) < k:
-        end = int(bounds[j])
-        if pos < end:
-            np.add.at(support, ev_cand[pos:end], w[ev_agent[pos:end]])
-            pos = end
-        winner = int(np.argmax(support))  # first maximum, so lowest index on ties
-        if support[winner] < quota:
-            j += 1
-            assert j < len(schedule), "sweep exhausted with fewer than k selections"
-            continue
+    while True:
+        radius = threshold[remaining].min()
+        tied = np.flatnonzero(remaining & (threshold == radius))
+        support = (DT[tied] <= radius) @ w
+        best = int(np.argmax(support))  # first maximum, so lowest index on ties
+        winner = int(tied[best])
+        sup_val = int(support[best])
 
-        radius = float(schedule[j])
-        sup_val = int(support[winner])
-        members = np.nonzero(D[:, winner] <= radius)[0]
-        before = w[members].copy()
+        members = np.flatnonzero(D[:, winner] <= radius)
+        before = w[members]
 
         # pay the quota: zero supporters ascending by (distance to winner, index)
-        order = np.lexsort((members, D[members, winner]))
-        ordered = members[order]
+        ordered = members[np.lexsort((members, D[members, winner]))]
         wo = w[ordered]
         cums = np.cumsum(wo)
         cut = int(np.searchsorted(cums, quota, side="left"))
@@ -181,22 +163,25 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
         deltas[cut] = quota - removed_before_cut
         w[ordered] -= deltas
 
-        touched = ordered[deltas > 0]
-        if touched.size:
-            within = D[touched] <= radius  # (t, m)
-            support -= (deltas[deltas > 0][:, None] * within).sum(axis=0)
-        support[winner] = _SENTINEL
-
         selected.append(winner)
         rounds.append(
             SweepRound(
-                radius=radius,
+                radius=float(radius),
                 winner=winner,
-                supporters=tuple(int(i) for i in members),
-                weights_before=tuple(Fraction(int(b), k) for b in before),
-                weights_after=tuple(Fraction(int(a), k) for a in w[members]),
+                supporters=tuple(members.tolist()),
+                weights_before=tuple(frac[b] for b in before.tolist()),
+                weights_after=tuple(frac[a] for a in w[members].tolist()),
                 support=Fraction(sup_val, k),
             )
         )
+        if len(selected) == k:
+            return Outcome(tuple(selected)), SweepTrace(tuple(rounds))
 
-    return Outcome(tuple(selected)), SweepTrace(tuple(rounds))
+        remaining[winner] = False
+        paid = deltas > 0
+        # charge each candidate for the paying agents inside its counted prefix
+        prefix -= (rank[:, ordered[paid]] <= pos[:, None]) @ deltas[paid]
+        short = np.flatnonzero(remaining & (prefix < quota))
+        if short.size:
+            _advance(order, w, pos, prefix, short, quota)
+            threshold[short] = DT[short, order[short, pos[short]]]

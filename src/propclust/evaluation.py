@@ -173,9 +173,10 @@ def run_experiment(grid: ExperimentGrid) -> ResultTable:
     algorithms run once per (dataset, k) and carry an empty seed field.
     """
     rows: list[ResultRow] = []
-    for name, base in grid.datasets:
+    for name, inst in grid.datasets:
         for k in grid.ks:
-            inst = base.with_k(k)
+            # chained, so the distances built for one k serve the next
+            inst = inst.with_k(k)
             for algo in grid.algorithms:
                 seeds: tuple[int | None, ...]
                 seeds = tuple(grid.seeds) if algo in SEEDED_ALGORITHMS else (None,)

@@ -116,6 +116,21 @@ def test_with_k():
     np.testing.assert_array_equal(inst.agents, inst3.agents)
 
 
+def test_with_k_reuses_built_distances():
+    inst = Instance.discrete([(0.0,), (1.0,), (2.0,)], [(0.5,), (3.0,)], k=1)
+    before = inst.digest
+    matrix, agent = inst.distance_matrix, inst.agent_distances
+    inst2 = inst.with_k(2)
+    assert inst2.distance_matrix is matrix
+    assert inst2.agent_distances is agent
+    assert inst2.digest != before
+    assert inst2.digest == Instance.discrete([(0.0,), (1.0,), (2.0,)], [(0.5,), (3.0,)], k=2).digest
+    # nothing built yet, so nothing is carried: the new instance builds its own
+    fresh = Instance.unconstrained([(0.0,), (1.0,)], k=1).with_k(2)
+    assert "distance_matrix" not in fresh.__dict__
+    np.testing.assert_array_equal(fresh.distance_matrix, [[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_digest_stable_and_sensitive():
     pts = [(0.0,), (1.0,)]
     a = Instance.unconstrained(pts, k=1)

@@ -1,18 +1,19 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from propclust import (
-    Instance,
-    InputError,
-    initial_state,
-    reduce_weights,
-    select_prf_centers,
-    weighted_support,
-)
-from propclust.data_io import generate
+from propclust import Instance, InputError, select_prf_centers
+from propclust import engine
+from propclust.data_io import generate, trace_to_json_obj
+from reference_sweep import reduce_weights, reference_sweep, weighted_support
 from util import random_instance
+
+ONES = Fraction(1)
 
 
 def test_two_coincident_agents_and_an_outlier():
@@ -140,32 +141,24 @@ def test_total_weight_is_exhausted():
 
 def test_reduce_weights_order_rule():
     # two equal-weight, equidistant supporters: the lower index pays first
-    inst = Instance.unconstrained([(0.0,), (0.0,)], k=2)
-    state = initial_state(inst)
-    new = reduce_weights(state, (0, 1), (0.0, 0.0), Fraction(1))
-    assert new.weights == (Fraction(0), Fraction(1))
+    new = reduce_weights((ONES,) * 2, (0, 1), (0.0, 0.0), Fraction(1))
+    assert new == (Fraction(0), Fraction(1))
 
 
 def test_reduce_weights_fractional_remainder():
-    inst = Instance.unconstrained([(0.0,), (0.0,), (0.0,)], k=2)
-    state = initial_state(inst)
-    new = reduce_weights(state, (0, 1, 2), (0.0, 0.0, 0.0), Fraction(3, 2))
-    assert new.weights == (Fraction(0), Fraction(1, 2), Fraction(1))
+    new = reduce_weights((ONES,) * 3, (0, 1, 2), (0.0, 0.0, 0.0), Fraction(3, 2))
+    assert new == (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 def test_reduce_weights_prefers_closer_supporters():
-    inst = Instance.unconstrained([(0.0,), (1.0,), (2.0,)], k=1)
-    state = initial_state(inst)
     # agent 1 is closer to the probe than agent 0, so it pays first
-    new = reduce_weights(state, (0, 1), (2.0, 1.0), Fraction(1))
-    assert new.weights == (Fraction(1), Fraction(0), Fraction(1))
+    new = reduce_weights((ONES,) * 3, (0, 1), (2.0, 1.0), Fraction(1))
+    assert new == (Fraction(1), Fraction(0), Fraction(1))
 
 
 def test_reduce_weights_rejects_overdraw():
-    inst = Instance.unconstrained([(0.0,), (1.0,)], k=1)
-    state = initial_state(inst)
     with pytest.raises(InputError):
-        reduce_weights(state, (0,), (0.0,), Fraction(2))
+        reduce_weights((ONES,) * 2, (0,), (0.0,), Fraction(2))
 
 
 def test_weighted_support_matches_trace():
@@ -175,16 +168,16 @@ def test_weighted_support_matches_trace():
         quota = Fraction(inst.n, inst.k)
         D = inst.distance_matrix
         outcome, trace = select_prf_centers(inst)
-        state = initial_state(inst)
+        weights = (ONES,) * inst.n
         for rnd in trace.rounds:
-            assert weighted_support(inst, state, rnd.winner, rnd.radius) == rnd.support
-            state = reduce_weights(
-                state,
+            assert weighted_support(weights, D, rnd.winner, rnd.radius) == rnd.support
+            weights = reduce_weights(
+                weights,
                 rnd.supporters,
                 tuple(float(D[i, rnd.winner]) for i in rnd.supporters),
                 quota,
             )
-        assert state.total_weight() == 0
+        assert sum(weights, Fraction(0)) == 0
 
 
 def test_no_candidate_beats_winner_at_selection():
@@ -195,19 +188,19 @@ def test_no_candidate_beats_winner_at_selection():
         quota = Fraction(inst.n, inst.k)
         D = inst.distance_matrix
         _, trace = select_prf_centers(inst)
-        state = initial_state(inst)
+        weights = (ONES,) * inst.n
         chosen = set()
         for rnd in trace.rounds:
             for c in range(inst.m):
                 if c in chosen or c == rnd.winner:
                     continue
-                rival = weighted_support(inst, state, c, rnd.radius)
+                rival = weighted_support(weights, D, c, rnd.radius)
                 assert rival <= rnd.support
                 if rival == rnd.support:
                     assert rnd.winner < c
             chosen.add(rnd.winner)
-            state = reduce_weights(
-                state,
+            weights = reduce_weights(
+                weights,
                 rnd.supporters,
                 tuple(float(D[i, rnd.winner]) for i in rnd.supporters),
                 quota,
@@ -236,3 +229,96 @@ def test_trace_radii_scale_with_coordinates():
     scaled = Instance.unconstrained(inst.agents * 2.0, k=inst.k)
     _, trace2 = select_prf_centers(scaled)
     assert [r.radius for r in trace2.rounds] == [2.0 * r.radius for r in trace.rounds]
+
+
+@st.composite
+def sweep_instances(draw):
+    """Small instances rich in ties: coincident lattice points, integer matrices."""
+    kind = draw(st.sampled_from(("unconstrained", "discrete", "precomputed-shared", "precomputed")))
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("any", "k=n", "m=k")))
+    k = n if shape == "k=n" else draw(st.integers(1, n))
+    m = k if shape == "m=k" else draw(st.integers(k, n + 3))
+    if kind.startswith("precomputed"):
+        entry = st.integers(0, 4).map(float)
+        if kind == "precomputed-shared":
+            half = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+            mat = np.triu(half, 1) + np.triu(half, 1).T
+            return Instance.precomputed(mat, k=k, shared_candidates=True)
+        mat = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+        return Instance.precomputed(mat, k=k)
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coord = st.integers(0, 2).map(float)
+    else:
+        coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    metric = draw(st.sampled_from(("euclidean", "manhattan")))
+
+    def points(count):
+        return np.array(draw(st.lists(coord, min_size=count * dim, max_size=count * dim))).reshape(count, dim)
+
+    if kind == "unconstrained":
+        return Instance.unconstrained(points(n), k=k, metric=metric)
+    return Instance.discrete(points(n), points(m), k=k, metric=metric)
+
+
+@settings(max_examples=500)
+@given(sweep_instances(), st.sampled_from((1, 2, engine._CHUNK)))
+def test_trace_matches_reference_sweep(inst, chunk):
+    # small chunks make the prefix advance take several passes even at small n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", chunk)
+        outcome, trace = select_prf_centers(inst)
+    assert trace == reference_sweep(inst)
+    assert outcome.selected == tuple(r.winner for r in trace.rounds)
+
+
+def test_overflowing_distances_select_distinct_centers():
+    # the squared differences overflow, so later thresholds are infinite;
+    # centers already selected must not be picked again at radius inf
+    inst = Instance.unconstrained([(0.0,), (0.0,), (1e300,), (-1e300,), (1e300,)], k=3)
+    with np.errstate(over="ignore"):
+        assert np.isinf(inst.distance_matrix).any()
+    outcome, trace = select_prf_centers(inst)
+    assert outcome.selected == (0, 2, 1)
+    assert trace == reference_sweep(inst)
+
+
+def _pinned_instance(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "gaussian-2d":
+        return Instance.unconstrained(rng.normal(size=(300, 2)), k=20)
+    if name == "gaussian-2d-discrete":
+        return Instance.discrete(rng.normal(size=(300, 2)), rng.normal(size=(150, 2)), k=12)
+    grid = rng.integers(0, 3, size=(300, 8)).astype(float)
+    if name == "grid-8d":
+        return Instance.unconstrained(grid, k=20)
+    return Instance.unconstrained(grid, k=7, metric="manhattan")
+
+
+# SHA-256 of each serialized trace as the radius-by-radius sweep produced it.
+# These instances reach chunk boundaries and large tie groups, and are too
+# large for the Fraction reference.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("gaussian-2d", "e0f25218de227ae484d58818d7628a88b05d8447faccf88821ab10e5949b026c"),
+        ("gaussian-2d-discrete", "c372416400d6dc4e35a884c66f63965b1a0ef2e35cf09d641d63602283b75115"),
+        ("grid-8d", "61d9a98577147ac1ab38dc6487324c4876d49121d5a2ac15472b4f106a9deb4c"),
+        ("grid-8d-manhattan", "b3ee2648581ab824aa4ccde9c3247c65c0dbe31189d326ddf9598d5014db89ff"),
+    ],
+)
+def test_pinned_trace_digest(name, digest):
+    _, trace = select_prf_centers(_pinned_instance(name))
+    blob = json.dumps(trace_to_json_obj(trace), separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_advance_past_row_end_raises():
+    # a row whose whole weight is below the quota breaks the sweep's invariant
+    order = np.argsort(np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), axis=1)
+    w = np.array([1, 1, 1], dtype=np.int64)
+    pos = np.full(2, -1, dtype=np.intp)
+    prefix = np.zeros(2, dtype=np.int64)
+    with pytest.raises(RuntimeError, match="candidate 0 holds 3 .* quota 4"):
+        engine._advance(order, w, pos, prefix, np.arange(2), 4)

@@ -105,6 +105,27 @@ def test_grid_validation():
         ExperimentGrid(datasets=(("d", inst),), ks=(1,), seeds=())
 
 
+def test_experiment_builds_distances_once_per_dataset(monkeypatch):
+    import propclust.core as core
+
+    builds = []
+    real = core._pairwise
+
+    def counting(a, b, metric):
+        builds.append(a.shape[0])
+        return real(a, b, metric)
+
+    monkeypatch.setattr(core, "_pairwise", counting)
+    grid = ExperimentGrid(
+        datasets=(("blobs", generate("two_blobs")),),
+        ks=(1, 2, 3),
+        algorithms=("prf", "kmeanspp", "greedy"),
+        metrics=("msd1",),
+    )
+    run_experiment(grid)
+    assert len(builds) == 1
+
+
 def test_experiment_row_layout():
     inst = generate("two_blobs")
     grid = ExperimentGrid(
