@@ -10,7 +10,8 @@ Two selection rules to compare against the radius-sweep rule:
   opens a candidate once its ball holds a full quota of uncaptured
   agents; open centers absorb agents as their balls reach them.  May
   open fewer than k centers; the result records how the remainder was
-  padded.
+  padded.  It runs on the sweep engine's sorted rows: the radius jumps
+  from one opening to the next instead of visiting every distance.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from propclust.core import InputError, Instance, Outcome
+from propclust.engine import _advance, _sorted_rows
 
 __all__ = [
     "GreedyCaptureResult",
@@ -128,68 +130,66 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
     underfilled and, only with ``pad=True``, filled to k with the unopened
     candidates whose balls would reach a full quota soonest ignoring
     captures (ties to the lowest index).
+
+    Each candidate's distance row is sorted once, and its threshold is the
+    distance at which its ball holds a quota of uncaptured agents.  The
+    radius jumps to the smallest threshold of an unopened candidate; the
+    agents that open centers reach by then are captured, the candidates
+    whose counted prefix held one move their thresholds up, and the radius
+    is taken again until a pass captures nobody.  Then the lowest-index
+    candidate at that radius opens.  Every pass captures an agent or opens
+    a center, so there are at most n + k passes of O(n + m) vector work.
+    On top of that, charging costs O(m) per captured agent, and advancing
+    only moves each row's position forward (reading at most one chunk
+    past the new position), so charges and advances are O(n·m) in all,
+    after one O(n·m·log n) sort.
     """
     n, m, k = inst.n, inst.m, inst.k
     if m < k:
         raise InputError(f"insufficient candidates: k={k} but only {m} candidate locations")
     quota = -(-n // k)
-    dm = inst.distance_matrix
+    DT, order, rank = _sorted_rows(inst)
 
-    flat_order = np.argsort(dm, axis=None, kind="stable")
-    ev_agent, ev_cand = np.unravel_index(flat_order, dm.shape)
-    d_sorted = dm.ravel()[flat_order]
-    radii = np.unique(dm)
-    bounds = np.searchsorted(d_sorted, radii, side="right")
-
-    captured = np.zeros(n, dtype=bool)
+    # weight 1 while uncaptured, 0 after: prefix[c] counts the uncaptured
+    # agents among the first pos[c] + 1 in candidate c's sorted row
+    w = np.ones(n, dtype=np.int64)
+    uncaptured = n
+    pos = np.full(m, quota - 1, dtype=np.intp)
+    prefix = np.full(m, quota, dtype=np.int64)
+    threshold = DT[np.arange(m), order[:, quota - 1]]
+    # where each ball first holds a quota of agents, ignoring captures
+    fill_radius = threshold.copy()
     is_open = np.zeros(m, dtype=bool)
-    count = np.zeros(m, dtype=np.int64)  # uncaptured agents inside each unopened ball
+    nearest = np.full(n, np.inf)  # each agent's distance to its nearest open center
     opened: list[int] = []
     openings: list[tuple[int, float]] = []
-    pos = 0
 
-    def capture(agent: int, radius: float) -> None:
-        captured[agent] = True
-        inside = dm[agent] <= radius
-        count[inside & ~is_open] -= 1
-
-    for j, radius in enumerate(radii):
-        end = int(bounds[j])
-        block_agents = ev_agent[pos:end]
-        block_cands = ev_cand[pos:end]
-        pos = end
-        # all balls reach their radius-r entrants simultaneously: count every
-        # entry first, then let open centers take theirs back out
-        entering = ~captured[block_agents] & ~is_open[block_cands]
-        np.add.at(count, block_cands[entering], 1)
-        reached = is_open[block_cands]
-        for a in block_agents[reached]:
-            if not captured[a]:
-                capture(int(a), float(radius))
-        while len(opened) < k:
-            eligible = np.nonzero(~is_open & (count >= quota))[0]
-            if eligible.size == 0:
-                break
-            c = int(eligible[0])
+    while len(opened) < k:
+        radius = threshold[~is_open].min()
+        newly = np.flatnonzero((nearest <= radius) & (w > 0))
+        if newly.size == 0:
+            c = int(np.flatnonzero(~is_open & (threshold == radius))[0])
             is_open[c] = True
             opened.append(c)
             openings.append((c, float(radius)))
-            for a in np.nonzero(~captured & (dm[:, c] <= radius))[0]:
-                capture(int(a), float(radius))
-        if captured.all():
-            break
+            np.minimum(nearest, DT[c], out=nearest)
+            continue
+        w[newly] = 0
+        uncaptured -= newly.size
+        if uncaptured < quota:
+            break  # no ball can hold a quota any more
+        prefix -= (rank[:, newly] <= pos[:, None]).sum(axis=1)
+        short = np.flatnonzero(~is_open & (prefix < quota))
+        if short.size:
+            _advance(order, w, pos, prefix, short, quota)
+            threshold[short] = DT[short, order[short, pos[short]]]
 
     underfilled = len(opened) < k
     padded: list[int] = []
     if pad and underfilled:
         # fill with the candidates whose balls reach a quota of agents soonest
-        fill_radius = np.partition(dm, quota - 1, axis=0)[quota - 1]
-        order = np.lexsort((np.arange(m), fill_radius))
-        for c in order:
-            if len(opened) + len(padded) == k:
-                break
-            if not is_open[c]:
-                padded.append(int(c))
+        free = np.flatnonzero(~is_open)
+        padded = free[np.lexsort((free, fill_radius[free]))][: k - len(opened)].tolist()
 
     outcome = Outcome(tuple(opened) + tuple(padded))
     return GreedyCaptureResult(

@@ -1,12 +1,12 @@
 """Domain types and distance primitives shared by every other module.
 
 All types are immutable after construction and every operation is a pure
-function, so instances, outcomes, and schedules can be shared freely
-between threads or worker processes.
+function, so instances and outcomes can be shared freely between threads
+or worker processes.
 
-Distances are IEEE floats, but every comparison against a radius uses
-values read from one instance-wide distance matrix, so exact float
-equality against schedule entries is sound.  Agent weights, by contrast,
+Distances are finite IEEE floats, but every comparison against a radius
+uses values read from one instance-wide distance matrix, so exact float
+equality against radii taken from that matrix is sound.  Agent weights, by contrast,
 are exact rationals (`fractions.Fraction`); the selection quota n/k is
 never rounded.
 """
@@ -26,9 +26,7 @@ __all__ = [
     "InputError",
     "Instance",
     "Outcome",
-    "RadiusSchedule",
     "Weight",
-    "build_radius_schedule",
     "distance",
     "nearest_j",
 ]
@@ -252,10 +250,16 @@ class Instance:
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    if metric == "euclidean":
-        return np.sqrt((diff**2).sum(axis=-1))
-    return np.abs(diff).sum(axis=-1)
+    # finite coordinates can still overflow: their differences or squares reach inf
+    with np.errstate(over="ignore"):
+        diff = a[:, None, :] - b[None, :, :]
+        if metric == "euclidean":
+            out = np.sqrt((diff**2).sum(axis=-1))
+        else:
+            out = np.abs(diff).sum(axis=-1)
+    if not np.isfinite(out).all():
+        raise InputError("coordinates are too large: some distances overflow to infinity")
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,33 +284,6 @@ class Outcome:
         for i in self.selected:
             if not 0 <= i < inst.m:
                 raise InputError(f"candidate index {i} out of range for {inst.m} candidates")
-
-
-@dataclass(frozen=True)
-class RadiusSchedule:
-    """Strictly increasing deduplicated realized distances."""
-
-    radii: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        radii.flags.writeable = False
-        object.__setattr__(self, "radii", radii)
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.radii[j])
-
-
-def build_radius_schedule(inst: Instance) -> RadiusSchedule:
-    """All distinct agent-candidate distances of the instance, ascending.
-
-    In unconstrained mode the candidate multiset is the agent multiset, so
-    this is exactly the set of pairwise agent distances.
-    """
-    return RadiusSchedule(np.unique(inst.distance_matrix))
 
 
 def nearest_j(inst: Instance, agent: int, outcome: Outcome, j: int) -> list[tuple[int, float]]:

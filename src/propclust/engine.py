@@ -65,6 +65,23 @@ class SweepTrace:
     rounds: tuple[SweepRound, ...]
 
 
+def _sorted_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate's distance row, sorted once: ``(DT, order, rank)``.
+
+    ``DT`` is (m, n): row c holds candidate c's distance to every agent.  It
+    is the distance matrix itself when candidates are shared, since that
+    matrix is symmetric.  ``order[c]`` lists the agents ascending by
+    ``DT[c]`` (any order inside a tie) and ``rank`` is its inverse
+    permutation, ``order[c, rank[c, a]] == a``.
+    """
+    D = inst.distance_matrix
+    DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
+    order = np.argsort(DT, axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(D.shape[0])[None, :], axis=1)
+    return DT, order, rank
+
+
 def _advance(
     order: np.ndarray,
     w: np.ndarray,
@@ -93,8 +110,8 @@ def _advance(
         stuck = (idx[:, -1] >= n - 1) & ~hit
         if stuck.any():
             raise RuntimeError(
-                f"sweep invariant broken: candidate {int(cands[stuck][0])} holds "
-                f"{int(cums[stuck][0, -1])} scaled weight over its whole row, below the quota {quota}"
+                f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
+                f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
             )
         first = reached[hit].argmax(axis=1)
         done = cands[hit]
@@ -120,11 +137,7 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
         raise InputError(f"insufficient candidates: k={k} but only {m} candidate locations")
 
     D = inst.distance_matrix
-    # (m, n): row c holds candidate c's distance to every agent; D is symmetric when shared
-    DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
-    order = np.argsort(DT, axis=1)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
+    DT, order, rank = _sorted_rows(inst)
     rows = np.arange(m)
 
     # weights scaled by k: start at k each, quota is n, all arithmetic exact
@@ -136,7 +149,7 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     prefix = np.zeros(m, dtype=np.int64)
     _advance(order, w, pos, prefix, rows, quota)
     threshold = DT[rows, order[rows, pos]]
-    # a mask, not an infinite threshold: overflowing coordinates make real thresholds infinite
+    # a mask, not an infinite threshold, so no marker value can ever tie with a real threshold
     remaining = np.ones(m, dtype=bool)
 
     selected: list[int] = []

@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propclust import (
     Instance,
@@ -9,8 +14,10 @@ from propclust import (
     kmeans_cost,
     kmeanspp,
 )
+from propclust import engine
 from propclust.data_io import generate
-from util import random_instance
+from reference_greedy import reference_greedy
+from util import pinned_instance, random_instance, small_instances
 
 
 def test_greedy_stops_short_when_masses_run_out():
@@ -73,6 +80,33 @@ def test_greedy_opening_radii_hold_a_quota():
         assert int((dm[:, first] <= r_first).sum()) >= quota
         realized = set(np.unique(dm))
         assert all(r in realized for _, r in result.openings)
+
+
+@settings(max_examples=500)
+@given(small_instances(), st.booleans(), st.sampled_from((1, 2, engine._CHUNK)))
+def test_greedy_matches_reference(inst, pad, chunk):
+    # small chunks make the threshold advance take several passes even at small n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", chunk)
+        result = greedy_capture(inst, pad=pad)
+    assert result == reference_greedy(inst, pad=pad)
+
+
+# SHA-256 of each padded run's (opened, openings, padded, underfilled) as the
+# event-per-distance greedy produced it.  All four runs underfill and pad.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("gaussian-2d", "a807c08a859ffdbbaa1a6cd7e54d19ed9087977664cf21692e4b8cc6c31b8c62"),
+        ("gaussian-2d-discrete", "bc82da43c9098a828719145852b62e4fb992e4de476b103158cfd3a5d14d28e0"),
+        ("grid-8d", "6e85c0891d310fe70220d4d4c1c6b460daa25784186a6c01a294d533d2602e89"),
+        ("grid-8d-manhattan", "ab184eebcfeef73a6f67317bc2d78cd576a7b1299cd2729481c9e7b0a058940f"),
+    ],
+)
+def test_pinned_greedy_digest(name, digest):
+    r = greedy_capture(pinned_instance(name), pad=True)
+    blob = json.dumps([r.opened, r.openings, r.padded, r.underfilled], separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_kmeanspp_shape_and_determinism():

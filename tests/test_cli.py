@@ -95,6 +95,15 @@ def test_cluster_greedy_pad(tmp_path, capsys):
     assert "msdk: missing" not in out
 
 
+def test_cluster_overflowing_coordinates_exit_1(tmp_path, capsys):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("x0\n0.0\n0.0\n1e300\n-1e300\n1e300\n")
+    assert main(["cluster", "--input", str(csv_path), "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err
+    assert captured.out == ""
+
+
 def test_cluster_kmeanspp_seeded(two_mass_csv, tmp_path):
     run = tmp_path / "run.json"
     code = main(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from propclust import (
     Instance,
     InputError,
     Outcome,
-    build_radius_schedule,
     distance,
     nearest_j,
+    select_prf_centers,
 )
 from util import random_instance
 
@@ -159,20 +160,22 @@ def test_outcome_validate_checks_range_not_size():
         Outcome((-1,)).validate(inst)
 
 
-def test_radius_schedule_hand_cases():
-    inst = Instance.unconstrained([(0.0,), (0.0,), (1.0,)], k=1)
-    assert list(build_radius_schedule(inst)) == [0.0, 1.0]
-    inst = Instance.discrete([(0.0,), (1.0,)], [(0.0,), (0.5,), (0.5,), (1.0,)], k=2)
-    assert list(build_radius_schedule(inst)) == [0.0, 0.5, 1.0]
-
-
-def test_radius_schedule_sorted_unique():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        inst = random_instance(rng)
-        radii = np.asarray(list(build_radius_schedule(inst)))
-        assert np.all(np.diff(radii) > 0)
-        assert set(radii) == set(np.unique(inst.distance_matrix))
+def test_overflowing_distances_raise_input_error():
+    # finite coordinates whose squared differences overflow: the distance
+    # build must refuse them rather than let the sweep run at radius inf
+    points = [(0.0,), (0.0,), (1e300,), (-1e300,), (1e300,)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = Instance.unconstrained(points, k=3)
+        with pytest.raises(InputError, match="overflow"):
+            inst.distance_matrix
+        with pytest.raises(InputError, match="overflow"):
+            select_prf_centers(inst)
+        # the agent-candidate distances fit, the agent-agent ones do not
+        inst = Instance.discrete([(1e154,), (-1e154,)], [(0.0,)], k=1)
+        assert inst.distance_matrix.tolist() == [[1e154], [1e154]]
+        with pytest.raises(InputError, match="overflow"):
+            inst.agent_distances
 
 
 def test_nearest_j_hand_case():

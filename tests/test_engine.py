@@ -11,7 +11,7 @@ from propclust import Instance, InputError, select_prf_centers
 from propclust import engine
 from propclust.data_io import generate, trace_to_json_obj
 from reference_sweep import reduce_weights, reference_sweep, weighted_support
-from util import random_instance
+from util import pinned_instance, random_instance, small_instances
 
 ONES = Fraction(1)
 
@@ -231,39 +231,8 @@ def test_trace_radii_scale_with_coordinates():
     assert [r.radius for r in trace2.rounds] == [2.0 * r.radius for r in trace.rounds]
 
 
-@st.composite
-def sweep_instances(draw):
-    """Small instances rich in ties: coincident lattice points, integer matrices."""
-    kind = draw(st.sampled_from(("unconstrained", "discrete", "precomputed-shared", "precomputed")))
-    n = draw(st.integers(1, 12))
-    shape = draw(st.sampled_from(("any", "k=n", "m=k")))
-    k = n if shape == "k=n" else draw(st.integers(1, n))
-    m = k if shape == "m=k" else draw(st.integers(k, n + 3))
-    if kind.startswith("precomputed"):
-        entry = st.integers(0, 4).map(float)
-        if kind == "precomputed-shared":
-            half = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
-            mat = np.triu(half, 1) + np.triu(half, 1).T
-            return Instance.precomputed(mat, k=k, shared_candidates=True)
-        mat = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
-        return Instance.precomputed(mat, k=k)
-    dim = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        coord = st.integers(0, 2).map(float)
-    else:
-        coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
-    metric = draw(st.sampled_from(("euclidean", "manhattan")))
-
-    def points(count):
-        return np.array(draw(st.lists(coord, min_size=count * dim, max_size=count * dim))).reshape(count, dim)
-
-    if kind == "unconstrained":
-        return Instance.unconstrained(points(n), k=k, metric=metric)
-    return Instance.discrete(points(n), points(m), k=k, metric=metric)
-
-
 @settings(max_examples=500)
-@given(sweep_instances(), st.sampled_from((1, 2, engine._CHUNK)))
+@given(small_instances(), st.sampled_from((1, 2, engine._CHUNK)))
 def test_trace_matches_reference_sweep(inst, chunk):
     # small chunks make the prefix advance take several passes even at small n
     with pytest.MonkeyPatch.context() as mp:
@@ -271,29 +240,6 @@ def test_trace_matches_reference_sweep(inst, chunk):
         outcome, trace = select_prf_centers(inst)
     assert trace == reference_sweep(inst)
     assert outcome.selected == tuple(r.winner for r in trace.rounds)
-
-
-def test_overflowing_distances_select_distinct_centers():
-    # the squared differences overflow, so later thresholds are infinite;
-    # centers already selected must not be picked again at radius inf
-    inst = Instance.unconstrained([(0.0,), (0.0,), (1e300,), (-1e300,), (1e300,)], k=3)
-    with np.errstate(over="ignore"):
-        assert np.isinf(inst.distance_matrix).any()
-    outcome, trace = select_prf_centers(inst)
-    assert outcome.selected == (0, 2, 1)
-    assert trace == reference_sweep(inst)
-
-
-def _pinned_instance(name):
-    rng = np.random.default_rng(sum(map(ord, name)))
-    if name == "gaussian-2d":
-        return Instance.unconstrained(rng.normal(size=(300, 2)), k=20)
-    if name == "gaussian-2d-discrete":
-        return Instance.discrete(rng.normal(size=(300, 2)), rng.normal(size=(150, 2)), k=12)
-    grid = rng.integers(0, 3, size=(300, 8)).astype(float)
-    if name == "grid-8d":
-        return Instance.unconstrained(grid, k=20)
-    return Instance.unconstrained(grid, k=7, metric="manhattan")
 
 
 # SHA-256 of each serialized trace as the radius-by-radius sweep produced it.
@@ -309,7 +255,7 @@ def _pinned_instance(name):
     ],
 )
 def test_pinned_trace_digest(name, digest):
-    _, trace = select_prf_centers(_pinned_instance(name))
+    _, trace = select_prf_centers(pinned_instance(name))
     blob = json.dumps(trace_to_json_obj(trace), separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from propclust import Instance
 
@@ -45,3 +46,47 @@ def random_outcome(rng, inst, size=None):
     size = inst.k if size is None else size
     sel = rng.choice(inst.m, size=size, replace=False)
     return Outcome(tuple(int(j) for j in sel))
+
+
+@st.composite
+def small_instances(draw):
+    """Small instances rich in ties: coincident lattice points, integer matrices."""
+    kind = draw(st.sampled_from(("unconstrained", "discrete", "precomputed-shared", "precomputed")))
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("any", "k=n", "m=k")))
+    k = n if shape == "k=n" else draw(st.integers(1, n))
+    m = k if shape == "m=k" else draw(st.integers(k, n + 3))
+    if kind.startswith("precomputed"):
+        entry = st.integers(0, 4).map(float)
+        if kind == "precomputed-shared":
+            half = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+            mat = np.triu(half, 1) + np.triu(half, 1).T
+            return Instance.precomputed(mat, k=k, shared_candidates=True)
+        mat = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+        return Instance.precomputed(mat, k=k)
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coord = st.integers(0, 2).map(float)
+    else:
+        coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    metric = draw(st.sampled_from(("euclidean", "manhattan")))
+
+    def points(count):
+        return np.array(draw(st.lists(coord, min_size=count * dim, max_size=count * dim))).reshape(count, dim)
+
+    if kind == "unconstrained":
+        return Instance.unconstrained(points(n), k=k, metric=metric)
+    return Instance.discrete(points(n), points(m), k=k, metric=metric)
+
+
+def pinned_instance(name):
+    """One of four n = 300 instances whose outputs the tests pin by digest."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "gaussian-2d":
+        return Instance.unconstrained(rng.normal(size=(300, 2)), k=20)
+    if name == "gaussian-2d-discrete":
+        return Instance.discrete(rng.normal(size=(300, 2)), rng.normal(size=(150, 2)), k=12)
+    grid = rng.integers(0, 3, size=(300, 8)).astype(float)
+    if name == "grid-8d":
+        return Instance.unconstrained(grid, k=20)
+    return Instance.unconstrained(grid, k=7, metric="manhattan")
