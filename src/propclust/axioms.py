@@ -11,6 +11,17 @@ the proportional-representation checkers fall back to a sampling mode
 subsets) whose clean verdict is one-sided: a found violation is definitive,
 "no violation found" is not, and the report's ``definitive`` flag says so.
 
+Each agent seeds the n prefixes of all agents sorted by distance to it,
+but only k of them need testing.  Along one seed's order a prefix's
+radius (its diameter, or its r-th cover radius) never falls and its
+distance to each selected center never rises, so its count of covered
+centers never falls; the entitlement ((t+1)*k)//n of the prefix of t + 1
+agents is constant between its steps t_l = ceil(l*n/k) - 1, l = 1..k.  A
+prefix can therefore only fail if the first one of its entitlement level
+fails, and the first failing prefix is always one of the t_l.  Per seed
+that is O(n^2) vector work for the unconstrained form and O(n*m) for the
+discrete one, with k prefixes checked, so O(n^3) and O(n^2*m) in all.
+
 Checkers are pure functions of (instance, outcome) and safe to run in
 parallel on shared instances.
 """
@@ -415,7 +426,9 @@ def check_prf_unconstrained(
     The group size bound uses the exact rational n/k.  ``exhaustive=None``
     picks exhaustive enumeration for n <= 16 and sampling mode otherwise;
     sampling mode checks every agent-seeded neighborhood ball plus seeded
-    random subsets and is one-sided when it finds nothing.
+    random subsets and is one-sided when it finds nothing.  Of each seed's
+    n balls it tests the k at which the entitlement steps up (see the
+    module docstring), in O(n^2) vector work per seed.
     """
     sel = _selected(inst, outcome)
     n, k = inst.n, inst.k
@@ -451,28 +464,62 @@ def check_prf_unconstrained(
     return AxiomReport(AXIOM_PRF_UNC, satisfied=True, definitive=False)
 
 
+def _entitlement_blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where a seed's prefixes step up in entitlement, and the blocks between.
+
+    A prefix of t + 1 agents is entitled to ((t+1)*k)//n centers, which is
+    exactly l from t_l = ceil(l*n/k) - 1 up to t_(l+1) - 1 (k <= n keeps
+    the steps distinct, and t_k = n - 1).  Returns the steps t_1..t_k and a
+    (k, width) array whose row l lists the positions t_(l-1) + 1 .. t_l,
+    padded by repeating t_l, so a max or min over a row is the block's.
+    """
+    steps = (np.arange(1, k + 1) * n + k - 1) // k - 1
+    starts = np.concatenate(([0], steps[:-1] + 1))
+    width = int((steps - starts).max()) + 1
+    return steps, np.minimum(starts[:, None] + np.arange(width), steps[:, None])
+
+
+def _fold_prefixes(values: np.ndarray, op, blocks: np.ndarray) -> np.ndarray:
+    """Row l: op-fold of the rows of ``values`` in blocks 0..l."""
+    return op.accumulate(op.reduce(values[blocks], axis=1), axis=0)
+
+
 def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
     aa = inst.agent_distances
     dm = inst.distance_matrix
     n, k = inst.n, inst.k
-    sizes = np.arange(1, n + 1)
-    need_by_size = (sizes * k) // n
+    # the first failing prefix of a seed is at an entitlement step (see the
+    # module docstring), so only those k prefixes are tested
+    steps, blocks = _entitlement_blocks(n, k)
+    entitled = np.arange(1, k + 1)
+    apart = aa
+    if aa.diagonal().any():
+        # a group's diameter is over pairs of distinct members
+        apart = aa.copy()
+        np.fill_diagonal(apart, 0.0)
+    dsel = dm[:, sel]
+    positions = np.arange(n)
+    rank = np.empty(n, dtype=np.intp)
     for i in range(n):
         order = np.argsort(aa[i], kind="stable")
-        sub = aa[np.ix_(order, order)]
-        rowmax = np.tril(sub, -1).max(axis=1)
-        diam_pref = np.maximum.accumulate(rowmax)
-        prefix_min = np.minimum.accumulate(dm[order][:, sel], axis=0)
-        cov = np.count_nonzero(prefix_min <= diam_pref[:, None], axis=1)
-        bad = np.nonzero(cov < need_by_size)[0]
+        rank[order] = positions
+        members = order[blocks]
+        # a pair joins the prefix with its later member: far[l, b] is agent
+        # b's largest distance into block l, read for b up to step l
+        far = apart[members].max(axis=1)
+        joined = np.where(rank <= steps[:, None], far, 0.0).max(axis=1)
+        diam = np.maximum.accumulate(joined)
+        nearest = _fold_prefixes(dsel, np.minimum, members)
+        cov = np.count_nonzero(nearest <= diam[:, None], axis=1)
+        bad = np.flatnonzero(cov < entitled)
         if bad.size:
-            t0 = int(bad[0])
-            members = tuple(sorted(int(a) for a in order[: t0 + 1]))
+            j = int(bad[0])
+            t0 = int(steps[j])
             return Witness(
-                agents=members,
-                radius=float(diam_pref[t0]),
-                required=int(need_by_size[t0]),
-                found=int(cov[t0]),
+                agents=tuple(sorted(int(a) for a in order[: t0 + 1])),
+                radius=float(diam[j]),
+                required=int(entitled[j]),
+                found=int(cov[j]),
                 note="agent-seeded neighborhood holds too few centers",
             )
     rng = np.random.default_rng(seed)
@@ -482,8 +529,9 @@ def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
         if need == 0:
             continue
         members = np.sort(rng.choice(n, size=size, replace=False))
-        y = float(aa[np.ix_(members, members)].max()) if size > 1 else 0.0
-        cov = int(np.count_nonzero(dm[np.ix_(members, sel)].min(axis=0) <= y))
+        # whole rows first: far cheaper than a (size, size) fancy gather
+        y = float(aa[members].max(axis=0)[members].max()) if size > 1 else 0.0
+        cov = int(np.count_nonzero(dsel[members].min(axis=0) <= y))
         if cov < need:
             return Witness(
                 agents=tuple(int(a) for a in members),
@@ -512,7 +560,12 @@ def check_prf_discrete(
     lie within y of every member, at least l' selected centers must lie
     within y of some member.  Radii are swept over realized distances only;
     group-cover radii (the sorted per-group candidate cover distances) are
-    the change points, so checking those is complete.
+    the change points, so checking those is complete.  Sampling mode tests
+    each agent-seeded neighborhood at the k sizes where its entitlement
+    steps up, all cover ranks r at once, in O(n*m) vector work per seed;
+    the first failing r, then its first failing size, is the witness.
+    Precomputed instances without agent-agent distances sample only
+    random subsets.
     """
     sel = _selected(inst, outcome)
     n, k, m = inst.n, inst.k, inst.m
@@ -559,33 +612,39 @@ def check_prf_discrete(
 def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
     dm = inst.distance_matrix
     n, k, m = inst.n, inst.k, inst.m
-    sizes = np.arange(1, n + 1)
-    lmax_by_size = (sizes * k) // n
+    dsel = dm[:, sel]
     try:
         aa = inst.agent_distances
     except InputError:
         aa = None
     if aa is not None:
+        # for each cover rank r the first failing prefix of a seed is at an
+        # entitlement step (see the module docstring)
+        steps, blocks = _entitlement_blocks(n, k)
+        width = min(k, m)  # cover ranks r = 1..width
+        req = np.minimum(np.arange(1, k + 1)[:, None], np.arange(1, width + 1))
+        # found < req exactly when the req-th smallest distance to the
+        # selection (inf past its end) exceeds the radius
+        no_center = np.full((k, width), np.inf)
         for i in range(n):
             order = np.argsort(aa[i], kind="stable")
-            d_ord = dm[order]
-            cover_pref = np.maximum.accumulate(d_ord, axis=0)
-            selmin_pref = np.minimum.accumulate(d_ord[:, sel], axis=0)
-            sorted_cover = np.sort(cover_pref, axis=1)
-            for r in range(1, int(min(k, m)) + 1):
-                y = sorted_cover[:, r - 1]
-                req = np.minimum(lmax_by_size, r)
-                found = np.count_nonzero(selmin_pref <= y[:, None], axis=1)
-                bad = np.nonzero(found < req)[0]
-                if bad.size:
-                    t0 = int(bad[0])
-                    return Witness(
-                        agents=tuple(sorted(int(a) for a in order[: t0 + 1])),
-                        radius=float(y[t0]),
-                        required=int(req[t0]),
-                        found=int(found[t0]),
-                        note="agent-seeded neighborhood is under-covered",
-                    )
+            members = order[blocks]
+            cover = _fold_prefixes(dm, np.maximum, members)
+            y = np.sort(cover, axis=1)[:, :width]
+            nearest = _fold_prefixes(dsel, np.minimum, members)
+            kth = np.sort(np.concatenate((nearest, no_center), axis=1), axis=1)
+            bad = np.take_along_axis(kth, req - 1, axis=1) > y
+            if bad.any():
+                r0 = int(np.argmax(bad.any(axis=0)))
+                j = int(np.argmax(bad[:, r0]))
+                t0 = int(steps[j])
+                return Witness(
+                    agents=tuple(sorted(int(a) for a in order[: t0 + 1])),
+                    radius=float(y[j, r0]),
+                    required=int(req[j, r0]),
+                    found=int(np.count_nonzero(nearest[j] <= y[j, r0])),
+                    note="agent-seeded neighborhood is under-covered",
+                )
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         size = int(rng.integers(1, n + 1))
@@ -593,19 +652,19 @@ def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
         if lmax == 0:
             continue
         members = np.sort(rng.choice(n, size=size, replace=False))
-        cover = np.sort(dm[members].max(axis=0))
-        to_sel = dm[np.ix_(members, sel)].min(axis=0)
-        for r in range(1, min(lmax, m) + 1):
-            y = float(cover[r - 1])
-            found = int(np.count_nonzero(to_sel <= y))
-            if found < min(lmax, r):
-                return Witness(
-                    agents=tuple(int(a) for a in members),
-                    radius=y,
-                    required=min(lmax, r),
-                    found=found,
-                    note="sampled group is under-covered",
-                )
+        cover = np.sort(dm[members].max(axis=0))[: min(lmax, m)]
+        to_sel = np.sort(dsel[members].min(axis=0))
+        found = np.searchsorted(to_sel, cover, side="right")
+        bad = np.flatnonzero(found < np.arange(1, cover.size + 1))
+        if bad.size:
+            r0 = int(bad[0])
+            return Witness(
+                agents=tuple(int(a) for a in members),
+                radius=float(cover[r0]),
+                required=r0 + 1,
+                found=int(found[r0]),
+                note="sampled group is under-covered",
+            )
     return None
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome
+from propclust.core import InputError, Instance, Outcome, _squares_fit
 from propclust.engine import _advance, _sorted_rows
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 
+@_squares_fit
 def kmeans_cost(inst: Instance, outcome: Outcome) -> float:
     """Total squared distance from each agent to its nearest selected center."""
     outcome.validate(inst)
@@ -39,6 +40,7 @@ def kmeans_cost(inst: Instance, outcome: Outcome) -> float:
     return float(np.sum(nearest**2))
 
 
+@_squares_fit
 def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
     """Seeded k-means++ restricted to candidate locations.
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,6 +64,9 @@ def distance(p: Sequence[float], q: Sequence[float], metric: str = "euclidean") 
     metric : str
         Either ``"euclidean"`` or ``"manhattan"``.  The precomputed-matrix
         mode has no pointwise form; build an :class:`Instance` for it.
+
+    A distance that overflows to infinity raises :class:`InputError`, as
+    it does when an :class:`Instance` builds its distance matrix.
     """
     a = np.atleast_1d(np.asarray(p, dtype=float))
     b = np.atleast_1d(np.asarray(q, dtype=float))
@@ -71,13 +74,11 @@ def distance(p: Sequence[float], q: Sequence[float], metric: str = "euclidean") 
         raise InputError(f"points have mismatched shapes {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InputError("points must have finite coordinates")
-    if metric == "euclidean":
-        return float(np.sqrt(((a - b) ** 2).sum()))
-    if metric == "manhattan":
-        return float(np.abs(a - b).sum())
     if metric == PRECOMPUTED:
         raise InputError("precomputed metric has no pointwise distance; use Instance.precomputed")
-    raise InputError(f"unknown metric {metric!r}")
+    if metric not in COORDINATE_METRICS:
+        raise InputError(f"unknown metric {metric!r}")
+    return float(_pairwise(a[None, :], b[None, :], metric)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -249,17 +250,45 @@ class Instance:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: Coordinate differences held at once while building distances (8 bytes each).
+_PAIRWISE_BLOCK = 1 << 20
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    # rows of `a` go in blocks, so the (rows, m, dim) differences stay small;
+    # each distance is still one sum over the coordinate axis, bit for bit
+    step = max(1, _PAIRWISE_BLOCK // (b.shape[0] * b.shape[1]))
+    blocks = []
     # finite coordinates can still overflow: their differences or squares reach inf
     with np.errstate(over="ignore"):
-        diff = a[:, None, :] - b[None, :, :]
-        if metric == "euclidean":
-            out = np.sqrt((diff**2).sum(axis=-1))
-        else:
-            out = np.abs(diff).sum(axis=-1)
+        for start in range(0, a.shape[0], step):
+            diff = a[start : start + step, None, :] - b[None, :, :]
+            if metric == "euclidean":
+                blocks.append(np.sqrt((diff**2).sum(axis=-1)))
+            else:
+                blocks.append(np.abs(diff).sum(axis=-1))
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     if not np.isfinite(out).all():
         raise InputError("coordinates are too large: some distances overflow to infinity")
     return out
+
+
+def _squares_fit(func):
+    """Decorate a function that squares distances: overflow raises InputError.
+
+    Every finite distance is valid, but squares pass the float maximum
+    from about 1.3e154 on, and sums of squares can pass it below that.
+    """
+
+    @wraps(func)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return func(*args, **kwargs)
+        except FloatingPointError:
+            raise InputError("distances are too large: their squares overflow to infinity") from None
+
+    return checked
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from propclust.baselines import greedy_capture, kmeanspp
-from propclust.core import InputError, Instance, Outcome
+from propclust.core import InputError, Instance, Outcome, _squares_fit
 from propclust.engine import select_prf_centers
 
 __all__ = [
@@ -43,6 +43,7 @@ ALGORITHM_NAMES = ("prf", "kmeanspp", "greedy")
 SEEDED_ALGORITHMS = frozenset({"kmeanspp"})
 
 
+@_squares_fit
 def msd_j(inst: Instance, outcome: Outcome, j: int, squared: bool = True) -> float:
     """Mean over agents of the summed distance to their j nearest centers.
 

@@ -1,7 +1,11 @@
+import hashlib
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propclust import (
     AxiomReport,
@@ -22,7 +26,8 @@ from propclust import (
     select_prf_centers,
 )
 from propclust.data_io import generate
-from util import all_outcomes, random_instance, random_outcome
+from reference_axioms import reference_prf_discrete_sample, reference_prf_unconstrained_sample
+from util import all_outcomes, pinned_instance, random_instance, random_outcome, small_instances
 
 
 def ceil_div(a, b):
@@ -321,10 +326,19 @@ def test_sampling_clean_pass_is_not_definitive():
 
 def test_sampling_violations_are_sound():
     # anything sampling flags must be a genuine exhaustive violation
-    rng = np.random.default_rng(24)
-    flagged = 0
-    for _ in range(120):
-        inst = random_instance(rng, n_max=12)
+    def precomputed(rng):
+        # no agent-agent distances: only the random subsets are sampled
+        n = int(rng.integers(2, 13))
+        k = int(rng.integers(1, n + 1))
+        m = int(rng.integers(k, n + 4))
+        return Instance.precomputed(rng.integers(0, 4, size=(n, m)).astype(float), k=k)
+
+    draws = [(np.random.default_rng(24), lambda rng: random_instance(rng, n_max=12))] * 120
+    draws += [(np.random.default_rng(26), lambda rng: random_instance(rng, 12, ("discrete",)))] * 60
+    draws += [(np.random.default_rng(27), precomputed)] * 60
+    flagged = {"unconstrained": 0, "discrete": 0, "precomputed": 0}
+    for rng, draw in draws:
+        inst = draw(rng)
         out = random_outcome(rng, inst)
         checker = (
             check_prf_unconstrained if inst.is_unconstrained else check_prf_discrete
@@ -332,11 +346,86 @@ def test_sampling_violations_are_sound():
         sampled = checker(inst, out, exhaustive=False)
         exact = checker(inst, out, exhaustive=True)
         if not sampled.satisfied:
-            flagged += 1
+            kind = "unconstrained" if inst.is_unconstrained else "discrete"
+            flagged["precomputed" if inst.agents is None else kind] += 1
             assert sampled.definitive
             assert not exact.satisfied
             assert recheck_witness(inst, out, sampled)
-    assert flagged > 0
+    assert min(flagged.values()) > 0
+
+
+def _sampled_reports_match_reference(inst, out, seed, samples):
+    sel = np.asarray(out.selected, dtype=np.intp)
+    pairs = [(check_prf_discrete, reference_prf_discrete_sample)]
+    if inst.is_unconstrained:
+        pairs.append((check_prf_unconstrained, reference_prf_unconstrained_sample))
+    for checker, reference in pairs:
+        report = checker(inst, out, exhaustive=False, seed=seed, samples=samples)
+        witness = reference(inst, sel, seed, samples)
+        assert report == AxiomReport(
+            report.axiom,
+            satisfied=witness is None,
+            witness=witness,
+            definitive=witness is not None,
+        )
+
+
+@settings(max_examples=500)
+@given(small_instances(), st.data())
+def test_sampled_prf_checkers_match_reference(inst, data):
+    # prf outcomes mostly pass; random ones, also short or long, fail often
+    if data.draw(st.booleans(), label="prf outcome"):
+        out, _ = select_prf_centers(inst)
+    else:
+        picks = data.draw(st.permutations(range(inst.m)), label="candidates")
+        out = Outcome(tuple(picks[: data.draw(st.integers(1, inst.m), label="size")]))
+    seed = data.draw(st.integers(0, 3), label="seed")
+    samples = data.draw(st.sampled_from((0, 20)), label="samples")
+    _sampled_reports_match_reference(inst, out, seed, samples)
+
+
+def test_sampled_prf_checkers_match_reference_with_self_distances():
+    # a shared precomputed matrix may give an agent a nonzero distance to
+    # itself as a candidate; group diameters still leave those out
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        half = rng.integers(0, 4, size=(n, n)).astype(float)
+        mat = np.triu(half, 1) + np.triu(half, 1).T + np.diag(rng.integers(0, 3, size=n))
+        inst = Instance.precomputed(mat, k=k, shared_candidates=True)
+        _sampled_reports_match_reference(inst, random_outcome(rng, inst), 0, 20)
+
+
+def _pinned_reports(inst):
+    engine_out, _ = select_prf_centers(inst)
+    rng = np.random.default_rng(0)
+    shuffled = Outcome(tuple(int(c) for c in rng.choice(inst.m, size=inst.k, replace=False)))
+    # every center near agent 0: far neighborhoods go without
+    clumped = Outcome(
+        tuple(int(c) for c in np.argsort(inst.distance_matrix[0], kind="stable")[: inst.k])
+    )
+    checkers = [check_prf_discrete]
+    if inst.is_unconstrained:
+        checkers.append(check_prf_unconstrained)
+    return [c(inst, o).to_json_obj() for o in (engine_out, shuffled, clumped) for c in checkers]
+
+
+# SHA-256 of the sampled PRF reports (engine, shuffled and clumped outcomes)
+# as the checkers that test every prefix size produced them.  Six of the
+# twenty-one reports are violations.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("gaussian-2d", "dd95f5eb568647f4e20ff389555bb9c0dc449acbaaafcf4933174033ce9ab9bf"),
+        ("gaussian-2d-discrete", "26d149b48816d480acb0968a97900ad014ba9d827a0967391df4a4271c2fd019"),
+        ("grid-8d", "1d45320d8145ea1753c4ead6357d0ad7afcafb87b9d8dd37d5d29fb60d5b850d"),
+        ("grid-8d-manhattan", "0d4cc8966e041f962daf2a3efdc86e0ba808be3d94548b88d2ac44c463b88d06"),
+    ],
+)
+def test_pinned_sampled_prf_digest(name, digest):
+    blob = json.dumps(_pinned_reports(pinned_instance(name)), separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_exhaustive_mode_rejects_large_instances():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,20 @@ def test_kmeans_cost_hand_value():
     # centers at 0 and 3: costs 0, 1, 0
     assert kmeans_cost(inst, Outcome((0, 2))) == pytest.approx(1.0)
     assert kmeans_cost(inst, Outcome((1,))) == pytest.approx(1.0 + 0.0 + 4.0)
+
+
+def test_overflowing_squares_raise_input_error():
+    # the distances fit in a float, their squares do not
+    inst = Instance.unconstrained([(0.0,), (1e200,), (2e200,), (3e200,)], k=2, metric="manhattan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="squares overflow"):
+            kmeanspp(inst)
+        with pytest.raises(InputError, match="squares overflow"):
+            kmeans_cost(inst, Outcome((0, 1)))
+        # squares that fit still work, however close to the limit
+        inst = Instance.unconstrained([(0.0,), (1e153,), (2e153,), (3e153,)], k=2, metric="manhattan")
+        assert kmeans_cost(inst, kmeanspp(inst)) == pytest.approx(2e306)
 
 
 def test_insufficient_candidates_rejected():

@@ -12,6 +12,7 @@ from propclust import (
     nearest_j,
     select_prf_centers,
 )
+from propclust import core
 from util import random_instance
 
 
@@ -33,6 +34,17 @@ def test_distance_rejects_unknown_metric():
 def test_distance_rejects_dimension_mismatch():
     with pytest.raises(InputError):
         distance((0.0,), (1.0, 2.0))
+
+
+def test_distance_overflow_raises_input_error():
+    # the same rule as the distance build of an Instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="overflow"):
+            distance((0.0,), (1e300,))
+        with pytest.raises(InputError, match="overflow"):
+            distance((-1e308,), (1e308,), metric="manhattan")
+        assert distance((0.0,), (1e300,), metric="manhattan") == 1e300
 
 
 def test_unconstrained_candidates_are_agents():
@@ -63,6 +75,18 @@ def test_distance_matrix_matches_pointwise():
                     inst.agents[i], inst.candidates[j], inst.metric
                 )
                 assert dm[i, j] == pytest.approx(want, abs=0.0)
+
+
+def test_distance_blocks_match_one_block(monkeypatch):
+    # building the matrix a few rows at a time must not move a single bit
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        inst = random_instance(rng, n_max=30)
+        whole = inst.distance_matrix
+        for block in (1, 7, 40):
+            monkeypatch.setattr(core, "_PAIRWISE_BLOCK", block)
+            again = core._pairwise(inst.agents, inst.candidates, inst.metric)
+            assert again.tobytes() == whole.tobytes()
 
 
 def test_agent_distances_symmetric_zero_diagonal():

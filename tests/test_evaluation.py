@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ def test_msd_rejects_out_of_range_j():
         msd_j(inst, out, 0)
     with pytest.raises(InputError):
         msd_j(inst, out, 2)
+
+
+def test_msd_overflowing_squares_raise_input_error():
+    inst = Instance.unconstrained([(0.0,), (1e200,), (2e200,), (3e200,)], k=2, metric="manhattan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="squares overflow"):
+            msd_j(inst, Outcome((0, 1)), 1)
+        assert msd_j(inst, Outcome((0, 1)), 1, squared=False) == 7.5e199
 
 
 def test_metric_order():
