@@ -5,6 +5,15 @@ violation always carries a :class:`Witness` holding the offending agent
 set plus the candidate or radius involved, so the claim can be re-derived
 from the instance alone (see :func:`recheck_witness`).
 
+The exhaustive PRF checkers (unconstrained, discrete, PRF2 and PRF3) run
+one scan over all 2^n agent bitmasks.  A mask is tested at one or more
+radii: the group diameter for the unconstrained form, owed l centers, and
+for the discrete family the r-th smallest cover radius, owed min(l, r),
+for r = 1..min(max l, m).  The witness is the smallest failing mask at its
+first failing r.  Past r = l the owed count stays l while the radius and
+the centers found never fall, so every failing mask fails first at some
+r <= min(l, m).
+
 Exhaustive subset enumeration is capped at n <= 16 agents.  Beyond that
 the proportional-representation checkers fall back to a sampling mode
 (deterministic agent-seeded neighborhood families plus seeded random
@@ -257,8 +266,7 @@ def check_pf(inst: Instance, outcome: Outcome) -> AxiomReport:
 
 def check_pf_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
     """Subset-enumeration oracle for :func:`check_pf` (n <= 16)."""
-    if inst.n > EXHAUSTIVE_LIMIT:
-        raise InputError(f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_LIMIT}")
+    _exhaustive_guard(inst)
     sel = _selected(inst, outcome)
     t = _ceil_div(inst.n, inst.k)
     dm = inst.distance_matrix
@@ -333,17 +341,16 @@ def check_core(inst: Instance, outcome: Outcome) -> AxiomReport:
 
 def check_core_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
     """Subset-enumeration oracle for :func:`check_core` (n <= 16)."""
-    if inst.n > EXHAUSTIVE_LIMIT:
-        raise InputError(f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_LIMIT}")
+    _exhaustive_guard(inst)
     sel = _selected(inst, outcome)
     t = _ceil_div(inst.n, inst.k)
     dm = inst.distance_matrix
     d_out = _dist_to_outcome(inst, sel)
     n = inst.n
-    pops = _popcounts(n)
+    pops = _subset_members(n).sum(axis=1)
     for c in range(inst.m):
         delta = d_out - dm[:, c]
-        sums = _fold_sums(delta)
+        sums = _fold_masks(delta[:, None], np.add, 0.0)[:, 0]
         viol = (pops >= t) & (sums > 0.0)
         if viol.any():
             mask = int(np.argmax(viol))
@@ -362,15 +369,17 @@ def check_core_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# subset tables: op-folds of per-agent rows over all bitmask subsets
+# exhaustive subset scan: op-folds of per-agent rows over all bitmask subsets
 
 
-def _popcounts(n: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        counts += (masks >> b) & 1
-    return counts
+def _exhaustive_guard(inst: Instance) -> None:
+    if inst.n > EXHAUSTIVE_LIMIT:
+        raise InputError(f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_LIMIT}")
+
+
+def _subset_members(n: int) -> np.ndarray:
+    """members[mask, i] is True when agent i is in the bitmask subset."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
 
 
 def _fold_masks(values: np.ndarray, op: Callable, identity: float) -> np.ndarray:
@@ -385,29 +394,56 @@ def _fold_masks(values: np.ndarray, op: Callable, identity: float) -> np.ndarray
     return out
 
 
-def _fold_sums(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    out = np.zeros(1 << n, dtype=float)
-    for b in range(n - 1, -1, -1):
-        base = np.arange(1 << (n - 1 - b), dtype=np.intp) << (b + 1)
-        out[base | (1 << b)] = out[base] + values[b]
-    return out
+def _cover_radii(dm: np.ndarray, members: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cover radii and owed counts, one column per cover rank r.
+
+    Column r - 1 holds each subset's r-th smallest cover radius (candidate
+    distance to the subset's farthest member) and min(l, r), its
+    entitlement l capped at r; r runs to min(max l, m).
+    """
+    need = _entitlement(members.sum(axis=1), k, dm.shape[0])
+    cover = np.sort(_fold_masks(dm, np.maximum, -np.inf), axis=1)
+    ranks = np.arange(1, min(int(need.max()), dm.shape[1]) + 1)
+    return cover[:, : ranks.size], np.minimum(need[:, None], ranks)
 
 
-def _subset_diameters(aa: np.ndarray) -> np.ndarray:
-    """diam[mask] = max pairwise distance within the mask (0 for singletons)."""
-    n = aa.shape[0]
-    maxrow = _fold_masks(aa, np.maximum, -np.inf)  # (2^n, n)
-    diam = np.zeros(1 << n, dtype=float)
-    for b in range(n - 1, -1, -1):
-        base = np.arange(1 << (n - 1 - b), dtype=np.intp) << (b + 1)
-        idx = base | (1 << b)
-        diam[idx] = np.maximum(diam[base], maxrow[base, b])
-    return diam
+def _first_short_group(
+    axiom: str,
+    note: str,
+    members: np.ndarray,
+    radii: np.ndarray,
+    required: np.ndarray,
+    found_within: Callable[[np.ndarray], np.ndarray],
+) -> AxiomReport:
+    """The exhaustive scan: the smallest failing mask, at its first failing column.
 
-
-def _mask_members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
+    ``radii`` and ``required`` hold one column per radius tried, a row per
+    mask; ``found_within(y)`` counts, for every mask, the centers its rule
+    credits within y[mask].  A mask fails a column when it finds fewer
+    than required.
+    """
+    best = None
+    for r in range(radii.shape[1]):
+        y = radii[:, r]
+        found = found_within(y)
+        short = np.flatnonzero(found < required[:, r])
+        if short.size and (best is None or short[0] < best[0]):
+            mask = int(short[0])
+            best = (mask, float(y[mask]), int(required[mask, r]), int(found[mask]))
+    if best is None:
+        return AxiomReport(axiom, satisfied=True)
+    mask, y, req, found = best
+    return AxiomReport(
+        axiom,
+        satisfied=False,
+        witness=Witness(
+            agents=tuple(int(i) for i in np.flatnonzero(members[mask])),
+            radius=y,
+            required=req,
+            found=found,
+            note=note,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,29 +471,20 @@ def check_prf_unconstrained(
     if exhaustive is None:
         exhaustive = n <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        if n > EXHAUSTIVE_LIMIT:
-            raise InputError(f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_LIMIT}")
-        aa = inst.agent_distances
-        dm = inst.distance_matrix
-        diam = _subset_diameters(aa)
-        selmin = _fold_masks(dm[:, sel], np.minimum, np.inf)
-        need = (_popcounts(n) * k) // n
-        cov = np.count_nonzero(selmin <= diam[:, None], axis=1)
-        viol = cov < need
-        if viol.any():
-            mask = int(np.argmax(viol))
-            return AxiomReport(
-                AXIOM_PRF_UNC,
-                satisfied=False,
-                witness=Witness(
-                    agents=_mask_members(mask, n),
-                    radius=float(diam[mask]),
-                    required=int(need[mask]),
-                    found=int(cov[mask]),
-                    note="group diameter neighborhood holds too few centers",
-                ),
-            )
-        return AxiomReport(AXIOM_PRF_UNC, satisfied=True)
+        _exhaustive_guard(inst)
+        members = _subset_members(n)
+        # the diagonal is zero, so the masked row maxima hold the diameter
+        farthest = _fold_masks(inst.agent_distances, np.maximum, -np.inf)
+        diam = np.where(members, farthest, 0.0).max(axis=1)
+        selmin = _fold_masks(inst.distance_matrix[:, sel], np.minimum, np.inf)
+        return _first_short_group(
+            AXIOM_PRF_UNC,
+            "group diameter neighborhood holds too few centers",
+            members,
+            diam[:, None],
+            _entitlement(members.sum(axis=1), k, n)[:, None],
+            lambda y: np.count_nonzero(selmin <= y[:, None], axis=1),
+        )
     witness = _prf_unconstrained_sample(inst, sel, seed, samples)
     if witness is not None:
         return AxiomReport(AXIOM_PRF_UNC, satisfied=False, witness=witness)
@@ -492,11 +519,6 @@ def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
     # module docstring), so only those k prefixes are tested
     steps, blocks = _entitlement_blocks(n, k)
     entitled = np.arange(1, k + 1)
-    apart = aa
-    if aa.diagonal().any():
-        # a group's diameter is over pairs of distinct members
-        apart = aa.copy()
-        np.fill_diagonal(apart, 0.0)
     dsel = dm[:, sel]
     positions = np.arange(n)
     rank = np.empty(n, dtype=np.intp)
@@ -506,7 +528,7 @@ def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
         members = order[blocks]
         # a pair joins the prefix with its later member: far[l, b] is agent
         # b's largest distance into block l, read for b up to step l
-        far = apart[members].max(axis=1)
+        far = aa[members].max(axis=1)
         joined = np.where(rank <= steps[:, None], far, 0.0).max(axis=1)
         diam = np.maximum.accumulate(joined)
         nearest = _fold_prefixes(dsel, np.minimum, members)
@@ -568,41 +590,21 @@ def check_prf_discrete(
     random subsets.
     """
     sel = _selected(inst, outcome)
-    n, k, m = inst.n, inst.k, inst.m
+    n, k = inst.n, inst.k
     if exhaustive is None:
         exhaustive = n <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        if n > EXHAUSTIVE_LIMIT:
-            raise InputError(f"exhaustive enumeration is capped at n <= {EXHAUSTIVE_LIMIT}")
+        _exhaustive_guard(inst)
         dm = inst.distance_matrix
-        candmax = _fold_masks(dm, np.maximum, -np.inf)
+        members = _subset_members(n)
         selmin = _fold_masks(dm[:, sel], np.minimum, np.inf)
-        sorted_cover = np.sort(candmax, axis=1)
-        lmax = (_popcounts(n) * k) // n
-        best: tuple[int, int, float, int, int] | None = None
-        for r in range(1, int(min(lmax.max(initial=0), m)) + 1):
-            y = sorted_cover[:, r - 1]
-            found = np.count_nonzero(selmin <= y[:, None], axis=1)
-            req = np.minimum(lmax, r)
-            viol = found < req
-            if viol.any():
-                mask = int(np.argmax(viol))
-                if best is None or mask < best[0]:
-                    best = (mask, r, float(y[mask]), int(req[mask]), int(found[mask]))
-        if best is not None:
-            mask, _, y, req, found = best
-            return AxiomReport(
-                AXIOM_PRF_DISC,
-                satisfied=False,
-                witness=Witness(
-                    agents=_mask_members(mask, n),
-                    radius=y,
-                    required=req,
-                    found=found,
-                    note="candidate set could cover the group better",
-                ),
-            )
-        return AxiomReport(AXIOM_PRF_DISC, satisfied=True)
+        return _first_short_group(
+            AXIOM_PRF_DISC,
+            "candidate set could cover the group better",
+            members,
+            *_cover_radii(dm, members, k),
+            lambda y: np.count_nonzero(selmin <= y[:, None], axis=1),
+        )
     witness = _prf_discrete_sample(inst, sel, seed, samples)
     if witness is not None:
         return AxiomReport(AXIOM_PRF_DISC, satisfied=False, witness=witness)
@@ -672,49 +674,29 @@ def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
 # stronger per-agent and all-agent variants (exhaustive only)
 
 
-def _prf_variants_guard(inst: Instance) -> None:
-    if inst.n > EXHAUSTIVE_LIMIT:
-        raise InputError(
-            f"this check enumerates all agent subsets and is capped at n <= {EXHAUSTIVE_LIMIT}"
-        )
-
-
 def check_prf2(inst: Instance, outcome: Outcome) -> AxiomReport:
     """Some single member must personally see l' centers within y.
 
     Strengthens the discrete form: the l' selected centers must all be
     within y of one common member of the group.  Exhaustive only.
     """
-    _prf_variants_guard(inst)
+    _exhaustive_guard(inst)
     sel = _selected(inst, outcome)
-    n, k, m = inst.n, inst.k, inst.m
     dm = inst.distance_matrix
+    members = _subset_members(inst.n)
     per_agent_sel = np.sort(dm[:, sel], axis=1)
-    candmax = _fold_masks(dm, np.maximum, -np.inf)
-    lmax_all = (_popcounts(n) * k) // n
-    for mask in range(1, 1 << n):
-        lmax = int(lmax_all[mask])
-        if lmax == 0:
-            continue
-        members = _mask_members(mask, n)
-        cover = np.sort(candmax[mask])
-        for r in range(1, min(lmax, m) + 1):
-            y = float(cover[r - 1])
-            req = min(lmax, r)
-            found = max(int(np.searchsorted(per_agent_sel[i], y, side="right")) for i in members)
-            if found < req:
-                return AxiomReport(
-                    AXIOM_PRF2,
-                    satisfied=False,
-                    witness=Witness(
-                        agents=members,
-                        radius=y,
-                        required=req,
-                        found=found,
-                        note="no single member sees enough centers",
-                    ),
-                )
-    return AxiomReport(AXIOM_PRF2, satisfied=True)
+
+    def seen_by_one_member(y):
+        seen = np.stack([np.searchsorted(row, y, side="right") for row in per_agent_sel], axis=1)
+        return np.where(members, seen, 0).max(axis=1)
+
+    return _first_short_group(
+        AXIOM_PRF2,
+        "no single member sees enough centers",
+        members,
+        *_cover_radii(dm, members, inst.k),
+        seen_by_one_member,
+    )
 
 
 def check_prf3(inst: Instance, outcome: Outcome) -> AxiomReport:
@@ -722,35 +704,18 @@ def check_prf3(inst: Instance, outcome: Outcome) -> AxiomReport:
 
     The strongest variant; exhaustive only.
     """
-    _prf_variants_guard(inst)
+    _exhaustive_guard(inst)
     sel = _selected(inst, outcome)
-    n, k, m = inst.n, inst.k, inst.m
     dm = inst.distance_matrix
-    candmax = _fold_masks(dm, np.maximum, -np.inf)
+    members = _subset_members(inst.n)
     selmax = _fold_masks(dm[:, sel], np.maximum, -np.inf)
-    lmax_all = (_popcounts(n) * k) // n
-    for mask in range(1, 1 << n):
-        lmax = int(lmax_all[mask])
-        if lmax == 0:
-            continue
-        cover = np.sort(candmax[mask])
-        for r in range(1, min(lmax, m) + 1):
-            y = float(cover[r - 1])
-            req = min(lmax, r)
-            found = int(np.count_nonzero(selmax[mask] <= y))
-            if found < req:
-                return AxiomReport(
-                    AXIOM_PRF3,
-                    satisfied=False,
-                    witness=Witness(
-                        agents=_mask_members(mask, n),
-                        radius=y,
-                        required=req,
-                        found=found,
-                        note="too few centers cover the whole group",
-                    ),
-                )
-    return AxiomReport(AXIOM_PRF3, satisfied=True)
+    return _first_short_group(
+        AXIOM_PRF3,
+        "too few centers cover the whole group",
+        members,
+        *_cover_radii(dm, members, inst.k),
+        lambda y: np.count_nonzero(selmax <= y[:, None], axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -163,16 +163,6 @@ def _instance_and_outcome(args) -> tuple[Instance, Outcome]:
     return inst, outcome
 
 
-def _resolve_mode(args) -> bool | None:
-    if getattr(args, "exhaustive", False) and getattr(args, "sampling", False):
-        raise InputError("--exhaustive and --sampling are mutually exclusive")
-    if getattr(args, "exhaustive", False):
-        return True
-    if getattr(args, "sampling", False):
-        return False
-    return None
-
-
 def _run_checks(inst, outcome, names, exhaustive, seed, samples) -> list[AxiomReport]:
     if "all" in names:
         names = ["up", "pf", "core", "prf"]
@@ -258,7 +248,7 @@ def _cmd_cluster(args) -> int:
     names = _parse_axioms(args.axioms)
     reports = []
     if names:
-        reports = _run_checks(inst, outcome, names, _resolve_mode(args), args.seed, args.samples)
+        reports = _run_checks(inst, outcome, names, args.exhaustive, args.seed, args.samples)
 
     print(f"algorithm: {args.algo}")
     print(f"k: {inst.k}")
@@ -298,7 +288,7 @@ def _cmd_check(args) -> int:
             stored = [_CODE_TO_NAME[r.axiom] for r in read_run_record(args.run).reports]
         seen = set()
         names = [n for n in stored if not (n in seen or seen.add(n))] or ["all"]
-    reports = _run_checks(inst, outcome, names, _resolve_mode(args), args.seed, args.samples)
+    reports = _run_checks(inst, outcome, names, args.exhaustive, args.seed, args.samples)
     for rep in reports:
         print(_format_report(rep))
     return 2 if any(not rep.satisfied for rep in reports) else 0
@@ -348,8 +338,11 @@ def _input_options(p: argparse.ArgumentParser) -> None:
 
 
 def _check_mode_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exhaustive", action="store_true", help="force exhaustive enumeration")
-    p.add_argument("--sampling", action="store_true", help="force sampling mode")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_const", const=True, help="force exhaustive enumeration")
+    mode.add_argument(
+        "--sampling", dest="exhaustive", action="store_const", const=False, help="force sampling mode"
+    )
     p.add_argument("--samples", type=int, default=200, help="random subsets in sampling mode")
 
 

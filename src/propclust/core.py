@@ -126,6 +126,8 @@ class Instance:
                 raise InputError("shared candidates need a square distance matrix")
             if shared and not np.array_equal(mat, mat.T):
                 raise InputError("shared candidates need a symmetric distance matrix")
+            if shared and mat.diagonal().any():
+                raise InputError("shared candidates need a zero diagonal: each agent is its own candidate")
             mat.flags.writeable = False
             object.__setattr__(self, "matrix", mat)
             object.__setattr__(self, "shared_candidates", shared)

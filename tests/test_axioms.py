@@ -384,19 +384,6 @@ def test_sampled_prf_checkers_match_reference(inst, data):
     _sampled_reports_match_reference(inst, out, seed, samples)
 
 
-def test_sampled_prf_checkers_match_reference_with_self_distances():
-    # a shared precomputed matrix may give an agent a nonzero distance to
-    # itself as a candidate; group diameters still leave those out
-    rng = np.random.default_rng(28)
-    for _ in range(60):
-        n = int(rng.integers(1, 13))
-        k = int(rng.integers(1, n + 1))
-        half = rng.integers(0, 4, size=(n, n)).astype(float)
-        mat = np.triu(half, 1) + np.triu(half, 1).T + np.diag(rng.integers(0, 3, size=n))
-        inst = Instance.precomputed(mat, k=k, shared_candidates=True)
-        _sampled_reports_match_reference(inst, random_outcome(rng, inst), 0, 20)
-
-
 def _pinned_reports(inst):
     engine_out, _ = select_prf_centers(inst)
     rng = np.random.default_rng(0)
@@ -428,6 +415,27 @@ def test_pinned_sampled_prf_digest(name, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_pinned_exhaustive_digest():
+    # SHA-256 of the subset-enumeration reports on 80 random instances
+    # (n <= 10) with random outcomes of every size, as the checkers with one
+    # hand-written scan each produced them.  Of the 356 reports 177 are
+    # violations: 13 PRF_UNC, 32 PRF_DISC, 32 PRF2, 55 PRF3 and 45 CORE.
+    rng = np.random.default_rng(29)
+    reports = []
+    for _ in range(80):
+        inst = random_instance(rng, n_max=10)
+        out = random_outcome(rng, inst, size=int(rng.integers(1, inst.m + 1)))
+        if inst.is_unconstrained:
+            reports.append(check_prf_unconstrained(inst, out, exhaustive=True).to_json_obj())
+        reports += [
+            checker(inst, out).to_json_obj()
+            for checker in (check_prf_discrete, check_prf2, check_prf3, check_core_bruteforce)
+        ]
+    blob = json.dumps(reports, separators=(",", ":")).encode()
+    digest = "0ed330445fb4cc0ce0dd1bb99652ba163e4c4b0cc73ec579f32d4aadd3eddea5"
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_exhaustive_mode_rejects_large_instances():
     pts = np.linspace(0.0, 1.0, 17).reshape(-1, 1)
     inst = Instance.unconstrained(pts, k=2)
@@ -440,6 +448,10 @@ def test_exhaustive_mode_rejects_large_instances():
         check_prf2(inst, out)
     with pytest.raises(InputError):
         check_prf3(inst, out)
+    with pytest.raises(InputError):
+        check_pf_bruteforce(inst, out)
+    with pytest.raises(InputError):
+        check_core_bruteforce(inst, out)
 
 
 # -- report plumbing ----------------------------------------------------------

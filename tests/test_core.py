@@ -113,6 +113,17 @@ def test_precomputed_rejects_asymmetric_shared():
         Instance.precomputed(d, k=1, shared_candidates=True)
 
 
+def test_precomputed_rejects_nonzero_diagonal_shared():
+    # a shared candidate is the agent itself, at distance 0 from it
+    for d in (
+        [[1, 0, 1, 3], [0, 2, 2, 1], [1, 2, 2, 3], [3, 1, 3, 2]],
+        [[1, 2], [2, 1]],
+    ):
+        with pytest.raises(InputError):
+            Instance.precomputed(np.array(d, dtype=float), k=2, shared_candidates=True)
+        assert Instance.precomputed(np.array(d, dtype=float), k=2).n == len(d)
+
+
 def test_rejects_bad_k():
     pts = [(0.0,), (1.0,)]
     with pytest.raises(InputError):
