@@ -27,9 +27,19 @@ distance to each selected center never rises, so its count of covered
 centers never falls; the entitlement ((t+1)*k)//n of the prefix of t + 1
 agents is constant between its steps t_l = ceil(l*n/k) - 1, l = 1..k.  A
 prefix can therefore only fail if the first one of its entitlement level
-fails, and the first failing prefix is always one of the t_l.  Per seed
-that is O(n^2) vector work for the unconstrained form and O(n*m) for the
-discrete one, with k prefixes checked, so O(n^3) and O(n^2*m) in all.
+fails, and the first failing prefix is always one of the t_l.
+
+Each seed is first tested at a lower bound on those radii, taken from
+rows of members of the prefix: the distances from its first member for
+the diameter, and the larger distance to each candidate from its first
+and last members for the cover radii.  A count of covered centers only
+grows with the radius, so a seed that passes at its bounds passes, and
+only a seed that comes up short computes the exact radii, whose first
+failure is the same as without the bound.  Per seed the bound costs the
+sort of one row plus O(n*s) vector work for the s selected centers, and
+O(k*m) more for the discrete form; a seed short at its bound adds O(n^2)
+for the diameters or O(n*m) for the cover radii.  A random subset is
+likewise tested first at its first member's row.
 
 Checkers are pure functions of (instance, outcome) and safe to run in
 parallel on shared instances.
@@ -464,7 +474,10 @@ def check_prf_unconstrained(
     sampling mode checks every agent-seeded neighborhood ball plus seeded
     random subsets and is one-sided when it finds nothing.  Of each seed's
     n balls it tests the k at which the entitlement steps up (see the
-    module docstring), in O(n^2) vector work per seed.
+    module docstring), first at a lower bound on each diameter from the
+    ball's first member, in O(n) work plus O(n*s) for the s selected
+    centers; only a seed short at that bound pays O(n^2) for the exact
+    diameters.
     """
     sel = _selected(inst, outcome)
     n, k = inst.n, inst.k
@@ -524,14 +537,19 @@ def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
     rank = np.empty(n, dtype=np.intp)
     for i in range(n):
         order = np.argsort(aa[i], kind="stable")
-        rank[order] = positions
         members = order[blocks]
+        nearest = _fold_prefixes(dsel, np.minimum, members)
+        # every prefix holds order[0], whose farthest distance into it is at
+        # most its diameter: a seed that passes there passes at the diameter
+        low = np.maximum.accumulate(aa[order[0], order])[steps]
+        if (np.count_nonzero(nearest <= low[:, None], axis=1) >= entitled).all():
+            continue
+        rank[order] = positions
         # a pair joins the prefix with its later member: far[l, b] is agent
         # b's largest distance into block l, read for b up to step l
         far = aa[members].max(axis=1)
         joined = np.where(rank <= steps[:, None], far, 0.0).max(axis=1)
         diam = np.maximum.accumulate(joined)
-        nearest = _fold_prefixes(dsel, np.minimum, members)
         cov = np.count_nonzero(nearest <= diam[:, None], axis=1)
         bad = np.flatnonzero(cov < entitled)
         if bad.size:
@@ -551,9 +569,13 @@ def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
         if need == 0:
             continue
         members = np.sort(rng.choice(n, size=size, replace=False))
+        nearest = dsel[members].min(axis=0)
+        # the first member's farthest distance in the group bounds its diameter
+        if np.count_nonzero(nearest <= aa[members[0], members].max()) >= need:
+            continue
         # whole rows first: far cheaper than a (size, size) fancy gather
         y = float(aa[members].max(axis=0)[members].max()) if size > 1 else 0.0
-        cov = int(np.count_nonzero(dsel[members].min(axis=0) <= y))
+        cov = int(np.count_nonzero(nearest <= y))
         if cov < need:
             return Witness(
                 agents=tuple(int(a) for a in members),
@@ -584,8 +606,11 @@ def check_prf_discrete(
     group-cover radii (the sorted per-group candidate cover distances) are
     the change points, so checking those is complete.  Sampling mode tests
     each agent-seeded neighborhood at the k sizes where its entitlement
-    steps up, all cover ranks r at once, in O(n*m) vector work per seed;
-    the first failing r, then its first failing size, is the witness.
+    steps up, all cover ranks r at once; the first failing r, then its
+    first failing size, is the witness.  Each seed is first tested at lower
+    bounds on its cover radii from the first and last members of each
+    size, in O(k*m) work plus O(n*s) for the s selected centers; only a
+    seed short at those bounds pays O(n*m) for the exact cover radii.
     Precomputed instances without agent-agent distances sample only
     random subsets.
     """
@@ -631,11 +656,18 @@ def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
         for i in range(n):
             order = np.argsort(aa[i], kind="stable")
             members = order[blocks]
-            cover = _fold_prefixes(dm, np.maximum, members)
-            y = np.sort(cover, axis=1)[:, :width]
             nearest = _fold_prefixes(dsel, np.minimum, members)
             kth = np.sort(np.concatenate((nearest, no_center), axis=1), axis=1)
-            bad = np.take_along_axis(kth, req - 1, axis=1) > y
+            kth = np.take_along_axis(kth, req - 1, axis=1)
+            # a prefix's cover distances are at least those of its first and
+            # last members, and so is each cover radius: a seed that passes
+            # at those bounds passes at the cover radii
+            low = np.sort(np.maximum(dm[order[0]], dm[order[steps]]), axis=1)[:, :width]
+            if not (kth > low).any():
+                continue
+            cover = _fold_prefixes(dm, np.maximum, members)
+            y = np.sort(cover, axis=1)[:, :width]
+            bad = kth > y
             if bad.any():
                 r0 = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, r0]))
@@ -654,10 +686,15 @@ def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
         if lmax == 0:
             continue
         members = np.sort(rng.choice(n, size=size, replace=False))
-        cover = np.sort(dm[members].max(axis=0))[: min(lmax, m)]
+        owed = np.arange(1, min(lmax, m) + 1)
         to_sel = np.sort(dsel[members].min(axis=0))
+        # the first member's cover distances bound the group's from below
+        low = np.sort(dm[members[0]])[: owed.size]
+        if (np.searchsorted(to_sel, low, side="right") >= owed).all():
+            continue
+        cover = np.sort(dm[members].max(axis=0))[: owed.size]
         found = np.searchsorted(to_sel, cover, side="right")
-        bad = np.flatnonzero(found < np.arange(1, cover.size + 1))
+        bad = np.flatnonzero(found < owed)
         if bad.size:
             r0 = int(bad[0])
             return Witness(

@@ -6,9 +6,9 @@ or worker processes.
 
 Distances are finite IEEE floats, but every comparison against a radius
 uses values read from one instance-wide distance matrix, so exact float
-equality against radii taken from that matrix is sound.  Agent weights, by contrast,
-are exact rationals (`fractions.Fraction`); the selection quota n/k is
-never rounded.
+equality against radii taken from that matrix is sound.  Agent weights,
+by contrast, are exact multiples of 1/k: the engine keeps them as
+integers scaled by k, so the selection quota n/k is never rounded.
 """
 
 from __future__ import annotations

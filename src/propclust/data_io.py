@@ -238,33 +238,38 @@ def generate(name: str, **params) -> Instance:
 # run records
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def trace_to_json_obj(trace: SweepTrace) -> list:
     return [
         {
             "radius": float(r.radius),
             "winner": int(r.winner),
-            "support": _frac_str(r.support),
+            "support": str(r.support),
             "supporters": [int(i) for i in r.supporters],
-            "weight_before": [_frac_str(w) for w in r.weights_before],
-            "weight_after": [_frac_str(w) for w in r.weights_after],
+            "weight_before": [str(w) for w in r.weights_before],
+            "weight_after": [str(w) for w in r.weights_after],
         }
         for r in trace.rounds
     ]
 
 
 def trace_from_json_obj(obj: list) -> SweepTrace:
+    # weights are multiples of 1/k, so a trace repeats a few strings many
+    # times; each is parsed once and the immutable Fraction shared
+    parsed: dict[str, Fraction] = {}
+
+    def frac(text: str) -> Fraction:
+        if text not in parsed:
+            parsed[text] = Fraction(text)
+        return parsed[text]
+
     rounds = tuple(
         SweepRound(
             radius=float(r["radius"]),
             winner=int(r["winner"]),
-            support=Fraction(r["support"]),
+            support=frac(r["support"]),
             supporters=tuple(int(i) for i in r["supporters"]),
-            weights_before=tuple(Fraction(w) for w in r["weight_before"]),
-            weights_after=tuple(Fraction(w) for w in r["weight_after"]),
+            weights_before=tuple(map(frac, r["weight_before"])),
+            weights_after=tuple(map(frac, r["weight_after"])),
         )
         for r in obj
     )

@@ -27,7 +27,14 @@ from propclust import (
 )
 from propclust.data_io import generate
 from reference_axioms import reference_prf_discrete_sample, reference_prf_unconstrained_sample
-from util import all_outcomes, pinned_instance, random_instance, random_outcome, small_instances
+from util import (
+    all_outcomes,
+    pinned_instance,
+    random_instance,
+    random_outcome,
+    small_instances,
+    sweep_instances,
+)
 
 
 def ceil_div(a, b):
@@ -382,6 +389,79 @@ def test_sampled_prf_checkers_match_reference(inst, data):
     seed = data.draw(st.integers(0, 3), label="seed")
     samples = data.draw(st.sampled_from((0, 20)), label="samples")
     _sampled_reports_match_reference(inst, out, seed, samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_instances(), st.integers(0, 3))
+def test_sweep_output_gets_no_sampled_violation(inst, seed):
+    # the paper's guarantee above the exhaustive limit: a sampled violation
+    # is definitive, so any report here is a fault of the sweep
+    out, _ = select_prf_centers(inst)
+    report = check_prf_discrete(inst, out, seed=seed, samples=20)
+    assert report.satisfied, report.witness
+    if inst.is_unconstrained:
+        report = check_prf_unconstrained(inst, out, seed=seed, samples=20)
+        assert report.satisfied, report.witness
+
+
+def test_sampled_bound_short_where_diameter_is_not():
+    # not a metric: agents 1 and 2 are 10 apart but 1 from agent 0.  Seed
+    # 0's first tested prefix {0, 1, 2} owes one center; the bound from
+    # agent 0's row is 1, with both centers 5 away, but its diameter is 10
+    mat = np.array(
+        [
+            [0, 1, 1, 5, 5, 5],
+            [1, 0, 10, 5, 5, 5],
+            [1, 10, 0, 5, 5, 5],
+            [5, 5, 5, 0, 1, 1],
+            [5, 5, 5, 1, 0, 1],
+            [5, 5, 5, 1, 1, 0],
+        ],
+        dtype=float,
+    )
+    inst = Instance.precomputed(mat, k=2, shared_candidates=True)
+    out = Outcome((3, 4))
+    assert mat[0, :3].max() < mat[:3, 3:5].min()
+    assert check_prf_unconstrained(inst, out, exhaustive=True).satisfied
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+    assert check_prf_unconstrained(inst, out, exhaustive=False).satisfied
+
+
+def test_sampled_bound_reads_the_first_member_not_the_seed():
+    # agents 2..5 each coincide with agent 6 but lie 3 apart, so seed 6's
+    # first four neighbors are 2..5 and its prefix of four leaves it out.
+    # That group owes 3 centers within radius 0 (candidates 0, 1 and 6 are
+    # 0 from all of it) and finds only 0 and 1.  A bound taken with seed 6's
+    # own row of distances, 5 to candidates 0 and 1, would pass this seed,
+    # and no other seed reaches the group
+    n, group, seed = 20, [2, 3, 4, 5], 6
+    mat = np.ones((n, n))
+
+    def link(a, b, d):
+        mat[np.ix_(a, b)] = mat[np.ix_(b, a)] = d
+
+    link(group, group, 3)
+    link(group, [0, 1, seed], 0)
+    link([seed], [0, 1], 5)
+    link(group, [7], 1)
+    link(group + [seed], range(8, n), 2)
+    link([seed], [7], 2)
+    np.fill_diagonal(mat, 0)
+    inst = Instance.precomputed(mat, k=15, shared_candidates=True)
+    out = Outcome((0, 1, *range(7, n)))
+    assert np.array_equal(np.argsort(mat[seed], kind="stable")[:5], [*group, seed])
+    report = check_prf_discrete(inst, out, exhaustive=False, samples=0)
+    assert report.witness == Witness(
+        agents=tuple(group),
+        radius=0.0,
+        required=3,
+        found=2,
+        note="agent-seeded neighborhood is under-covered",
+    )
+    assert recheck_witness(inst, out, report)
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
 
 
 def _pinned_reports(inst):

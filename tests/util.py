@@ -90,3 +90,35 @@ def pinned_instance(name):
     if name == "grid-8d":
         return Instance.unconstrained(grid, k=20)
     return Instance.unconstrained(grid, k=7, metric="manhattan")
+
+
+@st.composite
+def sweep_instances(draw):
+    """Instances with 16 < n <= 200, rich in ties, for the sampled checkers.
+
+    Coordinates sit on a small integer lattice half the time, so many
+    agents coincide; precomputed matrices hold small integers, shared ones
+    symmetric with a zero diagonal, and need not be metrics.
+    """
+    kind = draw(st.sampled_from(("unconstrained", "discrete", "precomputed-shared", "precomputed")))
+    n = draw(st.integers(17, 200))
+    k = draw(st.integers(1, min(n, 30)))
+    m = draw(st.integers(k, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "precomputed-shared":
+        half = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
+        return Instance.precomputed(half + half.T, k=k, shared_candidates=True)
+    if kind == "precomputed":
+        return Instance.precomputed(rng.integers(0, 5, size=(n, m)).astype(float), k=k)
+    dim = draw(st.integers(1, 3))
+    lattice = draw(st.booleans())
+    metric = draw(st.sampled_from(("euclidean", "manhattan")))
+
+    def points(count):
+        if lattice:
+            return rng.integers(0, 3, size=(count, dim)).astype(float)
+        return rng.normal(size=(count, dim))
+
+    if kind == "unconstrained":
+        return Instance.unconstrained(points(n), k=k, metric=metric)
+    return Instance.discrete(points(n), points(m), k=k, metric=metric)
