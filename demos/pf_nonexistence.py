@@ -9,14 +9,14 @@ the selection engine targets the group-representation property instead.
 
 from itertools import combinations
 
-from propclust import Outcome, check_pf_bruteforce, check_prf_unconstrained, select_prf_centers
+from propclust import Outcome, check_pf, check_prf_unconstrained, select_prf_centers
 from propclust.data_io import generate
 
 inst = generate("hexagon")
 
 print("outcome      coalition that deviates  -> candidate")
 for sel in combinations(range(6), 3):
-    report = check_pf_bruteforce(inst, Outcome(sel))
+    report = check_pf(inst, Outcome(sel))
     assert not report.satisfied
     w = report.witness
     print(f"{sel}    agents {w.agents}         -> {w.candidate}")

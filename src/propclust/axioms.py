@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -67,9 +67,7 @@ __all__ = [
     "EXHAUSTIVE_LIMIT",
     "Witness",
     "check_core",
-    "check_core_bruteforce",
     "check_pf",
-    "check_pf_bruteforce",
     "check_prf2",
     "check_prf3",
     "check_prf_discrete",
@@ -184,9 +182,11 @@ def _dist_to_outcome(inst: Instance, sel: np.ndarray) -> np.ndarray:
 def _coincident_groups(inst: Instance) -> list[list[int]]:
     """Maximal groups of agents at exactly the same location, by first index."""
     if inst.agents is not None:
+        # adding 0.0 turns -0.0 into 0.0: the same location, other bytes
+        points = inst.agents + 0.0
         seen: dict[bytes, list[int]] = {}
         for i in range(inst.n):
-            seen.setdefault(inst.agents[i].tobytes(), []).append(i)
+            seen.setdefault(points[i].tobytes(), []).append(i)
         return list(seen.values())
     aa = inst.agent_distances  # raises for precomputed instances without it
     groups: list[list[int]] = []
@@ -274,43 +274,6 @@ def check_pf(inst: Instance, outcome: Outcome) -> AxiomReport:
     return AxiomReport(AXIOM_PF, satisfied=True)
 
 
-def check_pf_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
-    """Subset-enumeration oracle for :func:`check_pf` (n <= 16)."""
-    _exhaustive_guard(inst)
-    sel = _selected(inst, outcome)
-    t = _ceil_div(inst.n, inst.k)
-    dm = inst.distance_matrix
-    d_out = _dist_to_outcome(inst, sel)
-    n = inst.n
-    for c in range(inst.m):
-        col = dm[:, c]
-        weak_bits = 0
-        strict_bits = 0
-        for i in range(n):
-            if col[i] <= d_out[i]:
-                weak_bits |= 1 << i
-            if col[i] < d_out[i]:
-                strict_bits |= 1 << i
-        if weak_bits.bit_count() < t or strict_bits == 0:
-            continue
-        for mask in range(1, 1 << n):
-            if mask.bit_count() < t:
-                continue
-            if (mask & ~weak_bits) == 0 and (mask & strict_bits) != 0:
-                return AxiomReport(
-                    AXIOM_PF,
-                    satisfied=False,
-                    witness=Witness(
-                        agents=tuple(i for i in range(n) if mask >> i & 1),
-                        candidate=c,
-                        required=t,
-                        found=mask.bit_count(),
-                        note="enumerated coalition would switch to this candidate",
-                    ),
-                )
-    return AxiomReport(AXIOM_PF, satisfied=True)
-
-
 # ---------------------------------------------------------------------------
 # core fairness (aggregate-distance deviation)
 
@@ -344,35 +307,6 @@ def check_core(inst: Instance, outcome: Outcome) -> AxiomReport:
                     required=t,
                     found=size,
                     note="coalition lowers its total distance at this candidate",
-                ),
-            )
-    return AxiomReport(AXIOM_CORE, satisfied=True)
-
-
-def check_core_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
-    """Subset-enumeration oracle for :func:`check_core` (n <= 16)."""
-    _exhaustive_guard(inst)
-    sel = _selected(inst, outcome)
-    t = _ceil_div(inst.n, inst.k)
-    dm = inst.distance_matrix
-    d_out = _dist_to_outcome(inst, sel)
-    n = inst.n
-    pops = _subset_members(n).sum(axis=1)
-    for c in range(inst.m):
-        delta = d_out - dm[:, c]
-        sums = _fold_masks(delta[:, None], np.add, 0.0)[:, 0]
-        viol = (pops >= t) & (sums > 0.0)
-        if viol.any():
-            mask = int(np.argmax(viol))
-            return AxiomReport(
-                AXIOM_CORE,
-                satisfied=False,
-                witness=Witness(
-                    agents=tuple(i for i in range(n) if mask >> i & 1),
-                    candidate=c,
-                    required=t,
-                    found=mask.bit_count(),
-                    note="enumerated coalition lowers its total distance",
                 ),
             )
     return AxiomReport(AXIOM_CORE, satisfied=True)
@@ -782,7 +716,7 @@ def recheck_witness(inst: Instance, outcome: Outcome, report: AxiomReport) -> bo
         if inst.agents is not None:
             if not all(np.array_equal(inst.agents[a], inst.agents[agents[0]]) for a in agents):
                 return False
-        elif not np.allclose(inst.agent_distances[np.ix_(agents, agents)], 0.0):
+        elif (inst.agent_distances[np.ix_(agents, agents)] != 0.0).any():
             return False
         if w.required is None or size // t < w.required:
             return False

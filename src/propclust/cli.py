@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 on any input or usage error, 2 when
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from propclust.axioms import (
 from propclust.baselines import greedy_capture, kmeanspp
 from propclust.core import InputError, Instance, Outcome
 from propclust.data_io import (
+    RunRecord,
     generate,
     instance_from_record,
     instance_to_csv,
@@ -139,8 +141,12 @@ def _load_input_instance(args) -> Instance:
     return load_csv(args.input, k=args.k, metric=args.metric, standardize=args.standardize)
 
 
-def _instance_and_outcome(args) -> tuple[Instance, Outcome]:
-    """Resolve --run / --input / --selected into an instance plus outcome."""
+def _instance_and_outcome(args) -> tuple[Instance, Outcome, RunRecord | None]:
+    """Resolve --run / --input / --selected into an instance plus outcome.
+
+    Also returns the run record read for --run, or None with --input.
+    """
+    record = None
     if args.run is not None:
         record = read_run_record(args.run)
         if args.input is not None:
@@ -160,7 +166,7 @@ def _instance_and_outcome(args) -> tuple[Instance, Outcome]:
         inst = _load_input_instance(args)
         outcome = Outcome(_parse_selected(args.selected))
     outcome.validate(inst)
-    return inst, outcome
+    return inst, outcome, record
 
 
 def _run_checks(inst, outcome, names, exhaustive, seed, samples) -> list[AxiomReport]:
@@ -280,12 +286,10 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    inst, outcome = _instance_and_outcome(args)
+    inst, outcome, record = _instance_and_outcome(args)
     names = _parse_axioms(args.axioms)
     if names is None:
-        stored = []
-        if args.run is not None:
-            stored = [_CODE_TO_NAME[r.axiom] for r in read_run_record(args.run).reports]
+        stored = [] if record is None else [_CODE_TO_NAME[r.axiom] for r in record.reports]
         seen = set()
         names = [n for n in stored if not (n in seen or seen.add(n))] or ["all"]
     reports = _run_checks(inst, outcome, names, args.exhaustive, args.seed, args.samples)
@@ -295,7 +299,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    inst, outcome = _instance_and_outcome(args)
+    inst, outcome, _ = _instance_and_outcome(args)
     for key in _parse_metrics(args.metrics):
         value = metric_value(inst, outcome, key, squared=not args.unsquared)
         print(f"{key} {'missing' if value is None else repr(value)}")
@@ -397,10 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: each build takes about 1.7 ms and leaves
+    # hundreds of objects of cyclic garbage behind
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from functools import cached_property, wraps
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +25,8 @@ __all__ = [
     "InputError",
     "Instance",
     "Outcome",
-    "Weight",
     "distance",
-    "nearest_j",
 ]
-
-#: Agent weights and support totals are exact rationals.
-Weight = Fraction
 
 COORDINATE_METRICS = ("euclidean", "manhattan")
 PRECOMPUTED = "precomputed"
@@ -305,9 +299,6 @@ class Outcome:
             raise InputError(f"outcome repeats a candidate index: {sel}")
         object.__setattr__(self, "selected", sel)
 
-    def __len__(self) -> int:
-        return len(self.selected)
-
     def validate(self, inst: Instance) -> None:
         """Check every index addresses a candidate of ``inst``."""
         if len(self.selected) == 0:
@@ -316,19 +307,3 @@ class Outcome:
             if not 0 <= i < inst.m:
                 raise InputError(f"candidate index {i} out of range for {inst.m} candidates")
 
-
-def nearest_j(inst: Instance, agent: int, outcome: Outcome, j: int) -> list[tuple[int, float]]:
-    """The ``j`` selected centers nearest to ``agent``.
-
-    Returns (candidate index, distance) pairs ascending by
-    (distance, candidate index); ties go to the lower candidate index.
-    """
-    outcome.validate(inst)
-    if not 0 <= agent < inst.n:
-        raise InputError(f"agent index {agent} out of range for {inst.n} agents")
-    if not 1 <= j <= len(outcome.selected):
-        raise InputError(f"j must satisfy 1 <= j <= {len(outcome.selected)}, got {j}")
-    sel = np.asarray(outcome.selected, dtype=np.intp)
-    dists = inst.distance_matrix[agent, sel]
-    order = np.lexsort((sel, dists))[:j]
-    return [(int(sel[o]), float(dists[o])) for o in order]

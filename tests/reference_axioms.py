@@ -1,19 +1,34 @@
-"""Exact reference for the sampled PRF checkers, checking every prefix.
+"""Exact references for the axiom checkers, kept with the tests.
 
-Each agent seeds a family of groups: the prefixes of all agents sorted by
-distance to the seed.  These versions test every prefix size of every
-seed, gathering the full (n, n) sub-matrix of agent distances per seed and
-looping over the cover rank r in Python.  Seeded random subsets follow.
+Sampled PRF.  Each agent seeds a family of groups: the prefixes of all
+agents sorted by distance to the seed.  These versions test every prefix
+size of every seed, gathering the full (n, n) sub-matrix of agent
+distances per seed and looping over the cover rank r in Python.  Seeded
+random subsets follow.  This is slow on purpose: it is the oracle the
+fast sampled checkers in `propclust.axioms` are compared against, so it
+shares none of their bookkeeping.  Both functions take the outcome's
+selected indices and return a `Witness` for the first violation found,
+or None.
 
-This is slow on purpose: it is the oracle the fast sampled checkers in
-`propclust.axioms` are compared against, so it shares none of their
-bookkeeping.  Both functions take the outcome's selected indices and
-return a `Witness` for the first violation found, or None.
+PF and core.  `check_pf_bruteforce` and `check_core_bruteforce` decide
+the axioms by enumerating every coalition of agents (n <= 16) and return
+an `AxiomReport` like the polynomial `check_pf` and `check_core`.  They
+share the exhaustive PRF scan's bitmask helpers (`_subset_members`,
+`_fold_masks`) and its small input helpers, but none of `check_pf`'s or
+`check_core`'s bookkeeping.
 """
 
 import numpy as np
 
-from propclust import InputError, Witness
+from propclust import AXIOM_CORE, AXIOM_PF, AxiomReport, InputError, Instance, Outcome, Witness
+from propclust.axioms import (
+    _ceil_div,
+    _dist_to_outcome,
+    _exhaustive_guard,
+    _fold_masks,
+    _selected,
+    _subset_members,
+)
 
 
 def reference_prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
@@ -111,3 +126,69 @@ def reference_prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
                     note="sampled group is under-covered",
                 )
     return None
+
+
+def check_pf_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
+    """Subset-enumeration oracle for :func:`check_pf` (n <= 16)."""
+    _exhaustive_guard(inst)
+    sel = _selected(inst, outcome)
+    t = _ceil_div(inst.n, inst.k)
+    dm = inst.distance_matrix
+    d_out = _dist_to_outcome(inst, sel)
+    n = inst.n
+    for c in range(inst.m):
+        col = dm[:, c]
+        weak_bits = 0
+        strict_bits = 0
+        for i in range(n):
+            if col[i] <= d_out[i]:
+                weak_bits |= 1 << i
+            if col[i] < d_out[i]:
+                strict_bits |= 1 << i
+        if weak_bits.bit_count() < t or strict_bits == 0:
+            continue
+        for mask in range(1, 1 << n):
+            if mask.bit_count() < t:
+                continue
+            if (mask & ~weak_bits) == 0 and (mask & strict_bits) != 0:
+                return AxiomReport(
+                    AXIOM_PF,
+                    satisfied=False,
+                    witness=Witness(
+                        agents=tuple(i for i in range(n) if mask >> i & 1),
+                        candidate=c,
+                        required=t,
+                        found=mask.bit_count(),
+                        note="enumerated coalition would switch to this candidate",
+                    ),
+                )
+    return AxiomReport(AXIOM_PF, satisfied=True)
+
+
+def check_core_bruteforce(inst: Instance, outcome: Outcome) -> AxiomReport:
+    """Subset-enumeration oracle for :func:`check_core` (n <= 16)."""
+    _exhaustive_guard(inst)
+    sel = _selected(inst, outcome)
+    t = _ceil_div(inst.n, inst.k)
+    dm = inst.distance_matrix
+    d_out = _dist_to_outcome(inst, sel)
+    n = inst.n
+    pops = _subset_members(n).sum(axis=1)
+    for c in range(inst.m):
+        delta = d_out - dm[:, c]
+        sums = _fold_masks(delta[:, None], np.add, 0.0)[:, 0]
+        viol = (pops >= t) & (sums > 0.0)
+        if viol.any():
+            mask = int(np.argmax(viol))
+            return AxiomReport(
+                AXIOM_CORE,
+                satisfied=False,
+                witness=Witness(
+                    agents=tuple(i for i in range(n) if mask >> i & 1),
+                    candidate=c,
+                    required=t,
+                    found=mask.bit_count(),
+                    note="enumerated coalition lowers its total distance",
+                ),
+            )
+    return AxiomReport(AXIOM_CORE, satisfied=True)

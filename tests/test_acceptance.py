@@ -18,9 +18,7 @@ from propclust import (
     Outcome,
     aggregate,
     check_core,
-    check_core_bruteforce,
     check_pf,
-    check_pf_bruteforce,
     check_prf2,
     check_prf_discrete,
     check_prf_unconstrained,
@@ -32,6 +30,7 @@ from propclust import (
 )
 from propclust.cli import main
 from propclust.data_io import generate
+from reference_axioms import check_core_bruteforce, check_pf_bruteforce
 
 
 def acceptance_instance(rng, n_max=60, k_max=10):

@@ -14,9 +14,7 @@ from propclust import (
     Outcome,
     Witness,
     check_core,
-    check_core_bruteforce,
     check_pf,
-    check_pf_bruteforce,
     check_prf2,
     check_prf3,
     check_prf_discrete,
@@ -26,7 +24,12 @@ from propclust import (
     select_prf_centers,
 )
 from propclust.data_io import generate
-from reference_axioms import reference_prf_discrete_sample, reference_prf_unconstrained_sample
+from reference_axioms import (
+    check_core_bruteforce,
+    check_pf_bruteforce,
+    reference_prf_discrete_sample,
+    reference_prf_unconstrained_sample,
+)
 from util import (
     all_outcomes,
     pinned_instance,
@@ -154,6 +157,18 @@ def test_up_small_groups_unconstrained():
     report = check_up(inst, Outcome((3, 4)))
     assert not report.satisfied
     assert report.witness.required == 1
+
+
+def test_up_groups_signed_zeros_together():
+    # -0.0 and 0.0 are one location: four coincident agents, n=6, k=3, owed 2
+    pts = [(0.0,), (-0.0,), (0.0,), (-0.0,), (5.0,), (6.0,)]
+    inst = Instance.unconstrained(pts, k=3)
+    out = Outcome((0, 4, 5))
+    report = check_up(inst, out)
+    assert not report.satisfied
+    assert report.witness.agents == (0, 1, 2, 3)
+    assert (report.witness.required, report.witness.found) == (2, 1)
+    assert recheck_witness(inst, out, report)
 
 
 def test_up_group_below_threshold_is_unconstrained():
@@ -552,6 +567,20 @@ def test_report_consistency_enforced():
         AxiomReport("up", satisfied=True, witness=Witness(agents=(0,)))
     with pytest.raises(InputError):
         AxiomReport("up", satisfied=False, witness=None)
+
+
+def test_recheck_up_needs_exact_coincidence():
+    # agents 0 and 1 are 1e-9 apart: check_up never groups them
+    aa = np.array([[0, 1e-9, 1, 1], [1e-9, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+    inst = Instance.precomputed(aa, k=2, shared_candidates=True)
+    out = Outcome((2, 3))
+    assert check_up(inst, out).satisfied
+    forged = AxiomReport(
+        "UP",
+        satisfied=False,
+        witness=Witness(agents=(0, 1), radius=0.0, required=1, found=0),
+    )
+    assert not recheck_witness(inst, out, forged)
 
 
 def test_recheck_rejects_tampered_witness():

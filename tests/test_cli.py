@@ -3,7 +3,8 @@ import json
 import pytest
 
 from propclust import Instance, select_prf_centers
-from propclust.cli import main
+from propclust import cli
+from propclust.cli import build_parser, main
 from propclust.data_io import instance_to_csv, read_run_record
 
 
@@ -146,6 +147,36 @@ def test_check_run_record_pipeline(two_mass_csv, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "UP: satisfied" in out
     assert "PF: satisfied" in out
+
+
+def test_check_reads_the_record_once(two_mass_csv, tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run.json"
+    main(["cluster", "--input", str(two_mass_csv), "--k", "11", "--axioms", "up", "--out", str(run)])
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_run_record(path)
+
+    monkeypatch.setattr(cli, "read_run_record", counted)
+    assert main(["check", "--run", str(run)]) == 0
+    assert capsys.readouterr().out.endswith("UP: satisfied\n")
+    assert len(calls) == 1
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["gen", "--name", "hexagon"]) == 0
+    assert main(["gen", "--name", "no_such_shape"]) == 1
+    assert main(["gen", "--name", "hexagon"]) == 0
+    # none if an earlier call in this process already built it
+    assert len(builds) <= 1
 
 
 def test_check_detects_violation(two_mass_csv, capsys):

@@ -9,7 +9,6 @@ from propclust import (
     InputError,
     Outcome,
     distance,
-    nearest_j,
     select_prf_centers,
 )
 from propclust import core
@@ -212,25 +211,3 @@ def test_overflowing_distances_raise_input_error():
         with pytest.raises(InputError, match="overflow"):
             inst.agent_distances
 
-
-def test_nearest_j_hand_case():
-    inst = Instance.unconstrained([(0.0,), (1.0,), (2.0,)], k=3)
-    out = Outcome((0, 1, 2))
-    assert nearest_j(inst, 0, out, 1) == [(0, 0.0)]
-    assert nearest_j(inst, 0, out, 2) == [(0, 0.0), (1, 1.0)]
-
-
-def test_nearest_j_breaks_ties_by_index():
-    inst = Instance.unconstrained([(0.0,), (1.0,), (1.0,)], k=3)
-    out = Outcome((0, 1, 2))
-    assert nearest_j(inst, 0, out, 2) == [(0, 0.0), (1, 1.0)]
-    assert nearest_j(inst, 0, out, 3) == [(0, 0.0), (1, 1.0), (2, 1.0)]
-
-
-def test_nearest_j_rejects_bad_j():
-    inst = Instance.unconstrained([(0.0,), (1.0,)], k=1)
-    out = Outcome((0,))
-    with pytest.raises(InputError):
-        nearest_j(inst, 0, out, 0)
-    with pytest.raises(InputError):
-        nearest_j(inst, 0, out, 2)
