@@ -5,20 +5,21 @@ violation always carries a :class:`Witness` holding the offending agent
 set plus the candidate or radius involved, so the claim can be re-derived
 from the instance alone (see :func:`recheck_witness`).
 
-The exhaustive PRF checkers (unconstrained, discrete, PRF2 and PRF3) run
-one scan over all 2^n agent bitmasks.  A mask is tested at one or more
-radii: the group diameter for the unconstrained form, owed l centers, and
-for the discrete family the r-th smallest cover radius, owed min(l, r),
-for r = 1..min(max l, m).  The witness is the smallest failing mask at its
-first failing r.  Past r = l the owed count stays l while the radius and
-the centers found never fall, so every failing mask fails first at some
-r <= min(l, m).
+A PRF checker tests a group entitled to l centers at one or more radii:
+the unconstrained form at its diameter, owed l centers, and the discrete
+family at its r-th smallest cover radius, owed min(l, r), for r = 1..min(k,
+m).  Past r = l the owed count stays l while the radius and the centers
+found never fall, so every failing group fails first at some r <= min(l, m).
+The exhaustive checkers (unconstrained, discrete, PRF2 and PRF3) run one
+scan over all 2^n agent bitmasks; the witness is the smallest failing mask
+at its first failing r.
 
 Exhaustive subset enumeration is capped at n <= 16 agents.  Beyond that
-the proportional-representation checkers fall back to a sampling mode
-(deterministic agent-seeded neighborhood families plus seeded random
-subsets) whose clean verdict is one-sided: a found violation is definitive,
-"no violation found" is not, and the report's ``definitive`` flag says so.
+both forms' checkers run one sampling scan (deterministic agent-seeded
+neighborhood families plus seeded random subsets), which differs between
+them only in the radii; its clean verdict is one-sided: a found violation
+is definitive, "no violation found" is not, and the report's
+``definitive`` flag says so.
 
 Each agent seeds the n prefixes of all agents sorted by distance to it,
 but only k of them need testing.  Along one seed's order a prefix's
@@ -83,6 +84,8 @@ AXIOM_PRF_UNC = "PRF_UNC"
 AXIOM_PRF_DISC = "PRF_DISC"
 AXIOM_PRF2 = "PRF2"
 AXIOM_PRF3 = "PRF3"
+_AXIOM_CODES = (AXIOM_UP, AXIOM_PF, AXIOM_CORE, AXIOM_PRF_UNC, AXIOM_PRF_DISC, AXIOM_PRF2,
+                AXIOM_PRF3)
 
 #: Exhaustive subset enumeration is limited to this many agents.
 EXHAUSTIVE_LIMIT = 16
@@ -152,9 +155,12 @@ class AxiomReport:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AxiomReport":
+        axiom = str(obj["axiom"])
+        if axiom not in _AXIOM_CODES:
+            raise InputError(f"unknown axiom code {axiom!r}")
         wit = obj.get("witness")
         return cls(
-            axiom=str(obj["axiom"]),
+            axiom=axiom,
             satisfied=bool(obj["satisfied"]),
             witness=None if wit is None else Witness.from_json_obj(wit),
             definitive=bool(obj.get("definitive", True)),
@@ -180,24 +186,20 @@ def _dist_to_outcome(inst: Instance, sel: np.ndarray) -> np.ndarray:
 
 
 def _coincident_groups(inst: Instance) -> list[list[int]]:
-    """Maximal groups of agents at exactly the same location, by first index."""
+    """Maximal groups of agents at exactly the same location, by first index.
+
+    Without coordinates, agents coincide when their rows of agent distances
+    are 0.0 at exactly the same agents, so every pair in a group is at 0.0.
+    """
     if inst.agents is not None:
         # adding 0.0 turns -0.0 into 0.0: the same location, other bytes
-        points = inst.agents + 0.0
-        seen: dict[bytes, list[int]] = {}
-        for i in range(inst.n):
-            seen.setdefault(points[i].tobytes(), []).append(i)
-        return list(seen.values())
-    aa = inst.agent_distances  # raises for precomputed instances without it
-    groups: list[list[int]] = []
-    assigned = np.zeros(inst.n, dtype=bool)
+        keys = inst.agents + 0.0
+    else:
+        keys = inst.agent_distances == 0.0  # raises for precomputed instances without it
+    seen: dict[bytes, list[int]] = {}
     for i in range(inst.n):
-        if assigned[i]:
-            continue
-        members = np.nonzero(aa[i] == 0.0)[0]
-        assigned[members] = True
-        groups.append([int(j) for j in members])
-    return groups
+        seen.setdefault(keys[i].tobytes(), []).append(i)
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +340,6 @@ def _fold_masks(values: np.ndarray, op: Callable, identity: float) -> np.ndarray
     return out
 
 
-def _cover_radii(dm: np.ndarray, members: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cover radii and owed counts, one column per cover rank r.
-
-    Column r - 1 holds each subset's r-th smallest cover radius (candidate
-    distance to the subset's farthest member) and min(l, r), its
-    entitlement l capped at r; r runs to min(max l, m).
-    """
-    need = _entitlement(members.sum(axis=1), k, dm.shape[0])
-    cover = np.sort(_fold_masks(dm, np.maximum, -np.inf), axis=1)
-    ranks = np.arange(1, min(int(need.max()), dm.shape[1]) + 1)
-    return cover[:, : ranks.size], np.minimum(need[:, None], ranks)
-
-
 def _first_short_group(
     axiom: str,
     note: str,
@@ -391,7 +380,7 @@ def _first_short_group(
 
 
 # ---------------------------------------------------------------------------
-# proportional representation, unconstrained form
+# proportional representation: one scan per mode, one radius rule per form
 
 
 def check_prf_unconstrained(
@@ -406,36 +395,160 @@ def check_prf_unconstrained(
     The group size bound uses the exact rational n/k.  ``exhaustive=None``
     picks exhaustive enumeration for n <= 16 and sampling mode otherwise;
     sampling mode checks every agent-seeded neighborhood ball plus seeded
-    random subsets and is one-sided when it finds nothing.  Of each seed's
-    n balls it tests the k at which the entitlement steps up (see the
-    module docstring), first at a lower bound on each diameter from the
-    ball's first member, in O(n) work plus O(n*s) for the s selected
-    centers; only a seed short at that bound pays O(n^2) for the exact
-    diameters.
+    random subsets and is one-sided when it finds nothing.  Both modes run
+    the scans :func:`check_prf_discrete` runs, with the diameter as the
+    one radius (see the module docstring); only a seed short at the bound
+    from its first member pays O(n^2) for the exact diameters.
     """
+    return _check_prf(_Diameter, inst, outcome, exhaustive, seed, samples)
+
+
+def check_prf_discrete(
+    inst: Instance,
+    outcome: Outcome,
+    exhaustive: bool | None = None,
+    seed: int = 0,
+    samples: int = 200,
+) -> AxiomReport:
+    """Groups get as many nearby centers as the candidate set could offer.
+
+    For a group S of size >= l*n/k and any radius y, if l' <= l candidates
+    lie within y of every member, at least l' selected centers must lie
+    within y of some member.  Radii are swept over realized distances only;
+    group-cover radii (the sorted per-group candidate cover distances) are
+    the change points, so checking those is complete.  Both modes run the
+    scans :func:`check_prf_unconstrained` runs, with one radius per cover
+    rank r (see the module docstring); the witness is the first failing r,
+    then its first failing group.  Only a seed short at the bounds from
+    its first and last members pays O(n*m) for the exact cover radii.
+    Precomputed instances without agent-agent distances sample only random
+    subsets.
+    """
+    return _check_prf(_Cover, inst, outcome, exhaustive, seed, samples)
+
+
+class _RadiusRule:
+    """The radii one PRF form tests a group at, one column each.
+
+    Column r owes a group entitled to l centers min(l, caps[r]) of them.
+    A form gives its radii for every bitmask group, for a seed's prefixes
+    at the entitlement steps and for one random subset, the last two also
+    as lower bounds read from rows of the group's own members, plus its
+    axiom code and the notes of its exhaustive, seeded and random witnesses.
+    """
+
+    def __init__(self, inst: Instance, caps: np.ndarray):
+        self.dm = inst.distance_matrix
+        self.n, self.k, self.width = inst.n, inst.k, caps.size
+        # row l: what each column owes a group entitled to l centers
+        self.owed = np.minimum(np.arange(inst.k + 1)[:, None], caps)
+
+    def columns(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Radii and owed counts of the bitmask groups in ``members``."""
+        need = _entitlement(members.sum(axis=1), self.k, self.n)
+        return self.mask_radii(members), self.owed[need]
+
+
+class _Diameter(_RadiusRule):
+    """Unconstrained form: one column, the group diameter, owed the full l."""
+
+    axiom = AXIOM_PRF_UNC
+    notes = (
+        "group diameter neighborhood holds too few centers",
+        "agent-seeded neighborhood holds too few centers",
+        "sampled group holds too few centers",
+    )
+
+    def __init__(self, inst: Instance):
+        # capped at k, min(l, k) is l; capped at 1 it would owe one center
+        super().__init__(inst, np.array([inst.k]))
+        self.aa = inst.agent_distances
+        self.rank = np.empty(inst.n, dtype=np.intp)
+
+    def mask_radii(self, members):
+        # the diagonal is zero, so the masked row maxima hold the diameter
+        farthest = _fold_masks(self.aa, np.maximum, -np.inf)
+        return np.where(members, farthest, 0.0).max(axis=1)[:, None]
+
+    def prefix_bounds(self, order, steps):
+        # every prefix holds order[0], whose farthest distance into it is at
+        # most its diameter
+        return np.maximum.accumulate(self.aa[order[0], order])[steps, None]
+
+    def prefix_radii(self, order, blocks, steps):
+        self.rank[order] = np.arange(self.n)
+        # a pair joins the prefix with its later member: far[l, b] is agent
+        # b's largest distance into block l, read for b up to step l
+        far = self.aa[blocks].max(axis=1)
+        joined = np.where(self.rank <= steps[:, None], far, 0.0).max(axis=1)
+        return np.maximum.accumulate(joined)[:, None]
+
+    def subset_bounds(self, members):
+        return self.aa[members[0], members].max(keepdims=True)
+
+    def subset_radii(self, members):
+        if members.size == 1:
+            return np.zeros(1)
+        # whole rows first: far cheaper than a (size, size) fancy gather
+        return self.aa[members].max(axis=0)[members].max(keepdims=True)
+
+
+class _Cover(_RadiusRule):
+    """Discrete form: column r is the r-th smallest cover radius, owed min(l, r).
+
+    A cover radius is a candidate's distance to the group's farthest
+    member; r runs to min(k, m).
+    """
+
+    axiom = AXIOM_PRF_DISC
+    notes = (
+        "candidate set could cover the group better",
+        "agent-seeded neighborhood is under-covered",
+        "sampled group is under-covered",
+    )
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst, np.arange(1, min(inst.k, inst.m) + 1))
+
+    def mask_radii(self, members):
+        return np.sort(_fold_masks(self.dm, np.maximum, -np.inf), axis=1)[:, : self.width]
+
+    def prefix_bounds(self, order, steps):
+        # a prefix's cover distances are at least those of its first and
+        # last members, and so is each cover radius
+        low = np.maximum(self.dm[order[0]], self.dm[order[steps]])
+        return np.sort(low, axis=1)[:, : self.width]
+
+    def prefix_radii(self, order, blocks, steps):
+        cover = _fold_prefixes(self.dm, np.maximum, blocks)
+        return np.sort(cover, axis=1)[:, : self.width]
+
+    def subset_bounds(self, members):
+        return np.sort(self.dm[members[0]])[: self.width]
+
+    def subset_radii(self, members):
+        return np.sort(self.dm[members].max(axis=0))[: self.width]
+
+
+def _check_prf(form, inst, outcome, exhaustive, seed, samples) -> AxiomReport:
     sel = _selected(inst, outcome)
-    n, k = inst.n, inst.k
     if exhaustive is None:
-        exhaustive = n <= EXHAUSTIVE_LIMIT
+        exhaustive = inst.n <= EXHAUSTIVE_LIMIT
     if exhaustive:
         _exhaustive_guard(inst)
-        members = _subset_members(n)
-        # the diagonal is zero, so the masked row maxima hold the diameter
-        farthest = _fold_masks(inst.agent_distances, np.maximum, -np.inf)
-        diam = np.where(members, farthest, 0.0).max(axis=1)
+        members = _subset_members(inst.n)
         selmin = _fold_masks(inst.distance_matrix[:, sel], np.minimum, np.inf)
         return _first_short_group(
-            AXIOM_PRF_UNC,
-            "group diameter neighborhood holds too few centers",
+            form.axiom,
+            form.notes[0],
             members,
-            diam[:, None],
-            _entitlement(members.sum(axis=1), k, n)[:, None],
+            *form(inst).columns(members),
             lambda y: np.count_nonzero(selmin <= y[:, None], axis=1),
         )
-    witness = _prf_unconstrained_sample(inst, sel, seed, samples)
-    if witness is not None:
-        return AxiomReport(AXIOM_PRF_UNC, satisfied=False, witness=witness)
-    return AxiomReport(AXIOM_PRF_UNC, satisfied=True, definitive=False)
+    witness = _sampled_scan(form(inst), inst, sel, seed, samples)
+    if witness is None:
+        return AxiomReport(form.axiom, satisfied=True, definitive=False)
+    return AxiomReport(form.axiom, satisfied=False, witness=witness)
 
 
 def _entitlement_blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -458,160 +571,53 @@ def _fold_prefixes(values: np.ndarray, op, blocks: np.ndarray) -> np.ndarray:
     return op.accumulate(op.reduce(values[blocks], axis=1), axis=0)
 
 
-def _prf_unconstrained_sample(inst, sel, seed, samples) -> Witness | None:
-    aa = inst.agent_distances
-    dm = inst.distance_matrix
-    n, k = inst.n, inst.k
-    # the first failing prefix of a seed is at an entitlement step (see the
-    # module docstring), so only those k prefixes are tested
-    steps, blocks = _entitlement_blocks(n, k)
-    entitled = np.arange(1, k + 1)
-    dsel = dm[:, sel]
-    positions = np.arange(n)
-    rank = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        order = np.argsort(aa[i], kind="stable")
-        members = order[blocks]
-        nearest = _fold_prefixes(dsel, np.minimum, members)
-        # every prefix holds order[0], whose farthest distance into it is at
-        # most its diameter: a seed that passes there passes at the diameter
-        low = np.maximum.accumulate(aa[order[0], order])[steps]
-        if (np.count_nonzero(nearest <= low[:, None], axis=1) >= entitled).all():
-            continue
-        rank[order] = positions
-        # a pair joins the prefix with its later member: far[l, b] is agent
-        # b's largest distance into block l, read for b up to step l
-        far = aa[members].max(axis=1)
-        joined = np.where(rank <= steps[:, None], far, 0.0).max(axis=1)
-        diam = np.maximum.accumulate(joined)
-        cov = np.count_nonzero(nearest <= diam[:, None], axis=1)
-        bad = np.flatnonzero(cov < entitled)
-        if bad.size:
-            j = int(bad[0])
-            t0 = int(steps[j])
-            return Witness(
-                agents=tuple(sorted(int(a) for a in order[: t0 + 1])),
-                radius=float(diam[j]),
-                required=int(entitled[j]),
-                found=int(cov[j]),
-                note="agent-seeded neighborhood holds too few centers",
-            )
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        size = int(rng.integers(1, n + 1))
-        need = (size * k) // n
-        if need == 0:
-            continue
-        members = np.sort(rng.choice(n, size=size, replace=False))
-        nearest = dsel[members].min(axis=0)
-        # the first member's farthest distance in the group bounds its diameter
-        if np.count_nonzero(nearest <= aa[members[0], members].max()) >= need:
-            continue
-        # whole rows first: far cheaper than a (size, size) fancy gather
-        y = float(aa[members].max(axis=0)[members].max()) if size > 1 else 0.0
-        cov = int(np.count_nonzero(nearest <= y))
-        if cov < need:
-            return Witness(
-                agents=tuple(int(a) for a in members),
-                radius=y,
-                required=need,
-                found=cov,
-                note="sampled group holds too few centers",
-            )
-    return None
+def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None:
+    """Sampling mode: agent-seeded prefixes, then seeded random subsets.
 
-
-# ---------------------------------------------------------------------------
-# proportional representation, discrete form
-
-
-def check_prf_discrete(
-    inst: Instance,
-    outcome: Outcome,
-    exhaustive: bool | None = None,
-    seed: int = 0,
-    samples: int = 200,
-) -> AxiomReport:
-    """Groups get as many nearby centers as the candidate set could offer.
-
-    For a group S of size >= l*n/k and any radius y, if l' <= l candidates
-    lie within y of every member, at least l' selected centers must lie
-    within y of some member.  Radii are swept over realized distances only;
-    group-cover radii (the sorted per-group candidate cover distances) are
-    the change points, so checking those is complete.  Sampling mode tests
-    each agent-seeded neighborhood at the k sizes where its entitlement
-    steps up, all cover ranks r at once; the first failing r, then its
-    first failing size, is the witness.  Each seed is first tested at lower
-    bounds on its cover radii from the first and last members of each
-    size, in O(k*m) work plus O(n*s) for the s selected centers; only a
-    seed short at those bounds pays O(n*m) for the exact cover radii.
-    Precomputed instances without agent-agent distances sample only
-    random subsets.
+    A group fails a column when fewer centers than it owes lie within its
+    radius there.  A seed's witness is its first failing column, then that
+    column's first failing step; a subset's is its first failing column.
+    Every group is first tested at the rule's lower bounds on its radii: a
+    count of covered centers only grows with the radius, so a group that
+    passes at its bounds passes.
     """
-    sel = _selected(inst, outcome)
     n, k = inst.n, inst.k
-    if exhaustive is None:
-        exhaustive = n <= EXHAUSTIVE_LIMIT
-    if exhaustive:
-        _exhaustive_guard(inst)
-        dm = inst.distance_matrix
-        members = _subset_members(n)
-        selmin = _fold_masks(dm[:, sel], np.minimum, np.inf)
-        return _first_short_group(
-            AXIOM_PRF_DISC,
-            "candidate set could cover the group better",
-            members,
-            *_cover_radii(dm, members, k),
-            lambda y: np.count_nonzero(selmin <= y[:, None], axis=1),
-        )
-    witness = _prf_discrete_sample(inst, sel, seed, samples)
-    if witness is not None:
-        return AxiomReport(AXIOM_PRF_DISC, satisfied=False, witness=witness)
-    return AxiomReport(AXIOM_PRF_DISC, satisfied=True, definitive=False)
-
-
-def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
-    dm = inst.distance_matrix
-    n, k, m = inst.n, inst.k, inst.m
-    dsel = dm[:, sel]
+    dsel = inst.distance_matrix[:, sel]
     try:
         aa = inst.agent_distances
     except InputError:
         aa = None
     if aa is not None:
-        # for each cover rank r the first failing prefix of a seed is at an
-        # entitlement step (see the module docstring)
+        # the first failing prefix of a seed is at an entitlement step (see
+        # the module docstring), so only those k prefixes are tested
         steps, blocks = _entitlement_blocks(n, k)
-        width = min(k, m)  # cover ranks r = 1..width
-        req = np.minimum(np.arange(1, k + 1)[:, None], np.arange(1, width + 1))
+        req = rule.owed[1:]
         # found < req exactly when the req-th smallest distance to the
-        # selection (inf past its end) exceeds the radius
-        no_center = np.full((k, width), np.inf)
+        # selection (inf past its end) exceeds the radius.  Sorting leaves
+        # the inf padding at the end of each row, so a seed rewrites only
+        # the first s columns
+        ranked = np.full((k, max(sel.size, int(req.max()))), np.inf)
+        kth_at = np.arange(k)[:, None] * ranked.shape[1] + req - 1
         for i in range(n):
             order = np.argsort(aa[i], kind="stable")
             members = order[blocks]
             nearest = _fold_prefixes(dsel, np.minimum, members)
-            kth = np.sort(np.concatenate((nearest, no_center), axis=1), axis=1)
-            kth = np.take_along_axis(kth, req - 1, axis=1)
-            # a prefix's cover distances are at least those of its first and
-            # last members, and so is each cover radius: a seed that passes
-            # at those bounds passes at the cover radii
-            low = np.sort(np.maximum(dm[order[0]], dm[order[steps]]), axis=1)[:, :width]
-            if not (kth > low).any():
+            ranked[:, : sel.size] = nearest
+            ranked.sort(axis=1)
+            kth = ranked.ravel()[kth_at]
+            if not (kth > rule.prefix_bounds(order, steps)).any():
                 continue
-            cover = _fold_prefixes(dm, np.maximum, members)
-            y = np.sort(cover, axis=1)[:, :width]
+            y = rule.prefix_radii(order, members, steps)
             bad = kth > y
             if bad.any():
                 r0 = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, r0]))
-                t0 = int(steps[j])
                 return Witness(
-                    agents=tuple(sorted(int(a) for a in order[: t0 + 1])),
+                    agents=tuple(sorted(int(a) for a in order[: steps[j] + 1])),
                     radius=float(y[j, r0]),
                     required=int(req[j, r0]),
                     found=int(np.count_nonzero(nearest[j] <= y[j, r0])),
-                    note="agent-seeded neighborhood is under-covered",
+                    note=rule.notes[1],
                 )
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -620,23 +626,21 @@ def _prf_discrete_sample(inst, sel, seed, samples) -> Witness | None:
         if lmax == 0:
             continue
         members = np.sort(rng.choice(n, size=size, replace=False))
-        owed = np.arange(1, min(lmax, m) + 1)
+        owed = rule.owed[lmax]
         to_sel = np.sort(dsel[members].min(axis=0))
-        # the first member's cover distances bound the group's from below
-        low = np.sort(dm[members[0]])[: owed.size]
-        if (np.searchsorted(to_sel, low, side="right") >= owed).all():
+        if (np.searchsorted(to_sel, rule.subset_bounds(members), side="right") >= owed).all():
             continue
-        cover = np.sort(dm[members].max(axis=0))[: owed.size]
-        found = np.searchsorted(to_sel, cover, side="right")
+        y = rule.subset_radii(members)
+        found = np.searchsorted(to_sel, y, side="right")
         bad = np.flatnonzero(found < owed)
         if bad.size:
             r0 = int(bad[0])
             return Witness(
                 agents=tuple(int(a) for a in members),
-                radius=float(cover[r0]),
-                required=r0 + 1,
+                radius=float(y[r0]),
+                required=int(owed[r0]),
                 found=int(found[r0]),
-                note="sampled group is under-covered",
+                note=rule.notes[2],
             )
     return None
 
@@ -665,7 +669,7 @@ def check_prf2(inst: Instance, outcome: Outcome) -> AxiomReport:
         AXIOM_PRF2,
         "no single member sees enough centers",
         members,
-        *_cover_radii(dm, members, inst.k),
+        *_Cover(inst).columns(members),
         seen_by_one_member,
     )
 
@@ -684,7 +688,7 @@ def check_prf3(inst: Instance, outcome: Outcome) -> AxiomReport:
         AXIOM_PRF3,
         "too few centers cover the whole group",
         members,
-        *_cover_radii(dm, members, inst.k),
+        *_Cover(inst).columns(members),
         lambda y: np.count_nonzero(selmax <= y[:, None], axis=1),
     )
 

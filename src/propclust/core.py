@@ -37,7 +37,10 @@ class InputError(ValueError):
 
 
 def _as_points(arr, name: str) -> np.ndarray:
-    pts = np.array(arr, dtype=float)
+    try:
+        pts = np.array(arr, dtype=float)
+    except ValueError:  # ragged rows or entries that are not numbers
+        raise InputError(f"{name} must be a nonempty 2-D array of coordinates") from None
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:

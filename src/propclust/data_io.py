@@ -375,7 +375,12 @@ def read_run_record(path, instance: Instance | None = None) -> RunRecord:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
-    record = RunRecord.from_json_obj(obj)
+    try:
+        record = RunRecord.from_json_obj(obj)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed run record ({type(exc).__name__}: {exc})") from None
     if instance is not None and record.instance_digest != instance.digest:
         raise InputError(
             f"{path}: run record digest {record.instance_digest[:12]}... does not match "
@@ -388,12 +393,12 @@ def instance_from_record(record: RunRecord) -> Instance:
     """Rebuild the instance a record was produced from, verified by digest."""
     if record.coordinates is None:
         raise InputError("run record stores no coordinates; supply the instance separately")
-    agents = np.asarray(record.coordinates, dtype=float)
     if record.candidate_coordinates is None:
-        inst = Instance.unconstrained(agents, k=record.k, metric=record.metric)
+        inst = Instance.unconstrained(record.coordinates, k=record.k, metric=record.metric)
     else:
-        candidates = np.asarray(record.candidate_coordinates, dtype=float)
-        inst = Instance.discrete(agents, candidates, k=record.k, metric=record.metric)
+        inst = Instance.discrete(
+            record.coordinates, record.candidate_coordinates, k=record.k, metric=record.metric
+        )
     if inst.digest != record.instance_digest:
         raise InputError(
             "run record digest does not match its own coordinates; the record is corrupt"

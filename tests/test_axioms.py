@@ -171,6 +171,26 @@ def test_up_groups_signed_zeros_together():
     assert recheck_witness(inst, out, report)
 
 
+def test_up_precomputed_groups_need_identical_zero_sets():
+    # not a metric: agent 0 is 0.0 from agents 1 and 2, which are 5 apart.
+    # No two rows are 0.0 at the same agents, so no group reaches
+    # ceil(5/2) = 3; grouping agent 0's zeros flagged (0, 1, 2), a witness
+    # its own recheck rejected.  With agents 1 and 2 at 0.0 the group is real
+    mat = np.array(
+        [[0, 0, 0, 1, 1], [0, 0, 5, 1, 1], [0, 5, 0, 1, 1], [1, 1, 1, 0, 1], [1, 1, 1, 1, 0]],
+        dtype=float,
+    )
+    out = Outcome((3, 4))
+    inst = Instance.precomputed(mat, k=2, shared_candidates=True)
+    report = check_up(inst, out)
+    assert report.satisfied
+    mat[1, 2] = mat[2, 1] = 0.0
+    inst = Instance.precomputed(mat, k=2, shared_candidates=True)
+    report = check_up(inst, out)
+    assert report.witness.agents == (0, 1, 2)
+    assert recheck_witness(inst, out, report)
+
+
 def test_up_group_below_threshold_is_unconstrained():
     # two coincident agents, n=5, k=2: 2 < ceil(5/2), no entitlement
     pts = [(0.0,), (0.0,), (4.0,), (5.0,), (6.0,)]

@@ -10,6 +10,7 @@ from propclust import (
     check_up,
     select_prf_centers,
 )
+from propclust.cli import main
 from propclust.data_io import (
     GENERATORS,
     RunRecord,
@@ -279,3 +280,29 @@ def test_load_grid_errors(tmp_path):
     p.write_text(json.dumps({"datasets": [{}], "ks": [1]}))
     with pytest.raises(InputError, match="generator"):
         load_grid(p)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("selected", None),  # None: the key is deleted
+        ("k", "three"),
+        ("reports", [{"axiom": "FOO", "satisfied": True, "witness": None, "definitive": True}]),
+        ("coordinates", [[0.0, 1.0], [2.0]]),
+    ],
+)
+def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
+    inst = generate("hexagon")
+    outcome, _ = select_prf_centers(inst)
+    p = tmp_path / "run.json"
+    write_run_record(p, record_for(inst, "prf", outcome))
+    obj = json.loads(p.read_text())
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    p.write_text(json.dumps(obj))
+    assert main(["check", "--run", str(p)]) == 1
+    err = capsys.readouterr().err
+    # ragged coordinates parse, and fail when the instance is rebuilt
+    assert err.startswith("error: " if field == "coordinates" else f"error: {p}: ")
