@@ -487,8 +487,6 @@ class _Diameter(_RadiusRule):
         return self.aa[members[0], members].max(keepdims=True)
 
     def subset_radii(self, members):
-        if members.size == 1:
-            return np.zeros(1)
         # whole rows first: far cheaper than a (size, size) fancy gather
         return self.aa[members].max(axis=0)[members].max(keepdims=True)
 
@@ -622,7 +620,7 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         size = int(rng.integers(1, n + 1))
-        lmax = (size * k) // n
+        lmax = _entitlement(size, k, n)
         if lmax == 0:
             continue
         members = np.sort(rng.choice(n, size=size, replace=False))

@@ -10,8 +10,9 @@ Two selection rules to compare against the radius-sweep rule:
   opens a candidate once its ball holds a full quota of uncaptured
   agents; open centers absorb agents as their balls reach them.  May
   open fewer than k centers; the result records how the remainder was
-  padded.  It runs on the sweep engine's sorted rows: the radius jumps
-  from one opening to the next instead of visiting every distance.
+  padded.  It is the sweep's ball growth with unit weights and runs on
+  the engine's ball-threshold structure: the radius jumps from one
+  opening to the next instead of visiting every distance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from propclust.core import InputError, Instance, Outcome, _squares_fit
-from propclust.engine import _advance, _sorted_rows
+from propclust.engine import _Thresholds
 
 __all__ = [
     "GreedyCaptureResult",
@@ -133,8 +134,9 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
     candidates whose balls would reach a full quota soonest ignoring
     captures (ties to the lowest index).
 
-    Each candidate's distance row is sorted once, and its threshold is the
-    distance at which its ball holds a quota of uncaptured agents.  The
+    The engine's ball-threshold structure keeps each candidate's threshold,
+    the distance at which its ball holds a quota of uncaptured agents, on
+    its distance row sorted once: an agent weighs 1 until captured.  The
     radius jumps to the smallest threshold of an unopened candidate; the
     agents that open centers reach by then are captured, the candidates
     whose counted prefix held one move their thresholds up, and the radius
@@ -150,41 +152,31 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
     if m < k:
         raise InputError(f"insufficient candidates: k={k} but only {m} candidate locations")
     quota = -(-n // k)
-    DT, order, rank = _sorted_rows(inst)
-
-    # weight 1 while uncaptured, 0 after: prefix[c] counts the uncaptured
-    # agents among the first pos[c] + 1 in candidate c's sorted row
-    w = np.ones(n, dtype=np.int64)
+    w = np.ones(n, dtype=np.int64)  # 1 while uncaptured, 0 after
+    balls = _Thresholds(inst, w, quota)
     uncaptured = n
-    pos = np.full(m, quota - 1, dtype=np.intp)
-    prefix = np.full(m, quota, dtype=np.int64)
-    threshold = DT[np.arange(m), order[:, quota - 1]]
     # where each ball first holds a quota of agents, ignoring captures
-    fill_radius = threshold.copy()
+    fill_radius = balls.radius.copy()
     is_open = np.zeros(m, dtype=bool)
     nearest = np.full(n, np.inf)  # each agent's distance to its nearest open center
     opened: list[int] = []
     openings: list[tuple[int, float]] = []
 
     while len(opened) < k:
-        radius = threshold[~is_open].min()
+        radius = balls.radius[~is_open].min()
         newly = np.flatnonzero((nearest <= radius) & (w > 0))
         if newly.size == 0:
-            c = int(np.flatnonzero(~is_open & (threshold == radius))[0])
+            c = int(np.flatnonzero(~is_open & (balls.radius == radius))[0])
             is_open[c] = True
             opened.append(c)
             openings.append((c, float(radius)))
-            np.minimum(nearest, DT[c], out=nearest)
+            np.minimum(nearest, balls.DT[c], out=nearest)
             continue
         w[newly] = 0
         uncaptured -= newly.size
         if uncaptured < quota:
             break  # no ball can hold a quota any more
-        prefix -= (rank[:, newly] <= pos[:, None]).sum(axis=1)
-        short = np.flatnonzero(~is_open & (prefix < quota))
-        if short.size:
-            _advance(order, w, pos, prefix, short, quota)
-            threshold[short] = DT[short, order[short, pos[short]]]
+        balls.charge(newly, np.ones_like(newly), ~is_open)
 
     underfilled = len(opened) < k
     padded: list[int] = []

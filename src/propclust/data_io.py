@@ -224,14 +224,18 @@ GENERATORS = {
 
 
 def generate(name: str, **params) -> Instance:
-    """Build a named instance; unknown names or parameters raise InputError."""
+    """Build a named instance; unknown names, parameters or bad values raise InputError."""
     fn = GENERATORS.get(name)
     if fn is None:
         raise InputError(f"unknown generator {name!r}; expected one of {', '.join(GENERATORS)}")
     try:
         return fn(**params)
+    except InputError:
+        raise
     except TypeError:
         raise InputError(f"generator {name!r} does not accept parameters {sorted(params)}") from None
+    except (OverflowError, ValueError) as exc:
+        raise InputError(f"generator {name!r}: bad parameter value ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +370,20 @@ def write_run_record(path, record: RunRecord) -> None:
         fh.write(json.dumps(record.to_json_obj(), indent=2) + "\n")
 
 
-def read_run_record(path, instance: Instance | None = None) -> RunRecord:
-    """Load a record; with ``instance`` given, verify it matches by digest."""
+def _read_json(path):
+    """Parse a JSON file; an unreadable or unparsable one raises InputError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_run_record(path, instance: Instance | None = None) -> RunRecord:
+    """Load a record; with ``instance`` given, verify it matches by digest."""
+    obj = _read_json(path)
     try:
         record = RunRecord.from_json_obj(obj)
     except InputError as exc:
@@ -422,27 +431,25 @@ def load_grid(path):
     """
     from propclust.evaluation import ExperimentGrid
 
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})") from None
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: grid must be a JSON object")
     entries = obj.get("datasets")
-    if not entries:
+    if not entries or not isinstance(entries, list):
         raise InputError(f"{path}: grid needs a non-empty 'datasets' list")
     datasets = []
     for idx, entry in enumerate(entries):
+        where = f"{path}: datasets[{idx}]"
         if not isinstance(entry, dict):
-            raise InputError(f"{path}: datasets[{idx}] must be an object")
-        if "generator" in entry:
-            gen_name = entry["generator"]
-            inst = generate(gen_name, **entry.get("params", {}))
+            raise InputError(f"{where} must be an object")
+        gen_name, params = entry.get("generator"), entry.get("params", {})
+        if isinstance(gen_name, str) and isinstance(params, dict):
+            try:
+                inst = generate(gen_name, **params)
+            except InputError as exc:
+                raise InputError(f"{where}: {exc}") from None
             name = entry.get("name", gen_name)
-        elif "path" in entry:
+        elif "generator" not in entry and isinstance(entry.get("path"), str):
             inst = load_csv(
                 entry["path"],
                 k=1,
@@ -451,16 +458,20 @@ def load_grid(path):
             )
             name = entry.get("name", Path(entry["path"]).stem)
         else:
-            raise InputError(f"{path}: datasets[{idx}] needs 'generator' or 'path'")
+            raise InputError(f"{where} needs a 'generator' name with object 'params', or a 'path'")
         datasets.append((str(name), inst))
-    ks = obj.get("ks")
-    if not ks:
+    if not obj.get("ks"):
         raise InputError(f"{path}: grid needs a non-empty 'ks' list")
-    kwargs = {}
-    if "algorithms" in obj:
-        kwargs["algorithms"] = tuple(obj["algorithms"])
-    if "seeds" in obj:
-        kwargs["seeds"] = tuple(int(s) for s in obj["seeds"])
-    if "metrics" in obj:
-        kwargs["metrics"] = tuple(obj["metrics"])
-    return ExperimentGrid(datasets=tuple(datasets), ks=tuple(int(k) for k in ks), **kwargs)
+    ks = _grid_list(path, obj, "ks", int)
+    axes = {"algorithms": str, "seeds": int, "metrics": str}
+    kwargs = {key: _grid_list(path, obj, key, kind) for key, kind in axes.items() if key in obj}
+    return ExperimentGrid(datasets=tuple(datasets), ks=ks, **kwargs)
+
+
+def _grid_list(path, obj: dict, key: str, kind: type) -> tuple:
+    """``obj[key]`` as a tuple, checked to be a JSON list of ``kind`` values."""
+    values = obj[key]
+    # exact types: bool is an int subclass, and a float k would be truncated
+    if not isinstance(values, list) or any(type(v) is not kind for v in values):
+        raise InputError(f"{path}: {key!r} must be a list of {kind.__name__} values")
+    return tuple(values)

@@ -15,7 +15,9 @@ the first sorted position at which its prefix weight reaches the quota and
 that prefix weight.  After a payment only the candidates whose prefix held
 a paying agent are charged, and those that fall below the quota move
 their position forward in chunks that double on each pass.  The work is
-O(k·n·m) in vector operations, plus one O(n·m·log n) sort.
+O(k·n·m) in vector operations, plus one O(n·m·log n) sort.  This
+ball-threshold structure (``_Thresholds``) also runs greedy capture in
+:mod:`propclust.baselines`, with unit weights and quota ceil(n/k).
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -65,63 +67,75 @@ class SweepTrace:
     rounds: tuple[SweepRound, ...]
 
 
-def _sorted_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every candidate's distance row, sorted once: ``(DT, order, rank)``.
+class _Thresholds:
+    """Each candidate's ball threshold over its distance row, sorted once.
 
-    ``DT`` is (m, n): row c holds candidate c's distance to every agent.  It
-    is the distance matrix itself when candidates are shared, since that
-    matrix is symmetric.  ``order[c]`` lists the agents ascending by
-    ``DT[c]`` (any order inside a tie) and ``rank`` is its inverse
-    permutation, ``order[c, rank[c, a]] == a``.
+    ``DT`` is (m, n): row c holds candidate c's distance to every agent (the
+    distance matrix itself when candidates are shared, since it is then
+    symmetric).  ``radius[c]`` is the smallest radius at which the weight
+    ``w`` within it of candidate c reaches ``quota``.  ``w`` is held by
+    reference: the caller lowers it, then calls :meth:`charge`.
     """
-    D = inst.distance_matrix
-    DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
-    order = np.argsort(DT, axis=1)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(D.shape[0])[None, :], axis=1)
-    return DT, order, rank
 
+    def __init__(self, inst: Instance, w: np.ndarray, quota: int):
+        D = inst.distance_matrix
+        self.DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
+        # order[c] sorts the agents by DT[c] (ties in any order), rank inverts
+        # it, and prefix[c] is the weight of the agents order[c, : pos[c] + 1]
+        self._order = np.argsort(self.DT, axis=1)
+        self._rank = np.empty_like(self._order)
+        np.put_along_axis(self._rank, self._order, np.arange(inst.n)[None, :], axis=1)
+        self._w, self._quota = w, quota
+        self._pos = np.full(inst.m, -1, dtype=np.intp)
+        self._prefix = np.zeros(inst.m, dtype=np.int64)
+        self.radius = np.empty(inst.m)
+        self._advance(np.arange(inst.m))
 
-def _advance(
-    order: np.ndarray,
-    w: np.ndarray,
-    pos: np.ndarray,
-    prefix: np.ndarray,
-    cands: np.ndarray,
-    quota: int,
-) -> None:
-    """Move each of ``cands`` to the first sorted position where its prefix weight reaches ``quota``.
+    def charge(self, agents: np.ndarray, amounts: np.ndarray, live: np.ndarray) -> None:
+        """Account for ``w[agents]`` having fallen by ``amounts``.
 
-    ``pos[c]`` is the last position already counted in ``prefix[c]``; both
-    are updated in place.  Each pass reads the next chunk of every
-    unfinished candidate's row and doubles the chunk for the next pass.
-    """
-    n = order.shape[1]
-    size = min(_CHUNK, n)
-    while cands.size:
-        start = pos[cands] + 1
-        idx = start[:, None] + np.arange(size)
-        past = idx >= n
-        gained = w[order[cands[:, None], np.minimum(idx, n - 1)]]
-        gained[past] = 0
-        cums = np.cumsum(gained, axis=1) + prefix[cands][:, None]
-        reached = cums >= quota
-        hit = reached.any(axis=1)
-        stuck = (idx[:, -1] >= n - 1) & ~hit
-        if stuck.any():
-            raise RuntimeError(
-                f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
-                f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
-            )
-        first = reached[hit].argmax(axis=1)
-        done = cands[hit]
-        pos[done] = start[hit] + first
-        prefix[done] = cums[hit, first]
-        rest = ~hit
-        cands = cands[rest]
-        pos[cands] = start[rest] + size - 1
-        prefix[cands] = cums[rest, -1]
-        size = min(2 * size, n)
+        Each candidate loses the amounts paid inside its counted prefix, and
+        those in the ``live`` mask left below the quota move their threshold up.
+        """
+        self._prefix -= (self._rank[:, agents] <= self._pos[:, None]) @ amounts
+        short = np.flatnonzero(live & (self._prefix < self._quota))
+        if short.size:
+            self._advance(short)
+
+    def _advance(self, cands: np.ndarray) -> None:
+        """Move each of ``cands`` to the first sorted position where its prefix weight reaches the quota.
+
+        Each pass reads the next chunk of every unfinished candidate's row
+        and doubles the chunk for the next pass.
+        """
+        order, pos, prefix, quota = self._order, self._pos, self._prefix, self._quota
+        n = order.shape[1]
+        size = min(_CHUNK, n)
+        while cands.size:
+            start = pos[cands] + 1
+            idx = start[:, None] + np.arange(size)
+            past = idx >= n
+            gained = self._w[order[cands[:, None], np.minimum(idx, n - 1)]]
+            gained[past] = 0
+            cums = np.cumsum(gained, axis=1) + prefix[cands][:, None]
+            reached = cums >= quota
+            hit = reached.any(axis=1)
+            stuck = (idx[:, -1] >= n - 1) & ~hit
+            if stuck.any():
+                raise RuntimeError(
+                    f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
+                    f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
+                )
+            first = reached[hit].argmax(axis=1)
+            done = cands[hit]
+            pos[done] = start[hit] + first
+            prefix[done] = cums[hit, first]
+            self.radius[done] = self.DT[done, order[done, pos[done]]]
+            rest = ~hit
+            cands = cands[rest]
+            pos[cands] = start[rest] + size - 1
+            prefix[cands] = cums[rest, -1]
+            size = min(2 * size, n)
 
 
 def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
@@ -136,44 +150,32 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     if m < k:
         raise InputError(f"insufficient candidates: k={k} but only {m} candidate locations")
 
-    D = inst.distance_matrix
-    DT, order, rank = _sorted_rows(inst)
-    rows = np.arange(m)
-
     # weights scaled by k: start at k each, quota is n, all arithmetic exact
     w = np.full(n, k, dtype=np.int64)
     quota = n
     frac = [Fraction(j, k) for j in range(k + 1)]
-
-    pos = np.full(m, -1, dtype=np.intp)
-    prefix = np.zeros(m, dtype=np.int64)
-    _advance(order, w, pos, prefix, rows, quota)
-    threshold = DT[rows, order[rows, pos]]
+    balls = _Thresholds(inst, w, quota)
     # a mask, not an infinite threshold, so no marker value can ever tie with a real threshold
     remaining = np.ones(m, dtype=bool)
 
     selected: list[int] = []
     rounds: list[SweepRound] = []
     while True:
-        radius = threshold[remaining].min()
-        tied = np.flatnonzero(remaining & (threshold == radius))
-        support = (DT[tied] <= radius) @ w
+        radius = balls.radius[remaining].min()
+        tied = np.flatnonzero(remaining & (balls.radius == radius))
+        support = (balls.DT[tied] <= radius) @ w
         best = int(np.argmax(support))  # first maximum, so lowest index on ties
         winner = int(tied[best])
         sup_val = int(support[best])
 
-        members = np.flatnonzero(D[:, winner] <= radius)
+        row = balls.DT[winner]
+        members = np.flatnonzero(row <= radius)
         before = w[members]
 
-        # pay the quota: zero supporters ascending by (distance to winner, index)
-        ordered = members[np.lexsort((members, D[members, winner]))]
+        # pay the quota closest first: each pays its weight, capped at what is left
+        ordered = members[np.lexsort((members, row[members]))]
         wo = w[ordered]
-        cums = np.cumsum(wo)
-        cut = int(np.searchsorted(cums, quota, side="left"))
-        removed_before_cut = int(cums[cut - 1]) if cut > 0 else 0
-        deltas = np.zeros(len(ordered), dtype=np.int64)
-        deltas[:cut] = wo[:cut]
-        deltas[cut] = quota - removed_before_cut
+        deltas = np.minimum(wo, np.maximum(quota - np.cumsum(wo) + wo, 0))
         w[ordered] -= deltas
 
         selected.append(winner)
@@ -192,9 +194,4 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
 
         remaining[winner] = False
         paid = deltas > 0
-        # charge each candidate for the paying agents inside its counted prefix
-        prefix -= (rank[:, ordered[paid]] <= pos[:, None]) @ deltas[paid]
-        short = np.flatnonzero(remaining & (prefix < quota))
-        if short.size:
-            _advance(order, w, pos, prefix, short, quota)
-            threshold[short] = DT[short, order[short, pos[short]]]
+        balls.charge(ordered[paid], deltas[paid], remaining)

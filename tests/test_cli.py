@@ -35,6 +35,10 @@ def test_gen_params_and_errors(capsys, tmp_path):
     assert main(["gen", "--name", "no_such_shape"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["gen", "--name", "two_mass", "--params", "a=oops"]) == 1
+    # values a generator cannot build from
+    assert main(["gen", "--name", "two_mass", "--params", "a=-1"]) == 1
+    assert main(["gen", "--name", "grid_uniform", "--params", "rows=1e400"]) == 1
+    assert capsys.readouterr().err.count("error: generator") == 2
 
 
 def test_cluster_writes_record(two_mass_csv, tmp_path, capsys):

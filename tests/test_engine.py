@@ -262,9 +262,7 @@ def test_pinned_trace_digest(name, digest):
 
 def test_advance_past_row_end_raises():
     # a row whose whole weight is below the quota breaks the sweep's invariant
-    order = np.argsort(np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), axis=1)
+    inst = Instance.precomputed([[0.0, 1.0], [2.0, 0.0], [1.0, 2.0]], k=1)
     w = np.array([1, 1, 1], dtype=np.int64)
-    pos = np.full(2, -1, dtype=np.intp)
-    prefix = np.zeros(2, dtype=np.int64)
     with pytest.raises(RuntimeError, match="candidate 0 holds 3 .* quota 4"):
-        engine._advance(order, w, pos, prefix, np.arange(2), 4)
+        engine._Thresholds(inst, w, 4)

@@ -266,11 +266,32 @@ def test_load_grid(tmp_path):
     assert grid.metrics == ("msd1",)
 
 
+# each replaces fields of a valid grid (two_mass at k = 2)
+MALFORMED_GRIDS = [
+    {"ks": ["x"]},
+    {"ks": 3},
+    {"ks": [2.5]},
+    {"seeds": ["a"]},
+    {"algorithms": "prf"},
+    {"datasets": 5},
+    {"datasets": [{"generator": "two_mass", "params": 5}]},
+    {"datasets": [{"generator": "two_mass", "params": {"k": "x"}}]},
+]
+
+
 def test_load_grid_errors(tmp_path):
     p = tmp_path / "grid.json"
     p.write_text("not json")
     with pytest.raises(InputError, match="JSON"):
         load_grid(p)
+    p.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InputError, match="JSON"):
+        load_grid(p)
+    for fields in MALFORMED_GRIDS:
+        p.write_text(json.dumps({"datasets": [{"generator": "two_mass"}], "ks": [2], **fields}))
+        with pytest.raises(InputError) as info:
+            load_grid(p)
+        assert str(info.value).startswith(f"{p}: ")
     p.write_text(json.dumps({"datasets": []}))
     with pytest.raises(InputError, match="datasets"):
         load_grid(p)
@@ -306,3 +327,11 @@ def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     # ragged coordinates parse, and fail when the instance is rebuilt
     assert err.startswith("error: " if field == "coordinates" else f"error: {p}: ")
+
+
+@pytest.mark.parametrize("fields", MALFORMED_GRIDS)
+def test_experiment_malformed_grid_exits_1(tmp_path, capsys, fields):
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps({"datasets": [{"generator": "two_mass"}], "ks": [2], **fields}))
+    assert main(["experiment", "--grid", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
