@@ -249,27 +249,103 @@ class Instance:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: Coordinate differences held at once while building distances (8 bytes each).
-_PAIRWISE_BLOCK = 1 << 20
+#: Entries in one (rows, m) plane of per-coordinate terms while building distances (8 bytes each).
+_PLANE = 1 << 16
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    # rows of `a` go in blocks, so the (rows, m, dim) differences stay small;
-    # each distance is still one sum over the coordinate axis, bit for bit
-    step = max(1, _PAIRWISE_BLOCK // (b.shape[0] * b.shape[1]))
-    blocks = []
+    # the (n, m) matrix is allocated once and written in place, a block of
+    # _PLANE entries at a time; the only other memory is a few planes that size
+    n, m = a.shape[0], b.shape[0]
+    try:
+        out = np.empty((n, m))
+    except MemoryError:
+        raise InputError(
+            f"the {n} x {m} distance matrix needs {n * m * 8 / 2**30:.1f} GiB, more than can be allocated"
+        ) from None
+    if a.shape[1] == 0:
+        out.fill(0.0)  # no coordinates: every distance is the empty sum
+    rows = max(1, _PLANE // m)
+    block_sum = _BlockSum(b, np.square if metric == "euclidean" else np.abs, rows)
     # finite coordinates can still overflow: their differences or squares reach inf
     with np.errstate(over="ignore"):
-        for start in range(0, a.shape[0], step):
-            diff = a[start : start + step, None, :] - b[None, :, :]
+        for start in range(0, n, rows):
+            block = out[start : start + rows]
+            block_sum(a[start : start + rows], block)
             if metric == "euclidean":
-                blocks.append(np.sqrt((diff**2).sum(axis=-1)))
-            else:
-                blocks.append(np.abs(diff).sum(axis=-1))
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    if not np.isfinite(out).all():
+                np.sqrt(block, out=block)
+    # entries are inf rather than NaN when they overflow, so the maximum shows it
+    if not np.isfinite(out.max()):
         raise InputError("coordinates are too large: some distances overflow to infinity")
     return out
+
+
+class _BlockSum:
+    """Writes the summed per-coordinate terms of a block of rows of the distance matrix.
+
+    A term plane holds one coordinate's squared (``fold=np.square``) or
+    absolute (``np.abs``) differences between the block's agents and every
+    candidate.  The planes are added in the order ``np.add.reduce`` sums a
+    contiguous axis (numpy's pairwise sum), so each entry is bit for bit
+    ``fold(a[:, None] - b[None]).sum(-1)``: below 8 terms one after another;
+    up to 128, eight running sums over every eighth term, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms one by one;
+    above 128, the sums of two halves split at a multiple of 8.  The eight
+    running sums are computed one after another, depth first, so at most four
+    scratch planes are live below 129 coordinates.
+    """
+
+    def __init__(self, b: np.ndarray, fold, rows: int):
+        self._cols = np.ascontiguousarray(b.T)  # one contiguous row per coordinate
+        self._fold = fold
+        self._rows = rows
+        # (rows, m) scratch planes: [0] holds a term, [l] the right operand of an addition l levels deep
+        self._spare: list[np.ndarray] = []
+
+    def __call__(self, a_rows: np.ndarray, out: np.ndarray) -> None:
+        self._a = a_rows
+        self._sum(range(len(self._cols)), out, 1)
+
+    def _sum(self, idx: range, out: np.ndarray, level: int) -> None:
+        count = len(idx)
+        if count < 8:
+            self._run(idx, out, level)
+        elif count <= 128:
+            stop = count - count % 8
+            self._tree([idx[j:stop:8] for j in range(8)], out, level, self._run)
+            self._run(idx[stop:], out, level, onto=True)
+        else:
+            half = count // 2 - count // 2 % 8
+            self._tree([idx[:half], idx[half:]], out, level, self._sum)
+
+    def _tree(self, parts: list[range], out: np.ndarray, level: int, leaf) -> None:
+        # ((p0 + p1) + (p2 + p3)) + ...: the left half goes to out, the right to a spare plane
+        if len(parts) == 1:
+            leaf(parts[0], out, level)
+            return
+        mid = len(parts) // 2
+        self._tree(parts[:mid], out, level + 1, leaf)
+        right = self._plane(level)
+        self._tree(parts[mid:], right, level + 1, leaf)
+        out += right
+
+    def _run(self, idx: range, out: np.ndarray, level: int, onto: bool = False) -> None:
+        # numpy's run starts from -0.0, and -0.0 + x is x, so the first term is written as is
+        for j in idx:
+            if onto:
+                out += self._term(j, self._plane(0))
+            else:
+                self._term(j, out)
+                onto = True
+
+    def _term(self, j: int, dest: np.ndarray) -> np.ndarray:
+        np.subtract(self._a[:, j, None], self._cols[j], out=dest)
+        return self._fold(dest, out=dest)
+
+    def _plane(self, level: int) -> np.ndarray:
+        while len(self._spare) <= level:
+            self._spare.append(np.empty((self._rows, self._cols.shape[1])))
+        return self._spare[level][: len(self._a)]
 
 
 def _squares_fit(func):

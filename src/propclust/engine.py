@@ -75,16 +75,23 @@ class _Thresholds:
     symmetric).  ``radius[c]`` is the smallest radius at which the weight
     ``w`` within it of candidate c reaches ``quota``.  ``w`` is held by
     reference: the caller lowers it, then calls :meth:`charge`.
+
+    ``_order`` (m, n) lists each candidate's agents by distance, and
+    ``_rank`` (n, m) is agent-major: ``_rank[a, c]`` is agent a's position in
+    ``_order[c]``, so a charge reads one contiguous row per paying agent.
+    Both are int32, half the bytes of the matrix each.
     """
 
     def __init__(self, inst: Instance, w: np.ndarray, quota: int):
+        if inst.n > np.iinfo(np.int32).max:
+            raise InputError(f"{inst.n} agents are too many: sorted positions are int32")
         D = inst.distance_matrix
         self.DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
         # order[c] sorts the agents by DT[c] (ties in any order), rank inverts
         # it, and prefix[c] is the weight of the agents order[c, : pos[c] + 1]
-        self._order = np.argsort(self.DT, axis=1)
-        self._rank = np.empty_like(self._order)
-        np.put_along_axis(self._rank, self._order, np.arange(inst.n)[None, :], axis=1)
+        self._order = np.argsort(self.DT, axis=1).astype(np.int32)
+        self._rank = np.empty((inst.n, inst.m), dtype=np.int32)
+        np.put_along_axis(self._rank.T, self._order, np.arange(inst.n, dtype=np.int32)[None, :], axis=1)
         self._w, self._quota = w, quota
         self._pos = np.full(inst.m, -1, dtype=np.intp)
         self._prefix = np.zeros(inst.m, dtype=np.int64)
@@ -97,7 +104,7 @@ class _Thresholds:
         Each candidate loses the amounts paid inside its counted prefix, and
         those in the ``live`` mask left below the quota move their threshold up.
         """
-        self._prefix -= (self._rank[:, agents] <= self._pos[:, None]) @ amounts
+        self._prefix -= amounts @ (self._rank[agents] <= self._pos)
         short = np.flatnonzero(live & (self._prefix < self._quota))
         if short.size:
             self._advance(short)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,10 +83,57 @@ def test_distance_blocks_match_one_block(monkeypatch):
     for _ in range(25):
         inst = random_instance(rng, n_max=30)
         whole = inst.distance_matrix
-        for block in (1, 7, 40):
-            monkeypatch.setattr(core, "_PAIRWISE_BLOCK", block)
+        for rows in (1, 3, inst.n):
+            monkeypatch.setattr(core, "_PLANE", rows * inst.m)
             again = core._pairwise(inst.agents, inst.candidates, inst.metric)
             assert again.tobytes() == whole.tobytes()
+
+
+def _reference_pairwise(a, b, metric):
+    diff = a[:, None] - b[None]
+    return np.sqrt((diff**2).sum(-1)) if metric == "euclidean" else np.abs(diff).sum(-1)
+
+
+# numpy's pairwise sum changes shape at 8, 128 and 256 terms
+PLANE_DIMS = [*range(1, 18), 63, 64, 65, 127, 128, 129, 136, 255, 256, 257, 300]
+
+
+@pytest.mark.parametrize(
+    "rows, dims",
+    [(1, PLANE_DIMS), (2, PLANE_DIMS), (None, range(1, 301))],
+    ids=["one-row", "two-rows", "whole-matrix"],
+)
+def test_pairwise_bit_identical_to_one_sum(monkeypatch, rows, dims):
+    # the term planes are added in np.add.reduce's order, so every entry is the
+    # same float as summing the (n, m, dim) terms over the last axis
+    rng = np.random.default_rng(17)
+    for dim in dims:
+        # coordinates of mixed magnitudes, so a different summation order shows
+        a = rng.normal(size=(5, dim)) * 10.0 ** rng.uniform(-4, 4, size=dim)
+        for b in (a, rng.normal(size=(3, dim)) * 10.0 ** rng.uniform(-4, 4, size=dim)):
+            monkeypatch.setattr(core, "_PLANE", b.shape[0] * (rows or a.shape[0]))
+            for metric in ("euclidean", "manhattan"):
+                got = core._pairwise(a, b, metric)
+                assert got.tobytes() == _reference_pairwise(a, b, metric).tobytes(), (dim, metric)
+
+
+def test_distance_build_peak_memory():
+    # the matrix is written in place: besides it only a few 2^16-entry planes live
+    inst = Instance.unconstrained(np.random.default_rng(5).normal(size=(1000, 8)), k=5)
+    tracemalloc.start()
+    try:
+        dm = inst.distance_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * dm.nbytes
+
+
+def test_pairwise_too_large_raises_before_building():
+    # broadcast views: (10**8, 1) points ask for an 8e16-byte matrix without holding any memory
+    points = np.broadcast_to(np.zeros(1), (10**8, 1))
+    with pytest.raises(InputError, match=r"100000000 x 100000000 .* 74505806\.0 GiB"):
+        core._pairwise(points, points, "euclidean")
 
 
 def test_agent_distances_symmetric_zero_diagonal():

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,3 +268,55 @@ def test_advance_past_row_end_raises():
     w = np.array([1, 1, 1], dtype=np.int64)
     with pytest.raises(RuntimeError, match="candidate 0 holds 3 .* quota 4"):
         engine._Thresholds(inst, w, 4)
+
+
+def test_threshold_ranks_are_int32_agent_major():
+    for inst in (
+        Instance.unconstrained(np.random.default_rng(8).normal(size=(40, 2)), k=4),
+        Instance.discrete(np.random.default_rng(9).normal(size=(40, 2)), np.zeros((7, 2)), k=4),
+    ):
+        n, m = inst.n, inst.m
+        balls = engine._Thresholds(inst, np.full(n, inst.k, dtype=np.int64), n)
+        order, rank = balls._order, balls._rank
+        assert order.dtype == np.int32 and order.shape == (m, n)
+        assert rank.dtype == np.int32 and rank.shape == (n, m)
+        for c in range(m):
+            assert np.array_equal(rank[order[c], c], np.arange(n))
+
+
+def test_charge_matches_candidate_major_sum():
+    # the agent-major gather sums the same amounts as a candidate-major (m, agents) mask
+    rng = np.random.default_rng(10)
+    inst = Instance.discrete(rng.normal(size=(60, 3)), rng.normal(size=(25, 3)), k=5)
+    for _ in range(20):
+        w = np.full(inst.n, inst.k, dtype=np.int64)
+        balls = engine._Thresholds(inst, w, inst.n)
+        agents = rng.choice(inst.n, size=int(rng.integers(1, 30)), replace=False)
+        amounts = rng.integers(1, inst.k + 1, size=agents.size).astype(np.int64)
+        rank_cm = np.ascontiguousarray(balls._rank.T)
+        want = balls._prefix - (rank_cm[:, agents] <= balls._pos[:, None]) @ amounts
+        w[agents] -= amounts
+        balls.charge(agents, amounts, np.zeros(inst.m, dtype=bool))
+        assert np.array_equal(balls._prefix, want)
+
+
+def test_thresholds_setup_peak_memory():
+    # int32 order and rank: the set-up holds about 1.5 matrices beside the matrix itself
+    # (k = 20 as on the benchmark; the first advance's chunks grow with the quota n/k)
+    inst = Instance.unconstrained(np.random.default_rng(11).normal(size=(1000, 2)), k=20)
+    dm = inst.distance_matrix
+    w = np.full(inst.n, inst.k, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        engine._Thresholds(inst, w, inst.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * dm.nbytes
+
+
+def test_thresholds_reject_more_agents_than_int32_positions():
+    # checked before the matrix is read, so a stand-in instance is enough
+    too_many = SimpleNamespace(n=2**31, m=1)
+    with pytest.raises(InputError, match="2147483648 agents"):
+        engine._Thresholds(too_many, np.ones(1, dtype=np.int64), 1)
