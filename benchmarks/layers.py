@@ -15,8 +15,8 @@ k = 20.  The layers are:
 - ``sweep``: ``select_prf_centers``, on a built matrix;
 - ``greedy``: ``baselines.greedy_capture``, on a built matrix.
 
-Per cell the file records the median wall time of ``--repeats`` untraced
-calls (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
+Per cell the file records the median wall time of 5 untraced calls, 3 at
+n = 5000 (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
 one more call, that peak over the matrix's bytes, and ``ru_maxrss`` of the
 process before and after the calls.  Results are merged into ``--out`` under
 ``--label``, so one file can hold the figures of two trees made by this same
@@ -143,18 +143,14 @@ def main(argv=None) -> None:
     parser.add_argument("--label", required=True, help="key for these figures in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to import propclust from")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge the figures into")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
-    parser.add_argument("--dims", type=int, nargs="+", default=list(DIMS))
-    parser.add_argument("--layers", nargs="+", choices=LAYERS, default=list(LAYERS))
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per cell (3 from n = 5000 on)")
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
     cells = []
-    for n in args.sizes:
-        for dim in args.dims:
-            for layer in args.layers:
-                cell = _run_cell(src, layer, n, dim, args.repeats if n < 5000 else min(args.repeats, 3))
+    for n in SIZES:
+        for dim in DIMS:
+            for layer in LAYERS:
+                cell = _run_cell(src, layer, n, dim, 5 if n < 5000 else 3)
                 print(json.dumps(cell), flush=True)
                 cells.append(cell)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -75,7 +75,12 @@ def distance(p: Sequence[float], q: Sequence[float], metric: str = "euclidean") 
         raise InputError("precomputed metric has no pointwise distance; use Instance.precomputed")
     if metric not in COORDINATE_METRICS:
         raise InputError(f"unknown metric {metric!r}")
-    return float(_pairwise(a[None, :], b[None, :], metric)[0, 0])
+    # the one sum that the matrix build reproduces bit for bit, without its per-coordinate planes
+    with np.errstate(over="ignore"):
+        total = (np.square if metric == "euclidean" else np.abs)(a - b).sum()
+    if not np.isfinite(total):
+        raise InputError("coordinates are too large: the distance overflows to infinity")
+    return float(np.sqrt(total) if metric == "euclidean" else total)
 
 
 @dataclass(frozen=True)
@@ -263,9 +268,7 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
         raise InputError(
             f"the {n} x {m} distance matrix needs {n * m * 8 / 2**30:.1f} GiB, more than can be allocated"
         ) from None
-    if a.shape[1] == 0:
-        out.fill(0.0)  # no coordinates: every distance is the empty sum
-    rows = max(1, _PLANE // m)
+    rows = max(1, min(n, _PLANE // m))
     block_sum = _BlockSum(b, np.square if metric == "euclidean" else np.abs, rows)
     # finite coordinates can still overflow: their differences or squares reach inf
     with np.errstate(over="ignore"):
