@@ -3,11 +3,13 @@
     python3 benchmarks/layers.py --label change --out BENCH_x.json
     python3 benchmarks/layers.py --label parent --src OTHER/src --out BENCH_x.json
 
-Each (layer, n, dim) cell runs in a fresh ``python3`` process that imports
-``propclust`` from ``--src`` (default: this checkout's ``src/``), so
-``ru_maxrss`` belongs to that cell alone.  The instance is unconstrained,
-``n`` standard Gaussian points in ``dim`` dimensions with a fixed seed, and
-k = 20.  The layers are:
+Each (layer, n, dim, decimals) cell runs in a fresh ``python3`` process that
+imports ``propclust`` from ``--src`` (default: this checkout's ``src/``), so
+``ru_maxrss`` belongs to that cell alone.  The agents are ``n`` standard
+Gaussian points in ``dim`` dimensions with a fixed seed, rounded to
+``decimals`` places where that is not None (so that rows of distances hold
+ties), and k = 20.  The set-up and selection layers run on the
+unconstrained instance at n = 500, 1000, 2000 and 5000 and dims 2, 8 and 64:
 
 - ``distances``: building ``Instance.distance_matrix``;
 - ``thresholds``: constructing ``engine._Thresholds`` as the sweep does
@@ -15,10 +17,21 @@ k = 20.  The layers are:
 - ``sweep``: ``select_prf_centers``, on a built matrix;
 - ``greedy``: ``baselines.greedy_capture``, on a built matrix.
 
+The checker layers run the sampled PRF checks with their default seed and
+samples on the sweep's outcome, at n = 1000, 2000 and 4000 on 2-D points,
+8-D points and 2-D points rounded to 0.1:
+
+- ``prf_unconstrained``: ``check_prf_unconstrained`` on the unconstrained
+  instance;
+- ``prf_discrete``: ``check_prf_discrete`` on the discrete instance with
+  m = n/2 candidates, Gaussian points drawn (and rounded) like the agents.
+
 Per cell the file records the median wall time of 5 untraced calls, 3 at
-n = 5000 (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
-one more call, that peak over the matrix's bytes, and ``ru_maxrss`` of the
-process before and after the calls.  Results are merged into ``--out`` under
+n >= 4000 (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
+one more call, that peak over the bytes of the (n, n) matrix, and
+``ru_maxrss`` of the process before and after the calls.  A checker cell
+also records the SHA-256 of its report's JSON, so two trees' figures show
+whether their reports agree.  Results are merged into ``--out`` under
 ``--label``, so one file can hold the figures of two trees made by this same
 script.  The runs are sequential; BLAS and OpenMP thread counts are pinned to 1.
 """
@@ -26,6 +39,7 @@ script.  The runs are sequential; BLAS and OpenMP thread counts are pinned to 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -37,13 +51,22 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("distances", "thresholds", "sweep", "greedy")
 SIZES = (500, 1000, 2000, 5000)
 DIMS = (2, 8, 64)
+CHECKERS = ("prf_unconstrained", "prf_discrete")
+CHECK_SIZES = (1000, 2000, 4000)
+CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
+GRID = [(layer, n, dim, None) for n in SIZES for dim in DIMS for layer in LAYERS] + [
+    (layer, n, dim, decimals)
+    for n in CHECK_SIZES
+    for dim, decimals in CHECK_POINTS
+    for layer in CHECKERS
+]
 K = 20
 SEED = 20260
 MIB = 1 << 20
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _cell(layer: str, n: int, dim: int, repeats: int) -> dict:
+def _cell(layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> dict:
     """Measure one layer in this process; called in the child."""
     import resource
     import time
@@ -52,15 +75,21 @@ def _cell(layer: str, n: int, dim: int, repeats: int) -> dict:
     import numpy as np
 
     import propclust
-    from propclust import Instance, select_prf_centers
+    from propclust import Instance, check_prf_discrete, check_prf_unconstrained, select_prf_centers
     from propclust.baselines import greedy_capture
     from propclust.engine import _Thresholds
 
     if not Path(propclust.__file__).is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
         raise SystemExit(f"imported propclust from {propclust.__file__}, not from {os.environ['PYTHONPATH']}")
-    points = np.random.default_rng(SEED + 7919 * n + dim).normal(size=(n, dim))
+    rng = np.random.default_rng(SEED + 7919 * n + dim)
+    points = rng.normal(size=(n, dim))
+    candidates = rng.normal(size=(n // 2, dim))
+    if decimals is not None:
+        points, candidates = np.round(points, decimals), np.round(candidates, decimals)
 
     def fresh() -> Instance:
+        if layer == "prf_discrete":
+            return Instance.discrete(points, candidates, k=K)
         return Instance.unconstrained(points, k=K)
 
     if layer == "distances":
@@ -83,6 +112,14 @@ def _cell(layer: str, n: int, dim: int, repeats: int) -> dict:
             def call(inst):
                 return _Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
 
+        elif layer in CHECKERS:
+            built.agent_distances
+            outcome, _ = select_prf_centers(built)
+            check = check_prf_unconstrained if layer == "prf_unconstrained" else check_prf_discrete
+
+            def call(inst):
+                return check(inst, outcome)
+
         else:
             call = select_prf_centers if layer == "sweep" else greedy_capture
 
@@ -91,7 +128,7 @@ def _cell(layer: str, n: int, dim: int, repeats: int) -> dict:
     for _ in range(repeats):
         inst = prepare()
         start = time.perf_counter()
-        call(inst)
+        result = call(inst)
         times.append(time.perf_counter() - start)
     inst = prepare()
     tracemalloc.start()
@@ -101,10 +138,11 @@ def _cell(layer: str, n: int, dim: int, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     matrix_bytes = n * n * 8
-    return {
+    cell = {
         "layer": layer,
         "n": n,
         "dim": dim,
+        "decimals": decimals,
         "k": K,
         "repeats": repeats,
         "median_s": round(float(np.median(times)), 5),
@@ -115,14 +153,19 @@ def _cell(layer: str, n: int, dim: int, repeats: int) -> dict:
         "ru_maxrss_before_mib": round(rss_before / 1024, 1),
         "ru_maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+    if layer in CHECKERS:
+        report = json.dumps(result.to_json_obj(), separators=(",", ":")).encode()
+        cell["report_sha256"] = hashlib.sha256(report).hexdigest()
+    return cell
 
 
-def _run_cell(src: Path, layer: str, n: int, dim: int, repeats: int) -> dict:
+def _run_cell(src: Path, layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
-    argv = [sys.executable, __file__, "--cell", layer, str(n), str(dim), str(repeats)]
+    argv = [sys.executable, __file__, "--cell", layer, str(n), str(dim), json.dumps(decimals),
+            str(repeats)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise SystemExit(f"{layer} n={n} dim={dim} failed:\n{done.stderr}")
+        raise SystemExit(f"{layer} n={n} dim={dim} decimals={decimals} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -147,12 +190,10 @@ def main(argv=None) -> None:
 
     src = args.src.resolve()
     cells = []
-    for n in SIZES:
-        for dim in DIMS:
-            for layer in LAYERS:
-                cell = _run_cell(src, layer, n, dim, 5 if n < 5000 else 3)
-                print(json.dumps(cell), flush=True)
-                cells.append(cell)
+    for layer, n, dim, decimals in GRID:
+        cell = _run_cell(src, layer, n, dim, decimals, 5 if n < 4000 else 3)
+        print(json.dumps(cell), flush=True)
+        cells.append(cell)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("script", "benchmarks/layers.py")
     record[args.label] = {"environment": _environment(), "cells": cells}
@@ -160,8 +201,8 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 6 and sys.argv[1] == "--cell":
-        layer, n, dim, repeats = sys.argv[2], *map(int, sys.argv[3:])
-        print(json.dumps(_cell(layer, n, dim, repeats)))
+    if len(sys.argv) == 7 and sys.argv[1] == "--cell":
+        layer, n, dim, decimals, repeats = sys.argv[2:]
+        print(json.dumps(_cell(layer, int(n), int(dim), json.loads(decimals), int(repeats))))
     else:
         main()

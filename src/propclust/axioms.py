@@ -30,17 +30,27 @@ agents is constant between its steps t_l = ceil(l*n/k) - 1, l = 1..k.  A
 prefix can therefore only fail if the first one of its entitlement level
 fails, and the first failing prefix is always one of the t_l.
 
-Each seed is first tested at a lower bound on those radii, taken from
-rows of members of the prefix: the distances from its first member for
-the diameter, and the larger distance to each candidate from its first
-and last members for the cover radii.  A count of covered centers only
-grows with the radius, so a seed that passes at its bounds passes, and
-only a seed that comes up short computes the exact radii, whose first
-failure is the same as without the bound.  Per seed the bound costs the
-sort of one row plus O(n*s) vector work for the s selected centers, and
-O(k*m) more for the discrete form; a seed short at its bound adds O(n^2)
-for the diameters or O(n*m) for the cover radii.  A random subset is
-likewise tested first at its first member's row.
+Each seed's prefixes are first tested at a lower bound on those radii,
+taken from rows of members of the prefix: the distances from its first
+member for the diameter, and the larger distance to each candidate from
+its first and last members for the cover radii.  A count of covered
+centers only grows with the radius, so a seed that passes at its bounds
+passes.  The test runs in three tiers, each only for the seeds the one
+before leaves open, with s selected centers:
+
+1. pre-test, O(k*s) per seed: the seeds are sorted and tested a block at
+   a time, counting only the centers near each prefix's first member and
+   its members at the steps.  Those lie in the prefix, so the count is
+   low and a seed that passes passes.  Every seed also pays the sort of
+   its row and its bounds: O(n) for the diameter, or the sort of k rows
+   of m for the cover radii;
+2. bound, O(n*s) per seed: the centers near every member count;
+3. exact radii, through the seed's last step short at its bound (the
+   steps after it pass at their bounds): O(n^2) for the diameters or
+   O(n*m) for the cover radii.  The first failure is the same as without
+   the bounds.
+
+A random subset is likewise tested first at its first member's row.
 
 Checkers are pure functions of (instance, outcome) and safe to run in
 parallel on shared instances.
@@ -91,6 +101,12 @@ _AXIOM_CODES = (AXIOM_UP, AXIOM_PF, AXIOM_CORE, AXIOM_PRF_UNC, AXIOM_PRF_DISC, A
 EXHAUSTIVE_LIMIT = 16
 
 _TABLE_CELL_LIMIT = 60_000_000
+
+# sampled PRF seeds are sorted and pre-tested in blocks whose arrays hold at
+# most about this many entries (128 KiB of float64): blocks of 54 seeds with
+# (54, 20, 150) cover bounds raised the peak RSS of perfbench's n = 300 audit
+# by about 9%, this cap by about 1%
+_SEED_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -397,8 +413,10 @@ def check_prf_unconstrained(
     sampling mode checks every agent-seeded neighborhood ball plus seeded
     random subsets and is one-sided when it finds nothing.  Both modes run
     the scans :func:`check_prf_discrete` runs, with the diameter as the
-    one radius (see the module docstring); only a seed short at the bound
-    from its first member pays O(n^2) for the exact diameters.
+    one radius.  A seed passes the pre-test in O(k*s) for s selected
+    centers beyond the sort of its row, the bound in O(n*s), and only a
+    seed short at the bound from its first member pays O(n^2) for the
+    exact diameters (see the module docstring).
     """
     return _check_prf(_Diameter, inst, outcome, exhaustive, seed, samples)
 
@@ -418,9 +436,12 @@ def check_prf_discrete(
     group-cover radii (the sorted per-group candidate cover distances) are
     the change points, so checking those is complete.  Both modes run the
     scans :func:`check_prf_unconstrained` runs, with one radius per cover
-    rank r (see the module docstring); the witness is the first failing r,
-    then its first failing group.  Only a seed short at the bounds from
-    its first and last members pays O(n*m) for the exact cover radii.
+    rank r; the witness is the first failing r, then its first failing
+    group.  A seed passes the pre-test in O(k*s) for s selected centers
+    beyond the sort of its row and of k rows of its bounds, the bound in
+    O(n*s), and only a seed short at the bounds from its first and last
+    members pays O(n*m) for the exact cover radii (see the module
+    docstring).
     Precomputed instances without agent-agent distances sample only random
     subsets.
     """
@@ -433,8 +454,9 @@ class _RadiusRule:
     Column r owes a group entitled to l centers min(l, caps[r]) of them.
     A form gives its radii for every bitmask group, for a seed's prefixes
     at the entitlement steps and for one random subset, the last two also
-    as lower bounds read from rows of the group's own members, plus its
-    axiom code and the notes of its exhaustive, seeded and random witnesses.
+    as lower bounds read from rows of the group's own members (for a
+    block of seeds' orders at once), plus its axiom code and the notes of
+    its exhaustive, seeded and random witnesses.
     """
 
     def __init__(self, inst: Instance, caps: np.ndarray):
@@ -470,10 +492,11 @@ class _Diameter(_RadiusRule):
         farthest = _fold_masks(self.aa, np.maximum, -np.inf)
         return np.where(members, farthest, 0.0).max(axis=1)[:, None]
 
-    def prefix_bounds(self, order, steps):
-        # every prefix holds order[0], whose farthest distance into it is at
-        # most its diameter
-        return np.maximum.accumulate(self.aa[order[0], order])[steps, None]
+    def prefix_bounds(self, orders, steps):
+        # every prefix holds its first member, whose farthest distance into
+        # it is at most its diameter
+        first = self.aa[orders[:, :1], orders]
+        return np.maximum.accumulate(first, axis=1, out=first)[:, steps, None]
 
     def prefix_radii(self, order, blocks, steps):
         self.rank[order] = np.arange(self.n)
@@ -511,11 +534,19 @@ class _Cover(_RadiusRule):
     def mask_radii(self, members):
         return np.sort(_fold_masks(self.dm, np.maximum, -np.inf), axis=1)[:, : self.width]
 
-    def prefix_bounds(self, order, steps):
+    def prefix_bounds(self, orders, steps):
         # a prefix's cover distances are at least those of its first and
         # last members, and so is each cover radius
-        low = np.maximum(self.dm[order[0]], self.dm[order[steps]])
-        return np.sort(low, axis=1)[:, : self.width]
+        out = np.empty((len(orders), len(steps), self.width))
+        # the (seeds, k, m) distances are sorted a few seeds at a time
+        per = max(1, _SEED_BLOCK // (len(steps) * self.dm.shape[1]))
+        for start in range(0, len(orders), per):
+            part = orders[start : start + per]
+            low = self.dm[part[:, steps]]
+            np.maximum(low, self.dm[part[:, :1]], out=low)
+            low.sort(axis=-1)
+            out[start : start + per] = low[..., : self.width]
+        return out
 
     def prefix_radii(self, order, blocks, steps):
         cover = _fold_prefixes(self.dm, np.maximum, blocks)
@@ -569,6 +600,38 @@ def _fold_prefixes(values: np.ndarray, op, blocks: np.ndarray) -> np.ndarray:
     return op.accumulate(op.reduce(values[blocks], axis=1), axis=0)
 
 
+def _stable_order(rows: np.ndarray) -> np.ndarray:
+    """``np.argsort(rows, axis=1, kind="stable")``, from the faster default sort.
+
+    A row whose sorted values hold no equal neighbours already has the
+    stable order.  A row with ties is put in it by sorting the keys
+    run * n + agent, where run numbers the row's runs of equal values: the
+    keys are distinct, ordered as the stable sort orders the agents, and
+    the agent is the key modulo n.
+    """
+    order = np.argsort(rows, axis=1)
+    ranked = np.take_along_axis(rows, order, axis=1)
+    rises = ranked[:, 1:] != ranked[:, :-1]
+    tied = np.flatnonzero(~rises.all(axis=1))
+    if tied.size:
+        n = rows.shape[1]
+        key = np.zeros((tied.size, n), dtype=np.int64)
+        np.cumsum(rises[tied], axis=1, out=key[:, 1:])
+        key *= n
+        key += order[tied]
+        key.sort(axis=1)
+        order[tied] = key % n
+    return order
+
+
+def _kth_nearest(nearest: np.ndarray, req: np.ndarray) -> np.ndarray:
+    """[..., l, r]: the req[l, r]-th smallest of nearest[..., l, :], inf past its end."""
+    ranked = np.sort(nearest, axis=-1)
+    at = np.minimum(req, ranked.shape[-1]) - 1
+    at = np.broadcast_to(at, ranked.shape[:-1] + at.shape[-1:])
+    return np.where(req > ranked.shape[-1], np.inf, np.take_along_axis(ranked, at, axis=-1))
+
+
 def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None:
     """Sampling mode: agent-seeded prefixes, then seeded random subsets.
 
@@ -577,7 +640,9 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     column's first failing step; a subset's is its first failing column.
     Every group is first tested at the rule's lower bounds on its radii: a
     count of covered centers only grows with the radius, so a group that
-    passes at its bounds passes.
+    passes at its bounds passes.  Seeds are sorted and pre-tested a block
+    at a time; only the seeds the pre-test leaves open are tested one by
+    one, in index order.
     """
     n, k = inst.n, inst.k
     dsel = inst.distance_matrix[:, sel]
@@ -587,36 +652,42 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
         aa = None
     if aa is not None:
         # the first failing prefix of a seed is at an entitlement step (see
-        # the module docstring), so only those k prefixes are tested
+        # the module docstring), so only those k prefixes are tested.
+        # found < req exactly when the req-th smallest distance to the
+        # selection exceeds the radius
         steps, blocks = _entitlement_blocks(n, k)
         req = rule.owed[1:]
-        # found < req exactly when the req-th smallest distance to the
-        # selection (inf past its end) exceeds the radius.  Sorting leaves
-        # the inf padding at the end of each row, so a seed rewrites only
-        # the first s columns
-        ranked = np.full((k, max(sel.size, int(req.max()))), np.inf)
-        kth_at = np.arange(k)[:, None] * ranked.shape[1] + req - 1
-        for i in range(n):
-            order = np.argsort(aa[i], kind="stable")
-            members = order[blocks]
-            nearest = _fold_prefixes(dsel, np.minimum, members)
-            ranked[:, : sel.size] = nearest
-            ranked.sort(axis=1)
-            kth = ranked.ravel()[kth_at]
-            if not (kth > rule.prefix_bounds(order, steps)).any():
-                continue
-            y = rule.prefix_radii(order, members, steps)
-            bad = kth > y
-            if bad.any():
-                r0 = int(np.argmax(bad.any(axis=0)))
-                j = int(np.argmax(bad[:, r0]))
-                return Witness(
-                    agents=tuple(sorted(int(a) for a in order[: steps[j] + 1])),
-                    radius=float(y[j, r0]),
-                    required=int(req[j, r0]),
-                    found=int(np.count_nonzero(nearest[j] <= y[j, r0])),
-                    note=rule.notes[1],
-                )
+        per = max(1, _SEED_BLOCK // max(n, k * sel.size))
+        for start in range(0, n, per):
+            orders = _stable_order(aa[start : start + per])
+            low = rule.prefix_bounds(orders, steps)
+            # the first member and those at steps 0..l all lie in prefix l,
+            # so their nearest distances bound the prefix's from above
+            upper = np.minimum.accumulate(dsel[orders[:, steps]], axis=1)
+            np.minimum(upper, dsel[orders[:, :1]], out=upper)
+            open_seeds = np.flatnonzero((_kth_nearest(upper, req) > low).any(axis=(1, 2)))
+            for b in open_seeds:
+                order = orders[b]
+                members = order[blocks]
+                nearest = _fold_prefixes(dsel, np.minimum, members)
+                kth = _kth_nearest(nearest, req)
+                short = (kth > low[b]).any(axis=1)
+                if not short.any():
+                    continue
+                # a step that passes at its bound passes at its radii
+                last = int(np.flatnonzero(short)[-1]) + 1
+                y = rule.prefix_radii(order, members[:last], steps[:last])
+                bad = kth[:last] > y
+                if bad.any():
+                    r0 = int(np.argmax(bad.any(axis=0)))
+                    j = int(np.argmax(bad[:, r0]))
+                    return Witness(
+                        agents=tuple(sorted(int(a) for a in order[: steps[j] + 1])),
+                        radius=float(y[j, r0]),
+                        required=int(req[j, r0]),
+                        found=int(np.count_nonzero(nearest[j] <= y[j, r0])),
+                        note=rule.notes[1],
+                    )
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         size = int(rng.integers(1, n + 1))

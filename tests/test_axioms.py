@@ -23,6 +23,7 @@ from propclust import (
     recheck_witness,
     select_prf_centers,
 )
+from propclust import axioms
 from propclust.data_io import generate
 from reference_axioms import (
     check_core_bruteforce,
@@ -497,6 +498,167 @@ def test_sampled_bound_reads_the_first_member_not_the_seed():
     assert recheck_witness(inst, out, report)
     for samples in (0, 20):
         _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+_TIERS = ("pre-test", "bound", "radii", "fails")
+
+
+def _diameter_step_tiers(inst, out):
+    """Which test settles each entitlement step of each seed, by definition.
+
+    These are the tests of the unconstrained sampled scan.  The pre-test
+    reads the selected centers' distances from the prefix's first member
+    and its members at the steps so far, the bound reads them from every
+    member, and both compare against the first member's farthest distance
+    into the prefix.  A step short at that bound ends at the exact
+    diameter: "radii" if it passes there, "fails" if not.
+    """
+    aa = inst.agent_distances
+    dsel = inst.distance_matrix[:, list(out.selected)]
+    n, k = inst.n, inst.k
+    steps = [(ell * n + k - 1) // k - 1 for ell in range(1, k + 1)]
+
+    def kth(rows, ell):
+        near = np.sort(dsel[rows].min(axis=0))
+        return near[ell] if ell < near.size else np.inf
+
+    seeds = []
+    for i in range(n):
+        order = np.argsort(aa[i], kind="stable")
+        tiers = []
+        for ell, t in enumerate(steps):
+            prefix = order[: t + 1]
+            low = aa[order[0], prefix].max()
+            exact = kth(prefix, ell)
+            if exact > aa[np.ix_(prefix, prefix)].max():
+                tiers.append("fails")
+            elif exact > low:
+                tiers.append("radii")
+            elif kth(order[[0, *steps[: ell + 1]]], ell) > low:
+                tiers.append("bound")
+            else:
+                tiers.append("pre-test")
+        seeds.append(tiers)
+    return seeds
+
+
+def _diameter_tiers(inst, out):
+    """The test that settles each seed: the last one any of its steps needs."""
+    return [max(tiers, key=_TIERS.index) for tiers in _diameter_step_tiers(inst, out)]
+
+
+def _random_precomputed(seed, k):
+    # 12 agents at symmetric integer distances 1..9, k random agents selected
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(1, 10, size=(12, 12)).astype(float)
+    mat = np.minimum(mat, mat.T)
+    np.fill_diagonal(mat, 0)
+    selected = sorted(int(c) for c in rng.choice(12, size=k, replace=False))
+    return Instance.precomputed(mat, k=k, shared_candidates=True), Outcome(tuple(selected))
+
+
+def test_sampled_seeds_settled_by_each_test():
+    # seeds 4, 8 and 11 are left open by the pre-test but pass at the bound
+    # from their exact nearest-center distances; seed 5 is short there and
+    # passes only at its exact diameters
+    inst, out = _random_precomputed(34, k=3)
+    assert _diameter_tiers(inst, out) == [
+        "pre-test", "pre-test", "pre-test", "pre-test", "bound", "radii",
+        "pre-test", "pre-test", "bound", "pre-test", "pre-test", "bound",
+    ]
+    assert check_prf_unconstrained(inst, out, exhaustive=False, samples=0).satisfied
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def test_sampled_witness_from_exact_radii():
+    # the first failing seed, 7, comes after seeds settled by every test
+    inst, out = _random_precomputed(2480, k=4)
+    tiers = _diameter_tiers(inst, out)
+    assert tiers[:8] == [
+        "bound", "bound", "pre-test", "pre-test", "radii", "pre-test", "pre-test", "fails",
+    ]
+    report = check_prf_unconstrained(inst, out, exhaustive=False, samples=0)
+    assert report.witness == Witness(
+        agents=(0, 4, 7),
+        radius=1.0,
+        required=1,
+        found=0,
+        note="agent-seeded neighborhood holds too few centers",
+    )
+    assert recheck_witness(inst, out, report)
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def test_sampled_witness_after_a_step_that_passes_at_its_radii():
+    # seed 0 is short at its bound at steps 0 and 1; step 0 passes at its
+    # exact diameter and step 1 fails, so the exact radii must run past the
+    # first short step
+    rng = np.random.default_rng(330)
+    inst = Instance.unconstrained(rng.normal(size=(30, 2)), k=6)
+    out = Outcome(tuple(sorted(int(c) for c in rng.choice(30, size=6, replace=False))))
+    assert _diameter_step_tiers(inst, out)[0][:2] == ["radii", "fails"]
+    report = check_prf_unconstrained(inst, out, exhaustive=False, samples=0)
+    assert (len(report.witness.agents), report.witness.required) == (10, 2)
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+@pytest.mark.parametrize("block_entries", [1, 40, None])
+def test_sampled_reports_do_not_depend_on_the_block(monkeypatch, block_entries):
+    # 1: one seed per block; 40: two or three (12 agents, k <= 4 centers)
+    if block_entries is not None:
+        monkeypatch.setattr(axioms, "_SEED_BLOCK", block_entries)
+    for seed, k in ((34, 3), (2480, 4)):
+        inst, out = _random_precomputed(seed, k)
+        for samples in (0, 20):
+            _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def test_sampled_first_failure_in_a_later_block():
+    # two lines of 100 agents, 1000 apart, with every center on the first:
+    # each seed on the second line fails its first step, and the first of
+    # them, agent 100, lies past the first block of seeds
+    points = np.concatenate([np.arange(100.0), 1000.0 + np.arange(100.0)])[:, None]
+    inst = Instance.unconstrained(points, k=20)
+    out = Outcome(tuple(range(0, 100, 5)))
+    assert axioms._SEED_BLOCK // inst.n <= 100
+    report = check_prf_unconstrained(inst, out, exhaustive=False, samples=0)
+    assert report.witness.agents == tuple(range(100, 110))
+    assert check_prf_discrete(inst, out, exhaustive=False, samples=0).witness.agents[0] >= 100
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def test_sampled_scan_on_rows_that_all_hold_ties():
+    # 40 agents on an integer grid: every row of distances holds ties
+    rng = np.random.default_rng(31)
+    inst = Instance.unconstrained(np.round(rng.normal(size=(40, 2)) * 3), k=8)
+    ranked = np.sort(inst.agent_distances, axis=1)
+    assert (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).all()
+    engine_out, _ = select_prf_centers(inst)
+    clumped = Outcome(tuple(int(c) for c in np.argsort(inst.distance_matrix[0], kind="stable")[:8]))
+    outcomes = [engine_out, clumped, *(random_outcome(rng, inst) for _ in range(6))]
+    assert not check_prf_unconstrained(inst, clumped, exhaustive=False, samples=0).satisfied
+    assert not check_prf_discrete(inst, clumped, exhaustive=False, samples=0).satisfied
+    for out in outcomes:
+        for samples in (0, 20):
+            _sampled_reports_match_reference(inst, out, seed=1, samples=samples)
+
+
+def test_stable_order_matches_stable_argsort():
+    rng = np.random.default_rng(32)
+    rows = [
+        rng.integers(0, 4, size=(9, 50)).astype(float),  # ties in every row
+        rng.normal(size=(5, 50)),  # no ties
+        np.zeros((2, 50)),
+        rng.choice([-0.0, 0.0, 1.0], size=(6, 50)),  # signed zeros compare equal
+        np.vstack([rng.normal(size=50), np.round(rng.normal(size=50), 1)]),
+        rng.integers(0, 2, size=(3, 1)).astype(float),
+    ]
+    for block in rows:
+        assert np.array_equal(axioms._stable_order(block), np.argsort(block, axis=1, kind="stable"))
 
 
 def _pinned_reports(inst):
