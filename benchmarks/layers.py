@@ -3,13 +3,15 @@
     python3 benchmarks/layers.py --label change --out BENCH_x.json
     python3 benchmarks/layers.py --label parent --src OTHER/src --out BENCH_x.json
 
-Each (layer, n, dim, decimals) cell runs in a fresh ``python3`` process that
-imports ``propclust`` from ``--src`` (default: this checkout's ``src/``), so
-``ru_maxrss`` belongs to that cell alone.  The agents are ``n`` standard
+Each (layer, n, dim, decimals, k) cell runs in a fresh ``python3`` process
+that imports ``propclust`` from ``--src`` (default: this checkout's ``src/``),
+so ``ru_maxrss`` belongs to that cell alone.  The agents are ``n`` standard
 Gaussian points in ``dim`` dimensions with a fixed seed, rounded to
 ``decimals`` places where that is not None (so that rows of distances hold
-ties), and k = 20.  The set-up and selection layers run on the
-unconstrained instance at n = 500, 1000, 2000 and 5000 and dims 2, 8 and 64:
+ties), and k = 20 unless stated.  The set-up and selection layers run on the
+unconstrained instance at n = 500, 1000, 2000 and 5000 and dims 2, 8 and 64,
+and the last three also at k = 1, 2 and 5 on 2-D points, where the quota
+n/k is large:
 
 - ``distances``: building ``Instance.distance_matrix``;
 - ``thresholds``: constructing ``engine._Thresholds`` as the sweep does
@@ -49,24 +51,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("distances", "thresholds", "sweep", "greedy")
+SMALL_KS = (1, 2, 5)
 SIZES = (500, 1000, 2000, 5000)
 DIMS = (2, 8, 64)
 CHECKERS = ("prf_unconstrained", "prf_discrete")
 CHECK_SIZES = (1000, 2000, 4000)
 CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
-GRID = [(layer, n, dim, None) for n in SIZES for dim in DIMS for layer in LAYERS] + [
-    (layer, n, dim, decimals)
-    for n in CHECK_SIZES
-    for dim, decimals in CHECK_POINTS
-    for layer in CHECKERS
-]
 K = 20
+GRID = (
+    [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in LAYERS]
+    + [(layer, n, 2, None, k) for n in SIZES for k in SMALL_KS for layer in LAYERS[1:]]
+    + [
+        (layer, n, dim, decimals, K)
+        for n in CHECK_SIZES
+        for dim, decimals in CHECK_POINTS
+        for layer in CHECKERS
+    ]
+)
 SEED = 20260
 MIB = 1 << 20
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _cell(layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> dict:
+def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: int) -> dict:
     """Measure one layer in this process; called in the child."""
     import resource
     import time
@@ -89,8 +96,8 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> d
 
     def fresh() -> Instance:
         if layer == "prf_discrete":
-            return Instance.discrete(points, candidates, k=K)
-        return Instance.unconstrained(points, k=K)
+            return Instance.discrete(points, candidates, k=k)
+        return Instance.unconstrained(points, k=k)
 
     if layer == "distances":
 
@@ -143,7 +150,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> d
         "n": n,
         "dim": dim,
         "decimals": decimals,
-        "k": K,
+        "k": k,
         "repeats": repeats,
         "median_s": round(float(np.median(times)), 5),
         "times_s": [round(t, 5) for t in times],
@@ -159,13 +166,13 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> d
     return cell
 
 
-def _run_cell(src: Path, layer: str, n: int, dim: int, decimals: int | None, repeats: int) -> dict:
+def _run_cell(src: Path, layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
-    argv = [sys.executable, __file__, "--cell", layer, str(n), str(dim), json.dumps(decimals),
+    argv = [sys.executable, __file__, "--cell", layer, str(n), str(dim), json.dumps(decimals), str(k),
             str(repeats)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise SystemExit(f"{layer} n={n} dim={dim} decimals={decimals} failed:\n{done.stderr}")
+        raise SystemExit(f"{layer} n={n} dim={dim} decimals={decimals} k={k} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -190,8 +197,8 @@ def main(argv=None) -> None:
 
     src = args.src.resolve()
     cells = []
-    for layer, n, dim, decimals in GRID:
-        cell = _run_cell(src, layer, n, dim, decimals, 5 if n < 4000 else 3)
+    for layer, n, dim, decimals, k in GRID:
+        cell = _run_cell(src, layer, n, dim, decimals, k, 5 if n < 4000 else 3)
         print(json.dumps(cell), flush=True)
         cells.append(cell)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -201,8 +208,8 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 7 and sys.argv[1] == "--cell":
-        layer, n, dim, decimals, repeats = sys.argv[2:]
-        print(json.dumps(_cell(layer, int(n), int(dim), json.loads(decimals), int(repeats))))
+    if len(sys.argv) == 8 and sys.argv[1] == "--cell":
+        layer, n, dim, decimals, k, repeats = sys.argv[2:]
+        print(json.dumps(_cell(layer, int(n), int(dim), json.loads(decimals), int(k), int(repeats))))
     else:
         main()

@@ -12,12 +12,24 @@ every distinct distance.
 
 Each candidate's distances are sorted once.  Per candidate the sweep keeps
 the first sorted position at which its prefix weight reaches the quota and
-that prefix weight.  After a payment only the candidates whose prefix held
-a paying agent are charged, and those that fall below the quota move
-their position forward in chunks that double on each pass.  The work is
-O(k·n·m) in vector operations, plus one O(n·m·log n) sort.  This
-ball-threshold structure (``_Thresholds``) also runs greedy capture in
-:mod:`propclust.baselines`, with unit weights and quota ceil(n/k).
+that prefix weight.  The weights start uniform, so every row's first
+position is read off the quota directly: ceil(quota / w0) - 1.  After a
+payment only the candidates whose prefix held a paying agent are charged,
+and those that fall below the quota move their position forward in
+chunks that double on each pass.  The work is O(k·n·m) in vector
+operations, plus one O(n·m·log n) sort.  This ball-threshold structure
+(``_Thresholds``) also runs greedy capture in :mod:`propclust.baselines`,
+with unit weights and quota ceil(n/k).
+
+The structure keeps its sorted order and ranks as int32, one matrix's
+bytes together (plus a transposed copy of the matrix for discrete
+candidates).  Its sort, its advance passes and its charges, and the
+sweep's supports of tied candidates, work a block of rows at a time, so
+no other temporary holds more than ``_BLOCK`` entries (or one row, where
+a row is longer).  Beside the
+distance matrix, at n = 1000 on 2-D points, the set-up then peaks at
+about 1.07 times the matrix's bytes and a sweep or greedy run at no more
+than about 1.2 times, at every k.
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -43,6 +55,10 @@ __all__ = [
 
 # sorted positions a candidate reads on its first pass when it falls below the quota
 _CHUNK = 16
+# entries in any one sort block, advance pass or charge of _Thresholds, or
+# block of tied supports in the sweep; the blocks keep the working memory
+# near the int32 order and rank
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,24 +95,45 @@ class _Thresholds:
     ``_order`` (m, n) lists each candidate's agents by distance, and
     ``_rank`` (n, m) is agent-major: ``_rank[a, c]`` is agent a's position in
     ``_order[c]``, so a charge reads one contiguous row per paying agent.
-    Both are int32, half the bytes of the matrix each.
+    Both are int32, half the bytes of the matrix each.  No other temporary
+    holds more than ``_BLOCK`` entries (or one row, where a row is longer):
+    the sort, the advance passes and the charges each take a block of rows
+    at a time.
     """
 
     def __init__(self, inst: Instance, w: np.ndarray, quota: int):
-        if inst.n > np.iinfo(np.int32).max:
-            raise InputError(f"{inst.n} agents are too many: sorted positions are int32")
+        n, m = inst.n, inst.m
+        if n > np.iinfo(np.int32).max:
+            raise InputError(f"{n} agents are too many: sorted positions are int32")
         D = inst.distance_matrix
-        self.DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
-        # order[c] sorts the agents by DT[c] (ties in any order), rank inverts
-        # it, and prefix[c] is the weight of the agents order[c, : pos[c] + 1]
-        self._order = np.argsort(self.DT, axis=1).astype(np.int32)
-        self._rank = np.empty((inst.n, inst.m), dtype=np.int32)
-        np.put_along_axis(self._rank.T, self._order, np.arange(inst.n, dtype=np.int32)[None, :], axis=1)
+        try:
+            self.DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
+            self._order = np.empty((m, n), dtype=np.int32)
+            self._rank = np.empty((n, m), dtype=np.int32)
+        except MemoryError:
+            need = n * m * (8 if inst.is_unconstrained else 16)
+            raise InputError(
+                f"the ball thresholds of {n} agents and {m} candidates need {need / 2**30:.1f} GiB "
+                "beside the distance matrix, more than can be allocated"
+            ) from None
+        # order[c] sorts the agents by DT[c] (ties in any order) and rank inverts it
+        positions = np.arange(n, dtype=np.int32)[None, :]
+        rows = max(1, _BLOCK // n)
+        for i in range(0, m, rows):
+            order = self._order[i : i + rows]
+            order[...] = np.argsort(self.DT[i : i + rows], axis=1)
+            np.put_along_axis(self._rank.T[i : i + rows], order, positions, axis=1)
+        # prefix[c] is the weight of the agents order[c, : pos[c] + 1].  Uniform
+        # weights w0 (k each in the sweep, 1 in greedy) reach the quota at no
+        # position before p = ceil(quota / w0) - 1, so every row starts with
+        # its first p agents counted and one pass finds its threshold
+        w0 = int(w[0])
+        p = min(n, -(-quota // w0) - 1) if w0 > 0 and (w == w0).all() else 0
         self._w, self._quota = w, quota
-        self._pos = np.full(inst.m, -1, dtype=np.intp)
-        self._prefix = np.zeros(inst.m, dtype=np.int64)
-        self.radius = np.empty(inst.m)
-        self._advance(np.arange(inst.m))
+        self._pos = np.full(m, p - 1, dtype=np.intp)
+        self._prefix = np.full(m, p * w0, dtype=np.int64)
+        self.radius = np.empty(m)
+        self._advance(np.arange(m))
 
     def charge(self, agents: np.ndarray, amounts: np.ndarray, live: np.ndarray) -> None:
         """Account for ``w[agents]`` having fallen by ``amounts``.
@@ -104,7 +141,9 @@ class _Thresholds:
         Each candidate loses the amounts paid inside its counted prefix, and
         those in the ``live`` mask left below the quota move their threshold up.
         """
-        self._prefix -= amounts @ (self._rank[agents] <= self._pos)
+        rows = max(1, _BLOCK // self._rank.shape[1])
+        for i in range(0, agents.size, rows):
+            self._prefix -= amounts[i : i + rows] @ (self._rank[agents[i : i + rows]] <= self._pos)
         short = np.flatnonzero(live & (self._prefix < self._quota))
         if short.size:
             self._advance(short)
@@ -112,37 +151,52 @@ class _Thresholds:
     def _advance(self, cands: np.ndarray) -> None:
         """Move each of ``cands`` to the first sorted position where its prefix weight reaches the quota.
 
-        Each pass reads the next chunk of every unfinished candidate's row
-        and doubles the chunk for the next pass.
+        Each pass reads the next chunk of every unfinished candidate's row,
+        ``_BLOCK // chunk`` candidates at a time, so its arrays never exceed
+        ``_BLOCK`` entries, and doubles the chunk for the next pass.  At
+        set-up every row already starts one position short of its
+        threshold, and this first call takes a single pass.
         """
-        order, pos, prefix, quota = self._order, self._pos, self._prefix, self._quota
-        n = order.shape[1]
+        n = self._order.shape[1]
         size = min(_CHUNK, n)
         while cands.size:
-            start = pos[cands] + 1
-            idx = start[:, None] + np.arange(size)
-            past = idx >= n
-            gained = self._w[order[cands[:, None], np.minimum(idx, n - 1)]]
-            gained[past] = 0
-            cums = np.cumsum(gained, axis=1) + prefix[cands][:, None]
-            reached = cums >= quota
-            hit = reached.any(axis=1)
-            stuck = (idx[:, -1] >= n - 1) & ~hit
-            if stuck.any():
-                raise RuntimeError(
-                    f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
-                    f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
-                )
-            first = reached[hit].argmax(axis=1)
-            done = cands[hit]
-            pos[done] = start[hit] + first
-            prefix[done] = cums[hit, first]
-            self.radius[done] = self.DT[done, order[done, pos[done]]]
-            rest = ~hit
-            cands = cands[rest]
-            pos[cands] = start[rest] + size - 1
-            prefix[cands] = cums[rest, -1]
+            rows = max(1, _BLOCK // size)
+            if cands.size <= rows:
+                cands = self._pass(cands, size)
+            else:
+                cands = np.concatenate([self._pass(cands[i : i + rows], size) for i in range(0, cands.size, rows)])
             size = min(2 * size, n)
+
+    def _pass(self, cands: np.ndarray, size: int) -> np.ndarray:
+        """Read the next ``size`` sorted positions of each of ``cands``; return those still short."""
+        order, pos, prefix, quota = self._order, self._pos, self._prefix, self._quota
+        n = order.shape[1]
+        start = pos[cands] + 1
+        idx = start[:, None] + np.arange(size)
+        past = idx >= n
+        np.minimum(idx, n - 1, out=idx)
+        cums = self._w[order[cands[:, None], idx]]
+        cums[past] = 0
+        np.cumsum(cums, axis=1, out=cums)
+        cums += prefix[cands][:, None]
+        reached = cums >= quota
+        hit = reached.any(axis=1)
+        stuck = (idx[:, -1] >= n - 1) & ~hit
+        if stuck.any():
+            raise RuntimeError(
+                f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
+                f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
+            )
+        first = reached[hit].argmax(axis=1)
+        done = cands[hit]
+        pos[done] = start[hit] + first
+        prefix[done] = cums[hit, first]
+        self.radius[done] = self.DT[done, order[done, pos[done]]]
+        rest = ~hit
+        cands = cands[rest]
+        pos[cands] = start[rest] + size - 1
+        prefix[cands] = cums[rest, -1]
+        return cands
 
 
 def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
@@ -162,6 +216,7 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     quota = n
     frac = [Fraction(j, k) for j in range(k + 1)]
     balls = _Thresholds(inst, w, quota)
+    block = max(1, _BLOCK // n)  # tied candidates whose rows are compared at once
     # a mask, not an infinite threshold, so no marker value can ever tie with a real threshold
     remaining = np.ones(m, dtype=bool)
 
@@ -170,7 +225,9 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     while True:
         radius = balls.radius[remaining].min()
         tied = np.flatnonzero(remaining & (balls.radius == radius))
-        support = (balls.DT[tied] <= radius) @ w
+        support = np.empty(tied.size, dtype=np.int64)
+        for i in range(0, tied.size, block):
+            support[i : i + block] = (balls.DT[tied[i : i + block]] <= radius) @ w
         best = int(np.argmax(support))  # first maximum, so lowest index on ties
         winner = int(tied[best])
         sup_val = int(support[best])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,11 +85,13 @@ def test_greedy_opening_radii_hold_a_quota():
 
 
 @settings(max_examples=500)
-@given(small_instances(), st.booleans(), st.sampled_from((1, 2, engine._CHUNK)))
-def test_greedy_matches_reference(inst, pad, chunk):
-    # small chunks make the threshold advance take several passes even at small n
+@given(small_instances(), st.booleans(), st.sampled_from((1, 2, engine._CHUNK)), st.sampled_from((1, 7, engine._BLOCK)))
+def test_greedy_matches_reference(inst, pad, chunk, block):
+    # small chunks make the threshold advance take several passes even at small n,
+    # and small blocks split the sort, the passes and the charges into several slices
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
+        mp.setattr(engine, "_BLOCK", block)
         result = greedy_capture(inst, pad=pad)
     assert result == reference_greedy(inst, pad=pad)
 
@@ -108,6 +111,20 @@ def test_pinned_greedy_digest(name, digest):
     r = greedy_capture(pinned_instance(name), pad=True)
     blob = json.dumps([r.opened, r.openings, r.padded, r.underfilled], separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_greedy_peak_memory(k):
+    # the ball-threshold structure's int32 order and rank plus blocks of at most _BLOCK entries
+    inst = Instance.unconstrained(np.random.default_rng(11).normal(size=(1000, 2)), k=k)
+    dm = inst.distance_matrix
+    tracemalloc.start()
+    try:
+        greedy_capture(inst, pad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dm.nbytes
 
 
 def test_kmeanspp_shape_and_determinism():

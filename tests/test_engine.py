@@ -234,11 +234,13 @@ def test_trace_radii_scale_with_coordinates():
 
 
 @settings(max_examples=500)
-@given(small_instances(), st.sampled_from((1, 2, engine._CHUNK)))
-def test_trace_matches_reference_sweep(inst, chunk):
-    # small chunks make the prefix advance take several passes even at small n
+@given(small_instances(), st.sampled_from((1, 2, engine._CHUNK)), st.sampled_from((1, 7, engine._BLOCK)))
+def test_trace_matches_reference_sweep(inst, chunk, block):
+    # small chunks make the prefix advance take several passes even at small n, and
+    # small blocks split the sort, the passes, the charges and the tied supports into slices
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
+        mp.setattr(engine, "_BLOCK", block)
         outcome, trace = select_prf_centers(inst)
     assert trace == reference_sweep(inst)
     assert outcome.selected == tuple(r.winner for r in trace.rounds)
@@ -300,19 +302,92 @@ def test_charge_matches_candidate_major_sum():
         assert np.array_equal(balls._prefix, want)
 
 
-def test_thresholds_setup_peak_memory():
-    # int32 order and rank: the set-up holds about 1.5 matrices beside the matrix itself
-    # (k = 20 as on the benchmark; the first advance's chunks grow with the quota n/k)
-    inst = Instance.unconstrained(np.random.default_rng(11).normal(size=(1000, 2)), k=20)
-    dm = inst.distance_matrix
-    w = np.full(inst.n, inst.k, dtype=np.int64)
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        engine._Thresholds(inst, w, inst.n)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * dm.nbytes
+
+
+def test_thresholds_setup_peak_memory():
+    # int32 order and rank are one matrix's bytes together; no other temporary of the
+    # set-up, its advance passes or its charges holds more than _BLOCK entries.  At
+    # n = 1000 those blocks are under a tenth of the matrix (at n = 600 about a fifth).
+    # Small k makes large quotas, and so long first prefixes and large payments
+    points = np.random.default_rng(11).normal(size=(1000, 2))
+    for k in (1, 2, 5, 20):
+        inst = Instance.unconstrained(points, k=k)
+        dm = inst.distance_matrix
+        setup = _traced_peak(lambda: engine._Thresholds(inst, np.full(inst.n, k, dtype=np.int64), inst.n))
+        assert setup <= 1.1 * dm.nbytes, k
+        assert _traced_peak(lambda: select_prf_centers(inst)) <= 2 * dm.nbytes, k
+
+
+def test_sweep_peak_memory_with_large_tie_groups():
+    # on a 3-level 8-D grid hundreds of candidates share a threshold radius; their
+    # supports read their rows a block at a time (the whole group at once peaks near 1.45x)
+    points = np.random.default_rng(0).integers(0, 3, size=(1000, 8)).astype(float)
+    inst = Instance.unconstrained(points, k=20)
+    dm = inst.distance_matrix
+    assert _traced_peak(lambda: select_prf_centers(inst)) <= 1.3 * dm.nbytes
+
+
+def _prefix_start(balls, w, quota):
+    # each row's first sorted position whose prefix weight reaches the quota, read from position 0
+    cums = np.cumsum(w[balls._order], axis=1)
+    pos = (cums >= quota).argmax(axis=1)
+    rows = np.arange(pos.size)
+    return pos, cums[rows, pos], balls.DT[rows, balls._order[rows, pos]]
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 40])
+@pytest.mark.parametrize("discrete", [False, True])
+def test_direct_start_matches_prefix_sums_from_zero(k, discrete):
+    # the sweep's weights (k each, quota n), greedy's (1 each, quota ceil(n/k)) and,
+    # for the fallback start at position 0, weights that are not uniform;
+    # k = n = 40 puts the first threshold at position 0 (p = 0)
+    rng = np.random.default_rng(12)
+    points = np.round(rng.normal(size=(40, 2)), 1)
+    inst = (
+        Instance.discrete(points, np.round(rng.normal(size=(15, 2)), 1), k=k)
+        if discrete
+        else Instance.unconstrained(points, k=k)
+    )
+    n = inst.n
+    for w, quota in (
+        (np.full(n, k, dtype=np.int64), n),
+        (np.ones(n, dtype=np.int64), -(-n // k)),
+        (rng.integers(1, 4, size=n).astype(np.int64), n // k),
+    ):
+        balls = engine._Thresholds(inst, w, quota)
+        pos, prefix, radius = _prefix_start(balls, w, quota)
+        assert np.array_equal(balls._pos, pos)
+        assert np.array_equal(balls._prefix, prefix)
+        assert np.array_equal(balls.radius, radius)
+
+
+def test_thresholds_too_large_to_allocate_raise_input_error():
+    # a stand-in instance whose order and rank cannot be allocated: 10**8 x 10**8 entries
+    huge = SimpleNamespace(n=10**8, m=10**8, is_unconstrained=True, distance_matrix=np.zeros((1, 1)))
+    with pytest.raises(InputError, match=r"100000000 agents and 100000000 candidates need 74505806\.0 GiB"):
+        engine._Thresholds(huge, np.ones(1, dtype=np.int64), 1)
+
+
+@pytest.mark.parametrize("alloc", ["ascontiguousarray", "empty"])
+def test_thresholds_allocation_failure_raises_input_error(monkeypatch, alloc):
+    # the discrete DT copy and the int32 order and rank: 30 x 7 entries, 16 bytes each
+    rng = np.random.default_rng(13)
+    inst = Instance.discrete(rng.normal(size=(30, 2)), rng.normal(size=(7, 2)), k=3)
+    inst.distance_matrix
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(engine.np, alloc, fail)
+    with pytest.raises(InputError, match=r"30 agents and 7 candidates need 0\.0 GiB"):
+        engine._Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
 
 
 def test_thresholds_reject_more_agents_than_int32_positions():
