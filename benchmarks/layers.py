@@ -28,14 +28,19 @@ samples on the sweep's outcome, at n = 1000, 2000 and 4000 on 2-D points,
 - ``prf_discrete``: ``check_prf_discrete`` on the discrete instance with
   m = n/2 candidates, Gaussian points drawn (and rounded) like the agents.
 
+The ``kmeanspp`` layer runs ``baselines.kmeanspp`` with its default seed on
+the built unconstrained instance, at n = 500, 1000, 2000 and 4000 on 2-D and
+8-D points.
+
 Per cell the file records the median wall time of 5 untraced calls, 3 at
 n >= 4000 (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
 one more call, that peak over the bytes of the (n, n) matrix, and
 ``ru_maxrss`` of the process before and after the calls.  A checker cell
-also records the SHA-256 of its report's JSON, so two trees' figures show
-whether their reports agree.  Results are merged into ``--out`` under
-``--label``, so one file can hold the figures of two trees made by this same
-script.  The runs are sequential; BLAS and OpenMP thread counts are pinned to 1.
+also records the SHA-256 of its report's JSON, and a ``kmeanspp`` cell that of
+its selection, so two trees' figures show whether their outputs agree.
+Results are merged into ``--out`` under ``--label``, so one file can hold the
+figures of two trees made by this same script.  The runs are sequential; BLAS
+and OpenMP thread counts are pinned to 1.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ DIMS = (2, 8, 64)
 CHECKERS = ("prf_unconstrained", "prf_discrete")
 CHECK_SIZES = (1000, 2000, 4000)
 CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
+KMEANSPP_SIZES = (500, 1000, 2000, 4000)
+KMEANSPP_DIMS = (2, 8)
 K = 20
 GRID = (
     [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in LAYERS]
@@ -67,6 +74,7 @@ GRID = (
         for dim, decimals in CHECK_POINTS
         for layer in CHECKERS
     ]
+    + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
 )
 SEED = 20260
 MIB = 1 << 20
@@ -83,7 +91,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
 
     import propclust
     from propclust import Instance, check_prf_discrete, check_prf_unconstrained, select_prf_centers
-    from propclust.baselines import greedy_capture
+    from propclust.baselines import greedy_capture, kmeanspp
     from propclust.engine import _Thresholds
 
     if not Path(propclust.__file__).is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
@@ -128,7 +136,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
                 return check(inst, outcome)
 
         else:
-            call = select_prf_centers if layer == "sweep" else greedy_capture
+            call = {"sweep": select_prf_centers, "greedy": greedy_capture, "kmeanspp": kmeanspp}[layer]
 
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     times = []
@@ -163,6 +171,8 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     if layer in CHECKERS:
         report = json.dumps(result.to_json_obj(), separators=(",", ":")).encode()
         cell["report_sha256"] = hashlib.sha256(report).hexdigest()
+    elif layer == "kmeanspp":
+        cell["selection_sha256"] = hashlib.sha256(json.dumps(result.selected).encode()).hexdigest()
     return cell
 
 

@@ -53,8 +53,17 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
     center when a cluster is empty, until the center set repeats or 100
     rounds pass.
 
+    Seeding keeps each agent's squared distance to its nearest center as a
+    running minimum.  Each Lloyd round sorts the agents by cluster once,
+    stably, so a cluster's members are one slice of that order in
+    ascending index; their squared distances are summed per candidate.
+    Only when a cluster's cheapest candidate is already taken (placed
+    earlier in the round, or a later cluster's current center) are the
+    taken centers masked and the minimum taken again.
+
     With ``return_history=True`` also returns the center tuple after
-    seeding and after each Lloyd round.
+    seeding and after each Lloyd round; the benchmark counts Lloyd rounds
+    through it.
     """
     n, m, k = inst.n, inst.m, inst.k
     if m < k:
@@ -65,13 +74,9 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
 
     centers: list[int] = []
     chosen = np.zeros(m, dtype=bool)
+    mass = np.ones(n)  # each agent's squared distance to its nearest center; uniform at first
     for _ in range(k):
-        if centers:
-            mass = sq[:, centers].min(axis=1)
-            total = float(mass.sum())
-        else:
-            mass = np.ones(n)
-            total = float(n)
+        total = float(mass.sum())
         if total <= 0.0:
             # all agents sit on chosen centers; any unselected candidate is as good
             pick = int(np.nonzero(~chosen)[0][0])
@@ -79,25 +84,31 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
             agent = int(rng.choice(n, p=mass / total))
             row = np.where(chosen, np.inf, dm[agent])
             pick = int(np.argmin(row))
+        mass = np.minimum(mass, sq[:, pick]) if centers else sq[:, pick].copy()
         centers.append(pick)
         chosen[pick] = True
     centers.sort()
     history = [tuple(centers)]
 
     for _ in range(100):
-        cols = dm[:, centers]
-        assign = np.argmin(cols, axis=1)
+        assign = np.argmin(dm[:, centers], axis=1)
+        # cluster j's members are order[ends[j - 1] : ends[j]], ascending by index
+        order = np.argsort(assign, kind="stable")
+        ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
         new_centers: list[int] = []
-        for j in range(k):
-            members = np.nonzero(assign == j)[0]
-            blocked = set(new_centers) | set(centers[j + 1 :])
-            if members.size == 0:
+        start = 0
+        for j, end in enumerate(ends):
+            if start == end:
                 new_centers.append(centers[j])
                 continue
-            cost = sq[members].sum(axis=0)
-            for b in blocked:
-                cost[b] = np.inf
-            new_centers.append(int(np.argmin(cost)))
+            cost = sq[order[start:end]].sum(axis=0)
+            start = end
+            pick = int(np.argmin(cost))
+            blocked = new_centers + centers[j + 1 :]
+            if pick in blocked:
+                cost[blocked] = np.inf
+                pick = int(np.argmin(cost))
+            new_centers.append(pick)
         new_centers.sort()
         moved = new_centers != centers
         centers = new_centers
@@ -176,7 +187,7 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
         uncaptured -= newly.size
         if uncaptured < quota:
             break  # no ball can hold a quota any more
-        balls.charge(newly, np.ones_like(newly), ~is_open)
+        balls.charge(newly, None, ~is_open)  # each captured agent paid 1
 
     underfilled = len(opened) < k
     padded: list[int] = []

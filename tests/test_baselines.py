@@ -19,6 +19,7 @@ from propclust import (
 from propclust import engine
 from propclust.data_io import generate
 from reference_greedy import reference_greedy
+from reference_kmeanspp import reference_kmeanspp
 from util import pinned_instance, random_instance, small_instances
 
 
@@ -166,6 +167,89 @@ def test_kmeanspp_three_circles_seed_zero_is_proportional():
     # one center per circle: two on the small pair, one on the big ring
     assert (xs < 3.0).sum() == 2
     assert (xs > 3.0).sum() == 1
+
+
+def _lloyd_events(inst, centers):
+    """Whether a Lloyd round from ``centers`` meets an empty cluster, and a
+    cluster whose cheapest candidate is already taken by another."""
+    sq = inst.distance_matrix**2
+    assign = np.argmin(inst.distance_matrix[:, list(centers)], axis=1)
+    empty = blocked = False
+    placed = []
+    for j, center in enumerate(centers):
+        members = np.flatnonzero(assign == j)
+        if members.size == 0:
+            empty = True
+            placed.append(center)
+            continue
+        cost = sq[members].sum(axis=0)
+        taken = placed + list(centers[j + 1 :])
+        if int(np.argmin(cost)) in taken:
+            blocked = True
+            cost[taken] = np.inf
+        placed.append(int(np.argmin(cost)))
+    return empty, blocked
+
+
+def _kmeanspp_cases():
+    rng = np.random.default_rng(34)
+    for k in range(1, 21):
+        n = int(rng.integers(max(k, 30), 160))
+        yield Instance.unconstrained(rng.normal(size=(n, 2)), k=k)
+        yield Instance.unconstrained(rng.integers(0, 3, size=(n, 3)).astype(float), k=k)
+        m = int(rng.integers(k, n))
+        pts, cands = np.round(rng.normal(size=(n, 2)), 1), np.round(rng.normal(size=(m, 2)), 1)
+        yield Instance.discrete(pts, cands, k=k, metric="manhattan")
+        yield Instance.discrete(rng.normal(size=(n, 4)), rng.normal(size=(k, 4)), k=k)
+        # fewer distinct locations than centers: seeding runs out of mass
+        spots = rng.normal(size=(max(1, k // 3), 2))
+        yield Instance.unconstrained(spots[rng.integers(0, len(spots), size=n)], k=k)
+        # one candidate about 1 from every agent: clusters compete for it
+        hub = rng.uniform(0, 6, size=(n, m))
+        hub[:, rng.integers(0, m)] = 1.0 + 0.1 * rng.random(n)
+        yield Instance.precomputed(hub, k=k)
+
+
+def test_kmeanspp_matches_reference():
+    empty = blocked = 0
+    for i, inst in enumerate(_kmeanspp_cases()):
+        for seed in (i, i + 1000):
+            got = kmeanspp(inst, seed=seed, return_history=True)
+            assert got == reference_kmeanspp(inst, seed=seed, return_history=True)
+            assert kmeanspp(inst, seed=seed) == got[0]
+            for centers in got[1][:-1]:
+                e, b = _lloyd_events(inst, centers)
+                empty, blocked = empty + e, blocked + b
+    # both branches of a round are exercised, not only the common path
+    assert empty > 0 and blocked > 0
+
+
+@settings(max_examples=300)
+@given(small_instances(), st.integers(0, 2**32 - 1))
+def test_kmeanspp_matches_reference_on_small_instances(inst, seed):
+    got = kmeanspp(inst, seed=seed, return_history=True)
+    assert got == reference_kmeanspp(inst, seed=seed, return_history=True)
+
+
+# SHA-256 of the (outcome, history) of seeds 0-4 as the k-means++ with one
+# np.nonzero per cluster and round produced them.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("gaussian-2d", "a301b4313c70df726b74d292c296573cf64fb3cd1454094aad5a932a5c657b7b"),
+        ("gaussian-2d-discrete", "02caf20d3feacb050f1c34f715cc9486ad5bf7221d2483cb3756b5c97c832e33"),
+        ("grid-8d", "65a459fa97c2249d7c381e8c388e7848cd19e0911c22aadd340c9bb7caf2035a"),
+        ("grid-8d-manhattan", "d2df8089473b9e605d2217642a9725fb9c2d1dec639905c1c622bb079cb97d95"),
+    ],
+)
+def test_pinned_kmeanspp_digest(name, digest):
+    inst = pinned_instance(name)
+    runs = []
+    for seed in range(5):
+        outcome, history = kmeanspp(inst, seed=seed, return_history=True)
+        runs.append([outcome.selected, history])
+    blob = json.dumps(runs, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_kmeans_cost_hand_value():
