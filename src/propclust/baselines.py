@@ -57,9 +57,11 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
     running minimum.  Each Lloyd round sorts the agents by cluster once,
     stably, so a cluster's members are one slice of that order in
     ascending index; their squared distances are summed per candidate.
-    Only when a cluster's cheapest candidate is already taken (placed
-    earlier in the round, or a later cluster's current center) are the
-    taken centers masked and the minimum taken again.
+    Only when a cluster's cheapest candidate was already placed earlier in
+    the round are those centers masked and the minimum taken again.  A
+    later cluster's current center never needs masking: the cluster's own
+    center costs its members no more and has the lower index, and no
+    earlier cluster can have taken it.
 
     With ``return_history=True`` also returns the center tuple after
     seeding and after each Lloyd round; the benchmark counts Lloyd rounds
@@ -104,9 +106,8 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
             cost = sq[order[start:end]].sum(axis=0)
             start = end
             pick = int(np.argmin(cost))
-            blocked = new_centers + centers[j + 1 :]
-            if pick in blocked:
-                cost[blocked] = np.inf
+            if pick in new_centers:
+                cost[new_centers] = np.inf
                 pick = int(np.argmin(cost))
             new_centers.append(pick)
         new_centers.sort()
@@ -187,7 +188,7 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
         uncaptured -= newly.size
         if uncaptured < quota:
             break  # no ball can hold a quota any more
-        balls.charge(newly, None, ~is_open)  # each captured agent paid 1
+        balls.charge(newly, np.ones_like(newly), ~is_open)
 
     underfilled = len(opened) < k
     padded: list[int] = []

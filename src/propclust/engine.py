@@ -135,18 +135,15 @@ class _Thresholds:
         self.radius = np.empty(m)
         self._advance(np.arange(m))
 
-    def charge(self, agents: np.ndarray, amounts: np.ndarray | None, live: np.ndarray) -> None:
-        """Account for ``w[agents]`` having fallen by ``amounts`` (1 each when None).
+    def charge(self, agents: np.ndarray, amounts: np.ndarray, live: np.ndarray) -> None:
+        """Account for ``w[agents]`` having fallen by ``amounts``.
 
         Each candidate loses the amounts paid inside its counted prefix, and
         those in the ``live`` mask left below the quota move their threshold up.
-        Unit payments are counted with a sum of the mask, which spares the
-        int64 cast of the mask that a product with ``amounts`` makes.
         """
         rows = max(1, _BLOCK // self._rank.shape[1])
         for i in range(0, agents.size, rows):
-            inside = self._rank[agents[i : i + rows]] <= self._pos
-            self._prefix -= inside.sum(axis=0) if amounts is None else amounts[i : i + rows] @ inside
+            self._prefix -= amounts[i : i + rows] @ (self._rank[agents[i : i + rows]] <= self._pos)
         short = np.flatnonzero(live & (self._prefix < self._quota))
         if short.size:
             self._advance(short)

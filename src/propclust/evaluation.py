@@ -85,23 +85,6 @@ def metric_value(
     return msd_j(inst, outcome, j, squared=squared)
 
 
-@_squares_fit
-def _metric_values(inst: Instance, outcome: Outcome, keys: tuple[str, ...]) -> list[float | None]:
-    """``metric_value`` of each key, squared, from one sort of the outcome's columns.
-
-    Each value is the same float ``metric_value`` gives: the same slice of
-    the sorted distances, squared, summed per agent and averaged.
-    """
-    outcome.validate(inst)
-    sel = np.asarray(outcome.selected, dtype=np.intp)
-    ranked = np.sort(inst.distance_matrix[:, sel], axis=1)
-    values: list[float | None] = []
-    for key in keys:
-        j = metric_order(key, inst.k)
-        values.append(None if j > sel.size else float((ranked[:, :j] ** 2).sum(axis=1).mean()))
-    return values
-
-
 def run_algorithm(name: str, inst: Instance, seed: int = 0) -> Outcome:
     """Run one selection rule by name; ``seed`` only affects kmeanspp.
 
@@ -200,8 +183,8 @@ def run_experiment(grid: ExperimentGrid) -> ResultTable:
                 seeds = tuple(grid.seeds) if algo in SEEDED_ALGORITHMS else (None,)
                 for seed in seeds:
                     outcome = run_algorithm(algo, inst, seed=0 if seed is None else seed)
-                    values = _metric_values(inst, outcome, grid.metrics)
-                    for key, value in zip(grid.metrics, values):
+                    for key in grid.metrics:
+                        value = metric_value(inst, outcome, key)
                         rows.append(ResultRow(name, algo, k, seed, key, value))
     return ResultTable(tuple(rows))
 

@@ -171,7 +171,7 @@ def test_kmeanspp_three_circles_seed_zero_is_proportional():
 
 def _lloyd_events(inst, centers):
     """Whether a Lloyd round from ``centers`` meets an empty cluster, and a
-    cluster whose cheapest candidate is already taken by another."""
+    cluster whose cheapest candidate was already placed in the round."""
     sq = inst.distance_matrix**2
     assign = np.argmin(inst.distance_matrix[:, list(centers)], axis=1)
     empty = blocked = False
@@ -183,11 +183,14 @@ def _lloyd_events(inst, centers):
             placed.append(center)
             continue
         cost = sq[members].sum(axis=0)
-        taken = placed + list(centers[j + 1 :])
-        if int(np.argmin(cost)) in taken:
+        pick = int(np.argmin(cost))
+        # the cluster's own center costs no more and has the lower index
+        assert pick not in centers[j + 1 :]
+        if pick in placed:
             blocked = True
-            cost[taken] = np.inf
-        placed.append(int(np.argmin(cost)))
+            cost[placed] = np.inf
+            pick = int(np.argmin(cost))
+        placed.append(pick)
     return empty, blocked
 
 

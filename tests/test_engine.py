@@ -302,23 +302,6 @@ def test_charge_matches_candidate_major_sum():
         assert np.array_equal(balls._prefix, want)
 
 
-def test_unit_charge_counts_the_mask():
-    # amounts=None charges 1 per agent, as greedy's captures pay
-    rng = np.random.default_rng(12)
-    inst = Instance.unconstrained(rng.normal(size=(80, 2)), k=4)
-    for _ in range(10):
-        w_units, w_ones = np.ones(inst.n, dtype=np.int64), np.ones(inst.n, dtype=np.int64)
-        units = engine._Thresholds(inst, w_units, 20)
-        ones = engine._Thresholds(inst, w_ones, 20)
-        agents = rng.choice(inst.n, size=int(rng.integers(1, 20)), replace=False)
-        w_units[agents] = w_ones[agents] = 0
-        live = rng.random(inst.m) < 0.5
-        units.charge(agents, None, live)
-        ones.charge(agents, np.ones_like(agents), live)
-        for field in ("_pos", "_prefix", "radius"):
-            assert np.array_equal(getattr(units, field), getattr(ones, field))
-
-
 def _traced_peak(call):
     tracemalloc.start()
     try:

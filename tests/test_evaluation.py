@@ -8,12 +8,9 @@ from propclust import (
     ExperimentGrid,
     Instance,
     InputError,
-    METRIC_KEYS,
     Outcome,
     aggregate,
     aggregates_to_json,
-    greedy_capture,
-    kmeanspp,
     metric_order,
     metric_value,
     msd_j,
@@ -21,7 +18,6 @@ from propclust import (
     run_experiment,
     select_prf_centers,
 )
-from propclust import evaluation
 from propclust.data_io import generate
 from util import pinned_instance, random_instance, random_outcome
 
@@ -94,30 +90,6 @@ def test_metric_value_missing_for_underfilled():
     short = Outcome((0, 2))
     assert metric_value(inst, short, "msd1") is not None
     assert metric_value(inst, short, "msdk") is None
-
-
-def test_shared_sort_metrics_match_metric_value():
-    rng = np.random.default_rng(41)
-    underfilled = 0
-    for _ in range(60):
-        inst = random_instance(rng, n_max=20)
-        prf, _ = select_prf_centers(inst)
-        greedy = greedy_capture(inst)
-        underfilled += greedy.underfilled
-        for outcome in (prf, kmeanspp(inst, seed=3), greedy.outcome):
-            want = [metric_value(inst, outcome, key) for key in METRIC_KEYS]
-            assert evaluation._metric_values(inst, outcome, METRIC_KEYS) == want
-            # only an underfilled outcome leaves a metric undefined
-            assert (None in want) == (len(outcome.selected) < inst.k)
-    assert underfilled > 0
-
-
-def test_shared_sort_metrics_overflowing_squares_raise_input_error():
-    inst = Instance.unconstrained([(0.0,), (1e200,), (2e200,), (3e200,)], k=2, metric="manhattan")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InputError, match="squares overflow"):
-            evaluation._metric_values(inst, Outcome((0, 1)), METRIC_KEYS)
 
 
 def test_run_algorithm_dispatch():
@@ -243,8 +215,8 @@ def test_aggregates_json_shape():
 
 
 def test_pinned_experiment_digest():
-    # SHA-256 of the rows CSV and the aggregates JSON as the harness that
-    # sorted the outcome's distances once per metric produced them
+    # SHA-256 of the rows CSV and the aggregates JSON of a small grid, as
+    # the k-means++ with one pass per cluster and round produced them
     names = ("gaussian-2d", "gaussian-2d-discrete", "grid-8d", "grid-8d-manhattan")
     grid = ExperimentGrid(
         datasets=tuple((name, pinned_instance(name)) for name in names), ks=(3, 8, 12), seeds=(0, 1, 2)
