@@ -151,7 +151,7 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
     its distance row sorted once: an agent weighs 1 until captured.  The
     radius jumps to the smallest threshold of an unopened candidate; the
     agents that open centers reach by then are captured, the candidates
-    whose counted prefix held one move their thresholds up, and the radius
+    whose ball held one move their thresholds up, and the radius
     is taken again until a pass captures nobody.  Then the lowest-index
     candidate at that radius opens.  Every pass captures an agent or opens
     a center, so there are at most n + k passes of O(n + m) vector work.

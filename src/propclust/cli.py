@@ -161,12 +161,9 @@ def _instance_and_outcome(args) -> tuple[Instance, Outcome, RunRecord | None]:
     """
     record = None
     if args.run is not None:
-        record = read_run_record(args.run)
-        if args.input is not None:
-            inst = _load_input_instance(args)
-            if inst.digest != record.instance_digest:
-                raise InputError(f"{args.run}: record does not match {args.input} (digest differs)")
-        else:
+        inst = None if args.input is None else _load_input_instance(args)
+        record = read_run_record(args.run, instance=inst)
+        if inst is None:
             inst = instance_from_record(record)
         if args.selected is not None:
             raise InputError("--selected cannot be combined with --run")

@@ -11,25 +11,25 @@ order: the outcome is the same as lowering one shared threshold through
 every distinct distance.
 
 Each candidate's distances are sorted once.  Per candidate the sweep keeps
-the first sorted position at which its prefix weight reaches the quota and
-that prefix weight.  The weights start uniform, so every row's first
-position is read off the quota directly: ceil(quota / w0) - 1.  After a
-payment only the candidates whose prefix held a paying agent are charged,
-and those that fall below the quota move their position forward in
-chunks that double on each pass.  The work is O(k·n·m) in vector
+the end of the run of equal distances at which its prefix weight first
+reaches the quota, so its counted prefix is its whole ball and the
+prefix weight is its support.  The weights start uniform, so every row
+starts ceil(quota / w0) - 1 positions in, just short of its threshold.
+After a payment only the candidates whose ball held a paying agent are
+charged, and those that fall below the quota move their position forward
+in chunks that double on each pass.  The work is O(k·n·m) in vector
 operations, plus one O(n·m·log n) sort.  This ball-threshold structure
 (``_Thresholds``) also runs greedy capture in :mod:`propclust.baselines`,
 with unit weights and quota ceil(n/k).
 
-The structure keeps its sorted order and ranks as int32, one matrix's
-bytes together (plus a transposed copy of the matrix for discrete
-candidates).  Its sort, its advance passes and its charges, and the
-sweep's supports of tied candidates, work a block of rows at a time, so
-no other temporary holds more than ``_BLOCK`` entries (or one row, where
-a row is longer).  Beside the
-distance matrix, at n = 1000 on 2-D points, the set-up then peaks at
-about 1.07 times the matrix's bytes and a sweep or greedy run at no more
-than about 1.2 times, at every k.
+The structure keeps its sorted order as int32, half a matrix's bytes
+(plus a transposed copy of the matrix for discrete candidates), and
+reads who lies in a ball from the distances themselves.  Its sort, its
+advance passes and its charges work a block of rows at a time, so no
+other temporary holds more than ``_BLOCK`` entries (or one row, where a
+row is longer).  Beside the distance matrix, at n = 1000 on 2-D points,
+the set-up then peaks at about 0.6 times the matrix's bytes and a sweep
+or greedy run at about 0.8 times.
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -55,9 +55,8 @@ __all__ = [
 
 # sorted positions a candidate reads on its first pass when it falls below the quota
 _CHUNK = 16
-# entries in any one sort block, advance pass or charge of _Thresholds, or
-# block of tied supports in the sweep; the blocks keep the working memory
-# near the int32 order and rank
+# entries in any one sort block, advance pass or charge of _Thresholds; the
+# blocks keep the working memory near the int32 order
 _BLOCK = 1 << 16
 
 
@@ -86,44 +85,41 @@ class SweepTrace:
 class _Thresholds:
     """Each candidate's ball threshold over its distance row, sorted once.
 
-    ``DT`` is (m, n): row c holds candidate c's distance to every agent (the
-    distance matrix itself when candidates are shared, since it is then
-    symmetric).  ``radius[c]`` is the smallest radius at which the weight
-    ``w`` within it of candidate c reaches ``quota``.  ``w`` is held by
+    ``D`` is the (n, m) distance matrix and ``DT`` is (m, n): row c holds
+    candidate c's distance to every agent (``D`` itself when candidates are
+    shared, since it is then symmetric).  ``radius[c]`` is the smallest
+    radius at which the weight ``w`` within it of candidate c reaches
+    ``quota``, and ``support[c]`` is that weight.  ``w`` is held by
     reference: the caller lowers it, then calls :meth:`charge`.
 
-    ``_order`` (m, n) lists each candidate's agents by distance, and
-    ``_rank`` (n, m) is agent-major: ``_rank[a, c]`` is agent a's position in
-    ``_order[c]``, so a charge reads one contiguous row per paying agent.
-    Both are int32, half the bytes of the matrix each.  No other temporary
-    holds more than ``_BLOCK`` entries (or one row, where a row is longer):
-    the sort, the advance passes and the charges each take a block of rows
-    at a time.
+    ``_order`` (m, n), int32, lists each candidate's agents by distance, and
+    ``_pos[c]`` is the last position in ``_order[c]`` within ``radius[c]``: the
+    counted prefix ``_order[c, : _pos[c] + 1]`` is the whole ball, so none of
+    ``_pos``, ``support`` and ``radius`` depends on how the sort broke ties.
+    No other temporary holds more than ``_BLOCK`` entries (or one row, where
+    a row is longer): the sort, the advance passes and the charges each take
+    a block of rows at a time.
     """
 
     def __init__(self, inst: Instance, w: np.ndarray, quota: int):
         n, m = inst.n, inst.m
         if n > np.iinfo(np.int32).max:
             raise InputError(f"{n} agents are too many: sorted positions are int32")
-        D = inst.distance_matrix
+        self.D = D = inst.distance_matrix
         try:
             self.DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
             self._order = np.empty((m, n), dtype=np.int32)
-            self._rank = np.empty((n, m), dtype=np.int32)
         except MemoryError:
-            need = n * m * (8 if inst.is_unconstrained else 16)
+            need = n * m * (4 if inst.is_unconstrained else 12)
             raise InputError(
                 f"the ball thresholds of {n} agents and {m} candidates need {need / 2**30:.1f} GiB "
                 "beside the distance matrix, more than can be allocated"
             ) from None
-        # order[c] sorts the agents by DT[c] (ties in any order) and rank inverts it
-        positions = np.arange(n, dtype=np.int32)[None, :]
+        # order[c] sorts the agents by DT[c] (ties in any order)
         rows = max(1, _BLOCK // n)
         for i in range(0, m, rows):
-            order = self._order[i : i + rows]
-            order[...] = np.argsort(self.DT[i : i + rows], axis=1)
-            np.put_along_axis(self._rank.T[i : i + rows], order, positions, axis=1)
-        # prefix[c] is the weight of the agents order[c, : pos[c] + 1].  Uniform
+            self._order[i : i + rows] = np.argsort(self.DT[i : i + rows], axis=1)
+        # support[c] is the weight of the agents order[c, : pos[c] + 1].  Uniform
         # weights w0 (k each in the sweep, 1 in greedy) reach the quota at no
         # position before p = ceil(quota / w0) - 1, so every row starts with
         # its first p agents counted and one pass finds its threshold
@@ -131,31 +127,32 @@ class _Thresholds:
         p = min(n, -(-quota // w0) - 1) if w0 > 0 and (w == w0).all() else 0
         self._w, self._quota = w, quota
         self._pos = np.full(m, p - 1, dtype=np.intp)
-        self._prefix = np.full(m, p * w0, dtype=np.int64)
+        self.support = np.full(m, p * w0, dtype=np.int64)
         self.radius = np.empty(m)
         self._advance(np.arange(m))
 
     def charge(self, agents: np.ndarray, amounts: np.ndarray, live: np.ndarray) -> None:
         """Account for ``w[agents]`` having fallen by ``amounts``.
 
-        Each candidate loses the amounts paid inside its counted prefix, and
-        those in the ``live`` mask left below the quota move their threshold up.
+        Each candidate loses the amounts paid within its radius, read from
+        the agents' rows of ``D``, and those in the ``live`` mask left below
+        the quota move their threshold up.
         """
-        rows = max(1, _BLOCK // self._rank.shape[1])
+        rows = max(1, _BLOCK // self.D.shape[1])
         for i in range(0, agents.size, rows):
-            self._prefix -= amounts[i : i + rows] @ (self._rank[agents[i : i + rows]] <= self._pos)
-        short = np.flatnonzero(live & (self._prefix < self._quota))
+            self.support -= amounts[i : i + rows] @ (self.D[agents[i : i + rows]] <= self.radius)
+        short = np.flatnonzero(live & (self.support < self._quota))
         if short.size:
             self._advance(short)
 
     def _advance(self, cands: np.ndarray) -> None:
-        """Move each of ``cands`` to the first sorted position where its prefix weight reaches the quota.
+        """Move each of ``cands`` to the end of the run where its prefix weight reaches the quota.
 
         Each pass reads the next chunk of every unfinished candidate's row,
         ``_BLOCK // chunk`` candidates at a time, so its arrays never exceed
-        ``_BLOCK`` entries, and doubles the chunk for the next pass.  At
+        about ``_BLOCK`` entries, and doubles the chunk for the next pass.  At
         set-up every row already starts one position short of its
-        threshold, and this first call takes a single pass.
+        threshold, and this first call usually takes a single pass.
         """
         n = self._order.shape[1]
         size = min(_CHUNK, n)
@@ -168,34 +165,46 @@ class _Thresholds:
             size = min(2 * size, n)
 
     def _pass(self, cands: np.ndarray, size: int) -> np.ndarray:
-        """Read the next ``size`` sorted positions of each of ``cands``; return those still short."""
-        order, pos, prefix, quota = self._order, self._pos, self._prefix, self._quota
+        """Read the next ``size`` sorted positions of each of ``cands``; return those still short.
+
+        A row is done at the first of them where its prefix weight reaches
+        the quota and the next sorted distance is larger, or the row ends,
+        so the pass reads one position more than it counts.
+        """
+        order, pos, support, quota = self._order, self._pos, self.support, self._quota
         n = order.shape[1]
         start = pos[cands] + 1
-        idx = start[:, None] + np.arange(size)
+        idx = start[:, None] + np.arange(size + 1)
         past = idx >= n
         np.minimum(idx, n - 1, out=idx)
-        cums = self._w[order[cands[:, None], idx]]
-        cums[past] = 0
+        rows = cands[:, None] * n
+        agents = order.take(rows + idx)
+        cums = self._w[agents[:, :-1]]
+        cums[past[:, :-1]] = 0
         np.cumsum(cums, axis=1, out=cums)
-        cums += prefix[cands][:, None]
-        reached = cums >= quota
-        hit = reached.any(axis=1)
-        stuck = (idx[:, -1] >= n - 1) & ~hit
+        cums += support[cands][:, None]
+        rest = cums[:, -1] < quota
+        stuck = past[:, -1] & rest
         if stuck.any():
             raise RuntimeError(
                 f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
                 f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
             )
-        first = reached[hit].argmax(axis=1)
+        # a row that stays short of the quota cannot end in this chunk, so only the others read distances
+        near = np.flatnonzero(~rest)
+        dist = self.DT.take(rows[near] + agents[near])
+        reached = (cums[near] >= quota) & ((dist[:, 1:] > dist[:, :-1]) | past[near, 1:])
+        ends = reached.any(axis=1)
+        first = reached[ends].argmax(axis=1)
+        hit = near[ends]
         done = cands[hit]
         pos[done] = start[hit] + first
-        prefix[done] = cums[hit, first]
-        self.radius[done] = self.DT[done, order[done, pos[done]]]
-        rest = ~hit
+        support[done] = cums[hit, first]
+        self.radius[done] = dist[ends, first]
+        rest[near[~ends]] = True  # their run of equal distances goes on past the chunk
         cands = cands[rest]
         pos[cands] = start[rest] + size - 1
-        prefix[cands] = cums[rest, -1]
+        support[cands] = cums[rest, -1]
         return cands
 
 
@@ -216,7 +225,6 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     quota = n
     frac = [Fraction(j, k) for j in range(k + 1)]
     balls = _Thresholds(inst, w, quota)
-    block = max(1, _BLOCK // n)  # tied candidates whose rows are compared at once
     # a mask, not an infinite threshold, so no marker value can ever tie with a real threshold
     remaining = np.ones(m, dtype=bool)
 
@@ -225,12 +233,8 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     while True:
         radius = balls.radius[remaining].min()
         tied = np.flatnonzero(remaining & (balls.radius == radius))
-        support = np.empty(tied.size, dtype=np.int64)
-        for i in range(0, tied.size, block):
-            support[i : i + block] = (balls.DT[tied[i : i + block]] <= radius) @ w
-        best = int(np.argmax(support))  # first maximum, so lowest index on ties
-        winner = int(tied[best])
-        sup_val = int(support[best])
+        winner = int(tied[np.argmax(balls.support[tied])])  # first maximum, so lowest index on ties
+        sup_val = int(balls.support[winner])
 
         row = balls.DT[winner]
         members = np.flatnonzero(row <= radius)

@@ -158,9 +158,9 @@ def test_check_reads_the_record_once(two_mass_csv, tmp_path, capsys, monkeypatch
     main(["cluster", "--input", str(two_mass_csv), "--k", "11", "--axioms", "up", "--out", str(run)])
     calls = []
 
-    def counted(path):
+    def counted(path, instance=None):
         calls.append(path)
-        return read_run_record(path)
+        return read_run_record(path, instance=instance)
 
     monkeypatch.setattr(cli, "read_run_record", counted)
     assert main(["check", "--run", str(run)]) == 0
@@ -251,6 +251,23 @@ def test_check_record_against_other_input_fails(two_mass_csv, tmp_path, capsys):
     code = main(["check", "--run", str(run), "--input", str(other), "--k", "3"])
     assert code == 1
     assert "digest" in capsys.readouterr().err
+
+
+def test_check_record_with_its_own_input(two_mass_csv, tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run.json"
+    main(["cluster", "--input", str(two_mass_csv), "--k", "11", "--axioms", "up", "--out", str(run)])
+    capsys.readouterr()
+    instances = []
+
+    def counted(path, instance=None):
+        instances.append(instance)
+        return read_run_record(path, instance=instance)
+
+    monkeypatch.setattr(cli, "read_run_record", counted)
+    assert main(["check", "--run", str(run), "--input", str(two_mass_csv), "--k", "11"]) == 0
+    assert capsys.readouterr().out.endswith("UP: satisfied\n")
+    # the digest is compared once, by read_run_record, against the loaded input
+    assert len(instances) == 1 and instances[0] is not None
 
 
 def test_eval_outputs(two_mass_csv, tmp_path, capsys):

@@ -272,34 +272,53 @@ def test_advance_past_row_end_raises():
         engine._Thresholds(inst, w, 4)
 
 
-def test_threshold_ranks_are_int32_agent_major():
-    for inst in (
-        Instance.unconstrained(np.random.default_rng(8).normal(size=(40, 2)), k=4),
-        Instance.discrete(np.random.default_rng(9).normal(size=(40, 2)), np.zeros((7, 2)), k=4),
-    ):
-        n, m = inst.n, inst.m
-        balls = engine._Thresholds(inst, np.full(n, inst.k, dtype=np.int64), n)
-        order, rank = balls._order, balls._rank
-        assert order.dtype == np.int32 and order.shape == (m, n)
-        assert rank.dtype == np.int32 and rank.shape == (n, m)
-        for c in range(m):
-            assert np.array_equal(rank[order[c], c], np.arange(n))
+def _assert_balls_match_brute_force(balls, inst, w, quota, live):
+    # every live candidate's support, radius and counted prefix, read straight off its column
+    D = inst.distance_matrix
+    for c in np.flatnonzero(live):
+        col, radius = D[:, c], balls.radius[c]
+        assert balls.support[c] == w[col <= radius].sum()
+        # radius is the smallest distance at which that weight reaches the quota
+        assert radius in col and balls.support[c] >= quota and w[col < radius].sum() < quota
+        assert balls._pos[c] + 1 == (col <= radius).sum()
+        if balls._pos[c] + 1 < inst.n:
+            assert D[balls._order[c, balls._pos[c] + 1], c] > radius
 
 
-def test_charge_matches_candidate_major_sum():
-    # the agent-major gather sums the same amounts as a candidate-major (m, agents) mask
+@pytest.mark.parametrize("discrete", [False, True])
+@pytest.mark.parametrize("decimals", [None, 0])
+@pytest.mark.parametrize("chunk, block", [(engine._CHUNK, engine._BLOCK), (1, 7)])
+def test_thresholds_match_brute_force_after_charges(discrete, decimals, chunk, block):
+    # rounding to whole numbers makes long runs of equal distances; the sweep's weights
+    # (k each, quota n), greedy's (1 each, quota ceil(n/k)) and weights that are not uniform
     rng = np.random.default_rng(10)
-    inst = Instance.discrete(rng.normal(size=(60, 3)), rng.normal(size=(25, 3)), k=5)
-    for _ in range(20):
-        w = np.full(inst.n, inst.k, dtype=np.int64)
-        balls = engine._Thresholds(inst, w, inst.n)
-        agents = rng.choice(inst.n, size=int(rng.integers(1, 30)), replace=False)
-        amounts = rng.integers(1, inst.k + 1, size=agents.size).astype(np.int64)
-        rank_cm = np.ascontiguousarray(balls._rank.T)
-        want = balls._prefix - (rank_cm[:, agents] <= balls._pos[:, None]) @ amounts
-        w[agents] -= amounts
-        balls.charge(agents, amounts, np.zeros(inst.m, dtype=bool))
-        assert np.array_equal(balls._prefix, want)
+    points = rng.normal(scale=2, size=(60, 2))
+    cands = rng.normal(scale=2, size=(25, 2))
+    if decimals is not None:
+        points, cands = np.round(points, decimals), np.round(cands, decimals)
+    inst = Instance.discrete(points, cands, k=5) if discrete else Instance.unconstrained(points, k=5)
+    n, m = inst.n, inst.m
+    for w0, quota in (
+        (np.full(n, 5, dtype=np.int64), n),
+        (np.ones(n, dtype=np.int64), -(-n // 5)),
+        (rng.integers(1, 4, size=n).astype(np.int64), n // 5),
+    ):
+        w = w0.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK", chunk)
+            mp.setattr(engine, "_BLOCK", block)
+            balls = engine._Thresholds(inst, w, quota)
+            live = np.ones(m, dtype=bool)
+            _assert_balls_match_brute_force(balls, inst, w, quota, live)
+            for _ in range(8):
+                agents = rng.choice(np.flatnonzero(w > 0), size=int(rng.integers(1, 12)), replace=False)
+                amounts = rng.integers(1, w[agents] + 1)
+                if w.sum() - amounts.sum() < quota:
+                    break  # every row holds all the weight, so it must keep a quota
+                w[agents] -= amounts
+                live[rng.integers(m)] = False
+                balls.charge(agents, amounts, live)
+                _assert_balls_match_brute_force(balls, inst, w, quota, live)
 
 
 def _traced_peak(call):
@@ -312,22 +331,22 @@ def _traced_peak(call):
 
 
 def test_thresholds_setup_peak_memory():
-    # int32 order and rank are one matrix's bytes together; no other temporary of the
-    # set-up, its advance passes or its charges holds more than _BLOCK entries.  At
-    # n = 1000 those blocks are under a tenth of the matrix (at n = 600 about a fifth).
+    # the int32 order is half the matrix's bytes; no other temporary of the set-up, its
+    # advance passes or its charges holds more than about _BLOCK entries.  At n = 1000
+    # those blocks are under a tenth of the matrix (at n = 600 about a fifth).
     # Small k makes large quotas, and so long first prefixes and large payments
     points = np.random.default_rng(11).normal(size=(1000, 2))
     for k in (1, 2, 5, 20):
         inst = Instance.unconstrained(points, k=k)
         dm = inst.distance_matrix
         setup = _traced_peak(lambda: engine._Thresholds(inst, np.full(inst.n, k, dtype=np.int64), inst.n))
-        assert setup <= 1.1 * dm.nbytes, k
-        assert _traced_peak(lambda: select_prf_centers(inst)) <= 2 * dm.nbytes, k
+        assert setup <= 0.65 * dm.nbytes, k
+        assert _traced_peak(lambda: select_prf_centers(inst)) <= dm.nbytes, k
 
 
 def test_sweep_peak_memory_with_large_tie_groups():
     # on a 3-level 8-D grid hundreds of candidates share a threshold radius; their
-    # supports read their rows a block at a time (the whole group at once peaks near 1.45x)
+    # supports are kept by the ball thresholds, so no row of the group is read
     points = np.random.default_rng(0).integers(0, 3, size=(1000, 8)).astype(float)
     inst = Instance.unconstrained(points, k=20)
     dm = inst.distance_matrix
@@ -335,11 +354,12 @@ def test_sweep_peak_memory_with_large_tie_groups():
 
 
 def _prefix_start(balls, w, quota):
-    # each row's first sorted position whose prefix weight reaches the quota, read from position 0
+    # each row's threshold read from position 0, and the end of its run of equal distances
     cums = np.cumsum(w[balls._order], axis=1)
-    pos = (cums >= quota).argmax(axis=1)
-    rows = np.arange(pos.size)
-    return pos, cums[rows, pos], balls.DT[rows, balls._order[rows, pos]]
+    rows = np.arange(cums.shape[0])
+    radius = balls.DT[rows, balls._order[rows, (cums >= quota).argmax(axis=1)]]
+    pos = (balls.DT <= radius[:, None]).sum(axis=1) - 1
+    return pos, cums[rows, pos], radius
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 40])
@@ -364,20 +384,20 @@ def test_direct_start_matches_prefix_sums_from_zero(k, discrete):
         balls = engine._Thresholds(inst, w, quota)
         pos, prefix, radius = _prefix_start(balls, w, quota)
         assert np.array_equal(balls._pos, pos)
-        assert np.array_equal(balls._prefix, prefix)
+        assert np.array_equal(balls.support, prefix)
         assert np.array_equal(balls.radius, radius)
 
 
 def test_thresholds_too_large_to_allocate_raise_input_error():
-    # a stand-in instance whose order and rank cannot be allocated: 10**8 x 10**8 entries
+    # a stand-in instance whose order cannot be allocated: 10**8 x 10**8 entries
     huge = SimpleNamespace(n=10**8, m=10**8, is_unconstrained=True, distance_matrix=np.zeros((1, 1)))
-    with pytest.raises(InputError, match=r"100000000 agents and 100000000 candidates need 74505806\.0 GiB"):
+    with pytest.raises(InputError, match=r"100000000 agents and 100000000 candidates need 37252903\.0 GiB"):
         engine._Thresholds(huge, np.ones(1, dtype=np.int64), 1)
 
 
 @pytest.mark.parametrize("alloc", ["ascontiguousarray", "empty"])
 def test_thresholds_allocation_failure_raises_input_error(monkeypatch, alloc):
-    # the discrete DT copy and the int32 order and rank: 30 x 7 entries, 16 bytes each
+    # the discrete DT copy and the int32 order: 30 x 7 entries, 12 bytes each
     rng = np.random.default_rng(13)
     inst = Instance.discrete(rng.normal(size=(30, 2)), rng.normal(size=(7, 2)), k=3)
     inst.distance_matrix
