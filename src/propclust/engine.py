@@ -107,7 +107,8 @@ class _Thresholds:
             raise InputError(f"{n} agents are too many: sorted positions are int32")
         self.D = D = inst.distance_matrix
         try:
-            self.DT = D if inst.is_unconstrained else np.ascontiguousarray(D.T)
+            # C order, as the flat gathers of _pass index it row by row
+            self.DT = np.ascontiguousarray(D if inst.is_unconstrained else D.T)
             self._order = np.empty((m, n), dtype=np.int32)
         except MemoryError:
             need = n * m * (4 if inst.is_unconstrained else 12)
@@ -122,7 +123,7 @@ class _Thresholds:
         # support[c] is the weight of the agents order[c, : pos[c] + 1].  Uniform
         # weights w0 (k each in the sweep, 1 in greedy) reach the quota at no
         # position before p = ceil(quota / w0) - 1, so every row starts with
-        # its first p agents counted and one pass finds its threshold
+        # its first p agents counted and its first pass usually finds its threshold
         w0 = int(w[0])
         p = min(n, -(-quota // w0) - 1) if w0 > 0 and (w == w0).all() else 0
         self._w, self._quota = w, quota
@@ -134,9 +135,8 @@ class _Thresholds:
     def charge(self, agents: np.ndarray, amounts: np.ndarray, live: np.ndarray) -> None:
         """Account for ``w[agents]`` having fallen by ``amounts``.
 
-        Each candidate loses the amounts paid within its radius, read from
-        the agents' rows of ``D``, and those in the ``live`` mask left below
-        the quota move their threshold up.
+        Each candidate loses the amounts paid within its radius, and those in
+        the ``live`` mask left below the quota move their threshold up.
         """
         rows = max(1, _BLOCK // self.D.shape[1])
         for i in range(0, agents.size, rows):
@@ -165,11 +165,10 @@ class _Thresholds:
             size = min(2 * size, n)
 
     def _pass(self, cands: np.ndarray, size: int) -> np.ndarray:
-        """Read the next ``size`` sorted positions of each of ``cands``; return those still short.
+        """Read the next ``size`` sorted positions of each of ``cands``; return those not yet done.
 
-        A row is done at the first of them where its prefix weight reaches
-        the quota and the next sorted distance is larger, or the row ends,
-        so the pass reads one position more than it counts.
+        A row is done where its prefix weight has reached the quota and the
+        next sorted distance is larger (or the row ends), hence one more read.
         """
         order, pos, support, quota = self._order, self._pos, self.support, self._quota
         n = order.shape[1]
@@ -179,7 +178,7 @@ class _Thresholds:
         np.minimum(idx, n - 1, out=idx)
         rows = cands[:, None] * n
         agents = order.take(rows + idx)
-        cums = self._w[agents[:, :-1]]
+        cums = self._w.take(agents[:, :-1])
         cums[past[:, :-1]] = 0
         np.cumsum(cums, axis=1, out=cums)
         cums += support[cands][:, None]
@@ -192,20 +191,18 @@ class _Thresholds:
             )
         # a row that stays short of the quota cannot end in this chunk, so only the others read distances
         near = np.flatnonzero(~rest)
-        dist = self.DT.take(rows[near] + agents[near])
+        dist = self.DT.take((rows + agents)[near])
         reached = (cums[near] >= quota) & ((dist[:, 1:] > dist[:, :-1]) | past[near, 1:])
         ends = reached.any(axis=1)
-        first = reached[ends].argmax(axis=1)
         hit = near[ends]
-        done = cands[hit]
-        pos[done] = start[hit] + first
-        support[done] = cums[hit, first]
-        self.radius[done] = dist[ends, first]
+        # the column each row stops at: where it ends, or the chunk's last for the rest
+        col = np.full(cands.size, size - 1)
+        col[hit] = reached[ends].argmax(axis=1)
+        pos[cands] = start + col
+        support[cands] = cums[np.arange(cands.size), col]
+        self.radius[cands[hit]] = dist[ends, col[hit]]
         rest[near[~ends]] = True  # their run of equal distances goes on past the chunk
-        cands = cands[rest]
-        pos[cands] = start[rest] + size - 1
-        support[cands] = cums[rest, -1]
-        return cands
+        return cands[rest]
 
 
 def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from propclust import Instance, InputError, select_prf_centers
 from propclust import engine
+from propclust.baselines import greedy_capture
 from propclust.data_io import generate, trace_to_json_obj
 from reference_sweep import reduce_weights, reference_sweep, weighted_support
 from util import pinned_instance, random_instance, small_instances
@@ -319,6 +320,18 @@ def test_thresholds_match_brute_force_after_charges(discrete, decimals, chunk, b
                 live[rng.integers(m)] = False
                 balls.charge(agents, amounts, live)
                 _assert_balls_match_brute_force(balls, inst, w, quota, live)
+
+
+def test_matrix_layout_does_not_change_the_selection():
+    # the passes gather from C-ordered rows; a Fortran-ordered matrix must give the same results
+    rng = np.random.default_rng(14)
+    dm = Instance.unconstrained(np.round(rng.normal(size=(50, 2)), 1), k=6).distance_matrix
+    for shared in (True, False):
+        c_order = Instance.precomputed(dm, k=6, shared_candidates=shared)
+        f_order = Instance.precomputed(np.asfortranarray(dm), k=6, shared_candidates=shared)
+        assert not f_order.distance_matrix.flags.c_contiguous
+        assert select_prf_centers(f_order) == select_prf_centers(c_order)
+        assert greedy_capture(f_order, pad=True) == greedy_capture(c_order, pad=True)
 
 
 def _traced_peak(call):
