@@ -32,12 +32,18 @@ The ``kmeanspp`` layer runs ``baselines.kmeanspp`` with its default seed on
 the built unconstrained instance, at n = 500, 1000, 2000 and 4000 on 2-D and
 8-D points.
 
+The ``record`` layer runs ``data_io.record_for`` and then
+``data_io.write_run_record`` (to a file in a temporary directory) on the
+sweep's outcome and trace, as ``propclust cluster --out`` does, at n = 500,
+1000, 2000 and 5000 on 2-D and 8-D points.
+
 Per cell the file records the median wall time of 5 untraced calls, 3 at
 n >= 4000 (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
 one more call, that peak over the bytes of the (n, n) matrix, and
 ``ru_maxrss`` of the process before and after the calls.  A checker cell
 also records the SHA-256 of its report's JSON, and a ``kmeanspp`` cell that of
-its selection, so two trees' figures show whether their outputs agree.
+its selection, and a ``record`` cell that of the written file, so two trees'
+figures show whether their outputs agree.
 Results are merged into ``--out`` under ``--label``, so one file can hold the
 figures of two trees made by this same script.  The runs are sequential; BLAS
 and OpenMP thread counts are pinned to 1.
@@ -64,6 +70,7 @@ CHECK_SIZES = (1000, 2000, 4000)
 CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
 KMEANSPP_SIZES = (500, 1000, 2000, 4000)
 KMEANSPP_DIMS = (2, 8)
+RECORD_DIMS = (2, 8)
 K = 20
 GRID = (
     [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in LAYERS]
@@ -75,6 +82,7 @@ GRID = (
         for layer in CHECKERS
     ]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
+    + [("record", n, dim, None, K) for n in SIZES for dim in RECORD_DIMS]
 )
 SEED = 20260
 MIB = 1 << 20
@@ -84,6 +92,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NU
 def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: int) -> dict:
     """Measure one layer in this process; called in the child."""
     import resource
+    import tempfile
     import time
     import tracemalloc
 
@@ -92,6 +101,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     import propclust
     from propclust import Instance, check_prf_discrete, check_prf_unconstrained, select_prf_centers
     from propclust.baselines import greedy_capture, kmeanspp
+    from propclust.data_io import record_for, write_run_record
     from propclust.engine import _Thresholds
 
     if not Path(propclust.__file__).is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
@@ -135,6 +145,14 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
             def call(inst):
                 return check(inst, outcome)
 
+        elif layer == "record":
+            outcome, trace = select_prf_centers(built)
+            out = Path(tempfile.mkdtemp()) / "run.json"
+
+            def call(inst):
+                write_run_record(out, record_for(inst, "prf", outcome, trace=trace))
+                return out
+
         else:
             call = {"sweep": select_prf_centers, "greedy": greedy_capture, "kmeanspp": kmeanspp}[layer]
 
@@ -173,6 +191,11 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         cell["report_sha256"] = hashlib.sha256(report).hexdigest()
     elif layer == "kmeanspp":
         cell["selection_sha256"] = hashlib.sha256(json.dumps(result.selected).encode()).hexdigest()
+    elif layer == "record":
+        cell["record_sha256"] = hashlib.sha256(result.read_bytes()).hexdigest()
+        cell["record_bytes"] = result.stat().st_size
+        result.unlink()
+        result.parent.rmdir()
     return cell
 
 

@@ -6,7 +6,9 @@ absent means every point is both) and ``id`` (free-form label, ignored).
 Results of a run serialize to a single JSON document (:class:`RunRecord`)
 with a fixed key order, exact rational weights rendered as fraction
 strings, and the instance digest embedded so a record can be matched
-back to its inputs.
+back to its inputs.  Its bytes are exactly ``json.dumps(obj, indent=2)``
+plus a newline, written in pieces by the C encoder (see
+:func:`write_run_record`); perfbench's ``expected.json`` digests pin them.
 
 Generators are deterministic functions of their parameters; none draw
 random numbers, so a generated CSV is byte-identical across runs.
@@ -19,6 +21,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -243,14 +246,26 @@ def generate(name: str, **params) -> Instance:
 
 
 def trace_to_json_obj(trace: SweepTrace) -> list:
+    # the engine (and the parser) share one Fraction per value, so weights
+    # are formatted by object identity, a round's only when it holds an
+    # object not seen before; keying by the Fraction itself would cost more,
+    # since its hash is slower than its str
+    text: dict[int, str] = {}
+
+    def strs(weights) -> list[str]:
+        keys = list(map(id, weights))
+        if not text.keys() >= set(keys):
+            text.update(zip(keys, map(str, weights)))
+        return list(map(text.__getitem__, keys))
+
     return [
         {
             "radius": float(r.radius),
             "winner": int(r.winner),
             "support": str(r.support),
-            "supporters": [int(i) for i in r.supporters],
-            "weight_before": [str(w) for w in r.weights_before],
-            "weight_after": [str(w) for w in r.weights_after],
+            "supporters": list(map(int, r.supporters)),
+            "weight_before": strs(r.weights_before),
+            "weight_after": strs(r.weights_after),
         }
         for r in trace.rounds
     ]
@@ -348,10 +363,10 @@ class RunRecord:
 
 def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> RunRecord:
     """Assemble a record for an outcome on this instance."""
-    coords = None if inst.agents is None else tuple(tuple(float(v) for v in row) for row in inst.agents)
+    coords = None if inst.agents is None else tuple(map(tuple, inst.agents.tolist()))
     cand = None
     if not inst.is_unconstrained and inst.candidates is not None:
-        cand = tuple(tuple(float(v) for v in row) for row in inst.candidates)
+        cand = tuple(map(tuple, inst.candidates.tolist()))
     return RunRecord(
         algorithm=algorithm,
         k=inst.k,
@@ -365,9 +380,74 @@ def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> R
     )
 
 
+_ROWS = 256  # rows of a numeric matrix encoded per piece
+_NUMBERS = frozenset((int, float, bool, type(None)))
+_SCALARS = _NUMBERS | {str}
+_encode = json.JSONEncoder().encode  # the C encoder, for leaves and flat lists
+_string = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj, pad: str):
+    """Yield the text of ``json.dumps(obj, indent=2)`` in pieces.
+
+    ``pad`` is the indent of the line ``obj`` starts on; dict keys must be
+    strings.  A list of scalars is C-encoded at once, and each ``", "``
+    separator becomes a line break: no number contains a comma, and the
+    count catches a string that does.  A list of numeric rows is encoded
+    ``_ROWS`` rows per piece the same way, with ``"], ["`` as the row seam,
+    so no piece is ever a large string.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            yield sep + _string(key) + ": "
+            yield from _indented(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif not isinstance(obj, (list, tuple)):
+        yield _encode(obj)
+    elif not obj:
+        yield "[]"
+    else:
+        inner, deeper = pad + "  ", pad + "    "
+        kinds = set(map(type, obj))
+        if kinds <= _SCALARS:
+            text = _encode(obj)
+            if str not in kinds or text.count(", ") == len(obj) - 1:
+                yield "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
+                return
+        rows = kinds <= {list, tuple} and all(obj)
+        seam = "\n" + inner + "],\n" + inner + "[\n" + deeper
+        sep = "[\n" + inner
+        for start in range(0, len(obj), _ROWS):
+            chunk = obj[start : start + _ROWS]
+            if rows and set(map(type, chain.from_iterable(chunk))) <= _NUMBERS:
+                body = _encode(chunk)[2:-2].replace("], [", seam).replace(", ", ",\n" + deeper)
+                yield sep + "[\n" + deeper + body + "\n" + inner + "]"
+                sep = ",\n" + inner
+                continue
+            for item in chunk:
+                yield sep
+                yield from _indented(item, inner)
+                sep = ",\n" + inner
+        yield "\n" + pad + "]"
+
+
 def write_run_record(path, record: RunRecord) -> None:
+    """Write ``record`` as ``json.dumps(record.to_json_obj(), indent=2) + "\\n"``.
+
+    The bytes are exactly those, but :func:`_indented` produces them in
+    pieces with the C encoder, and each piece is written as it comes, so
+    the document is never one string.  perfbench's ``expected.json``
+    digests pin these bytes.
+    """
     with open(path, "w") as fh:
-        fh.write(json.dumps(record.to_json_obj(), indent=2) + "\n")
+        fh.writelines(_indented(record.to_json_obj(), ""))
+        fh.write("\n")
 
 
 def _read_json(path):

@@ -13,12 +13,12 @@ round-trip float formatting, no timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
 from propclust.baselines import greedy_capture, kmeanspp
 from propclust.core import InputError, Instance, Outcome, _squares_fit
+from propclust.data_io import _indented
 from propclust.engine import select_prf_centers
 
 __all__ = [
@@ -230,4 +230,4 @@ def aggregates_to_json(aggs: tuple[AggregateRow, ...]) -> str:
         }
         for a in aggs
     ]
-    return json.dumps(records, indent=2) + "\n"
+    return "".join(_indented(records, "")) + "\n"

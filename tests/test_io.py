@@ -1,19 +1,26 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propclust import (
     Instance,
     InputError,
     Outcome,
+    check_pf,
     check_up,
+    greedy_capture,
     select_prf_centers,
 )
+from propclust import data_io
 from propclust.cli import main
 from propclust.data_io import (
     GENERATORS,
     RunRecord,
+    _indented,
     generate,
     instance_from_record,
     instance_to_csv,
@@ -236,6 +243,97 @@ def test_trace_json_uses_exact_weights():
     # weights survive as exact fraction strings, not floats
     assert all(isinstance(w, str) for w in first["weight_before"])
     assert trace_from_json_obj(obj) == trace
+
+
+def _gaussian(n, dim, seed):
+    return np.random.default_rng(seed).normal(size=(n, dim))
+
+
+def _prf_record(inst, **extra):
+    outcome, trace = select_prf_centers(inst)
+    return record_for(inst, "prf", outcome, trace=trace, **extra)
+
+
+def _greedy_record():
+    inst = Instance.unconstrained([(0.0,), (0.0,), (1.0,)], k=3)
+    result = greedy_capture(inst, pad=True)
+    assert result.underfilled and result.padded
+    return record_for(
+        inst, "greedy", result.outcome, underfilled=True, padded=result.padded, metrics={"msd1": 0.25}
+    )
+
+
+def _witness_record():
+    inst = generate("hexagon")
+    outcome, trace = select_prf_centers(inst)
+    reports = (check_pf(inst, outcome), check_up(inst, outcome))
+    assert reports[0].witness is not None and reports[0].witness.radius is None
+    metrics = {"msd1": 0.375, "msdhalfk": None, "msdk": float("nan")}
+    return record_for(inst, "prf", outcome, seed=7, trace=trace, reports=reports, metrics=metrics)
+
+
+RECORDS = {
+    "prf-unconstrained": lambda: _prf_record(Instance.unconstrained(_gaussian(60, 2, 1), k=5)),
+    "prf-discrete": lambda: _prf_record(Instance.discrete(_gaussian(40, 3, 2), _gaussian(25, 3, 3), k=4)),
+    "greedy-padded": _greedy_record,
+    "witness-and-none": _witness_record,
+    "row-seam": lambda: _prf_record(Instance.unconstrained(_gaussian(2 * data_io._ROWS + 3, 2, 4), k=6)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_written_record_equals_indented_json_dumps(tmp_path, name):
+    record = RECORDS[name]()
+    p = tmp_path / "run.json"
+    write_run_record(p, record)
+    assert p.read_bytes() == (json.dumps(record.to_json_obj(), indent=2) + "\n").encode()
+
+
+_TRICKY_TEXT = st.lists(
+    st.sampled_from([", ", "], [", "[", "]", '"', "\\", "\x00", "\n", "\x1f", "é", "\u2028", "😀", "a"]),
+    max_size=4,
+).map("".join)
+_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 5e-324])
+_NUMBERS = _FLOATS | st.integers() | st.booleans() | st.none()
+_LEAVES = _NUMBERS | _TRICKY_TEXT
+_ROW_LISTS = st.lists(st.lists(_NUMBERS, max_size=4).map(tuple) | st.lists(_LEAVES, max_size=4), max_size=7)
+_JSON = st.recursive(
+    _LEAVES | _ROW_LISTS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_TRICKY_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400)
+@given(_JSON, st.sampled_from((1, 2, data_io._ROWS)))
+def test_indented_matches_json_dumps(obj, rows):
+    # small row pieces put the row seam inside these small matrices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io, "_ROWS", rows)
+        text = "".join(_indented(obj, ""))
+    assert text == json.dumps(obj, indent=2)
+
+
+def test_record_write_peak_memory(tmp_path):
+    # the pure-Python indented encoder peaks at about 4.2 MiB here
+    record = _prf_record(Instance.unconstrained(_gaussian(1200, 8, 5), k=20))
+    p = tmp_path / "run.json"
+    tracemalloc.start()
+    try:
+        write_run_record(p, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (1 << 20)
+
+
+def test_indented_matrix_comes_in_small_pieces():
+    rows = _gaussian(20 * data_io._ROWS, 8, 6).tolist()
+    pieces = list(_indented({"coordinates": rows}, ""))
+    assert "".join(pieces) == json.dumps({"coordinates": rows}, indent=2)
+    assert max(map(len, pieces)) * 16 < sum(map(len, pieces))
 
 
 # -- grid files ----------------------------------------------------------------
