@@ -2,6 +2,7 @@
 
     python3 benchmarks/layers.py --label change --out BENCH_x.json
     python3 benchmarks/layers.py --label parent --src OTHER/src --out BENCH_x.json
+    python3 benchmarks/layers.py --label change --layers distances sweep --out BENCH_x.json
 
 Each (layer, n, dim, decimals, k) cell runs in a fresh ``python3`` process
 that imports ``propclust`` from ``--src`` (default: this checkout's ``src/``),
@@ -14,6 +15,9 @@ and the last three also at k = 1, 2 and 5 on 2-D points, where the quota
 n/k is large:
 
 - ``distances``: building ``Instance.distance_matrix``;
+- ``agent_distances``: building ``Instance.agent_distances`` of the discrete
+  instance with m = n/2 Gaussian candidates (the (n, n) matrix the discrete
+  PRF check reads; the candidates play no part in it);
 - ``thresholds``: constructing ``engine._Thresholds`` as the sweep does
   (weights k, quota n), on a built matrix;
 - ``sweep``: ``select_prf_centers``, on a built matrix;
@@ -45,8 +49,9 @@ also records the SHA-256 of its report's JSON, and a ``kmeanspp`` cell that of
 its selection, and a ``record`` cell that of the written file, so two trees'
 figures show whether their outputs agree.
 Results are merged into ``--out`` under ``--label``, so one file can hold the
-figures of two trees made by this same script.  The runs are sequential; BLAS
-and OpenMP thread counts are pinned to 1.
+figures of two trees made by this same script.  ``--layers`` runs only the
+named layers, and replaces only their cells under the label.  The runs are
+sequential; BLAS and OpenMP thread counts are pinned to 1.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("distances", "thresholds", "sweep", "greedy")
+DISTANCE_LAYERS = ("distances", "agent_distances")
 SMALL_KS = (1, 2, 5)
 SIZES = (500, 1000, 2000, 5000)
 DIMS = (2, 8, 64)
@@ -73,7 +79,7 @@ KMEANSPP_DIMS = (2, 8)
 RECORD_DIMS = (2, 8)
 K = 20
 GRID = (
-    [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in LAYERS]
+    [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in (*DISTANCE_LAYERS, *LAYERS[1:])]
     + [(layer, n, 2, None, k) for n in SIZES for k in SMALL_KS for layer in LAYERS[1:]]
     + [
         (layer, n, dim, decimals, K)
@@ -113,17 +119,17 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
 
     def fresh() -> Instance:
-        if layer == "prf_discrete":
+        if layer in ("prf_discrete", "agent_distances"):
             return Instance.discrete(points, candidates, k=k)
         return Instance.unconstrained(points, k=k)
 
-    if layer == "distances":
+    if layer in DISTANCE_LAYERS:
 
         def prepare():
             return fresh()
 
         def call(inst):
-            return inst.distance_matrix
+            return inst.agent_distances if layer == "agent_distances" else inst.distance_matrix
 
     else:
         built = fresh()
@@ -226,17 +232,23 @@ def main(argv=None) -> None:
     parser.add_argument("--label", required=True, help="key for these figures in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to import propclust from")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge the figures into")
+    parser.add_argument("--layers", nargs="+", choices=sorted({cell[0] for cell in GRID}),
+                        help="run only these layers (default: all)")
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
+    layers = set(args.layers or (cell[0] for cell in GRID))
     cells = []
     for layer, n, dim, decimals, k in GRID:
+        if layer not in layers:
+            continue
         cell = _run_cell(src, layer, n, dim, decimals, k, 5 if n < 4000 else 3)
         print(json.dumps(cell), flush=True)
         cells.append(cell)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("script", "benchmarks/layers.py")
-    record[args.label] = {"environment": _environment(), "cells": cells}
+    kept = [cell for cell in record.get(args.label, {}).get("cells", []) if cell["layer"] not in layers]
+    record[args.label] = {"environment": _environment(), "cells": kept + cells}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
 

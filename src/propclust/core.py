@@ -9,6 +9,10 @@ uses values read from one instance-wide distance matrix, so exact float
 equality against radii taken from that matrix is sound.  Agent weights,
 by contrast, are exact multiples of 1/k: the engine keeps them as
 integers scaled by k, so the selection quota n/k is never rounded.
+
+A matrix whose candidates are the agents is symmetric bit for bit, so
+its build sums only the entries on and right of the diagonal (in slabs
+of rows) and copies them across.
 """
 
 from __future__ import annotations
@@ -256,11 +260,14 @@ class Instance:
 
 #: Entries in one (rows, m) plane of per-coordinate terms while building distances (8 bytes each).
 _PLANE = 1 << 16
+#: Rows per slab of a symmetric matrix, which is summed from each slab's first column on.
+_TILE = 128
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    # the (n, m) matrix is allocated once and written in place, a block of
-    # _PLANE entries at a time; the only other memory is a few planes that size
+    # the (n, m) matrix is allocated once and written in place, a block of at
+    # most _PLANE entries (or one row, where a row is longer) at a time; the
+    # only other memory is a few planes that size
     n, m = a.shape[0], b.shape[0]
     try:
         out = np.empty((n, m))
@@ -268,15 +275,25 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
         raise InputError(
             f"the {n} x {m} distance matrix needs {n * m * 8 / 2**30:.1f} GiB, more than can be allocated"
         ) from None
-    rows = max(1, min(n, _PLANE // m))
-    block_sum = _BlockSum(b, np.square if metric == "euclidean" else np.abs, rows)
+    # with b is a the matrix is symmetric, bit for bit, as (x - y)**2 and |x - y|
+    # equal (y - x)**2 and |y - x|: a row is built from the first column of its
+    # _TILE-row slab on, and each slab's columns below it are copied across
+    half = b is a
+    block_sum = _BlockSum(b, np.square if metric == "euclidean" else np.abs, max(m, min(n * m, _PLANE)))
     # finite coordinates can still overflow: their differences or squares reach inf
     with np.errstate(over="ignore"):
-        for start in range(0, n, rows):
-            block = out[start : start + rows]
-            block_sum(a[start : start + rows], block)
+        start = 0
+        while start < n:
+            col = start - start % _TILE if half else 0
+            stop = start + max(1, min(n - start, _PLANE // (m - col)))
+            block = out[start:stop, col:]
+            block_sum(a[start:stop], block, col)
             if metric == "euclidean":
                 np.sqrt(block, out=block)
+            start = stop
+    if half:
+        for s in range(_TILE, n, _TILE):
+            out[s:, s - _TILE : s] = out[s - _TILE : s, s:].T
     # entries are inf rather than NaN when they overflow, so the maximum shows it
     if not np.isfinite(out.max()):
         raise InputError("coordinates are too large: some distances overflow to infinity")
@@ -284,11 +301,12 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
 
 
 class _BlockSum:
-    """Writes the summed per-coordinate terms of a block of rows of the distance matrix.
+    """Writes the summed per-coordinate terms of a block of the distance matrix.
 
+    The block is a run of rows over the candidates from column ``col`` on.
     A term plane holds one coordinate's squared (``fold=np.square``) or
-    absolute (``np.abs``) differences between the block's agents and every
-    candidate.  The planes are added in the order ``np.add.reduce`` sums a
+    absolute (``np.abs``) differences between the block's agents and those
+    candidates.  The planes are added in the order ``np.add.reduce`` sums a
     contiguous axis (numpy's pairwise sum), so each entry is bit for bit
     ``fold(a[:, None] - b[None]).sum(-1)``: below 8 terms one after another;
     up to 128, eight running sums over every eighth term, combined as
@@ -298,15 +316,16 @@ class _BlockSum:
     scratch planes are live below 129 coordinates.
     """
 
-    def __init__(self, b: np.ndarray, fold, rows: int):
+    def __init__(self, b: np.ndarray, fold, size: int):
         self._cols = np.ascontiguousarray(b.T)  # one contiguous row per coordinate
         self._fold = fold
-        self._rows = rows
-        # (rows, m) scratch planes: [0] holds a term, [l] the right operand of an addition l levels deep
+        self._size = size  # entries in the largest block
+        # flat scratch planes, viewed in each block's shape: [0] holds a term,
+        # [l] the right operand of an addition l levels deep
         self._spare: list[np.ndarray] = []
 
-    def __call__(self, a_rows: np.ndarray, out: np.ndarray) -> None:
-        self._a = a_rows
+    def __call__(self, a_rows: np.ndarray, out: np.ndarray, col: int) -> None:
+        self._a, self._col = a_rows, col
         self._sum(range(len(self._cols)), out, 1)
 
     def _sum(self, idx: range, out: np.ndarray, level: int) -> None:
@@ -328,7 +347,7 @@ class _BlockSum:
             return
         mid = len(parts) // 2
         self._tree(parts[:mid], out, level + 1, leaf)
-        right = self._plane(level)
+        right = self._plane(level, out.shape)
         self._tree(parts[mid:], right, level + 1, leaf)
         out += right
 
@@ -336,19 +355,19 @@ class _BlockSum:
         # numpy's run starts from -0.0, and -0.0 + x is x, so the first term is written as is
         for j in idx:
             if onto:
-                out += self._term(j, self._plane(0))
+                out += self._term(j, self._plane(0, out.shape))
             else:
                 self._term(j, out)
                 onto = True
 
     def _term(self, j: int, dest: np.ndarray) -> np.ndarray:
-        np.subtract(self._a[:, j, None], self._cols[j], out=dest)
+        np.subtract(self._a[:, j, None], self._cols[j, self._col :], out=dest)
         return self._fold(dest, out=dest)
 
-    def _plane(self, level: int) -> np.ndarray:
+    def _plane(self, level: int, shape: tuple[int, int]) -> np.ndarray:
         while len(self._spare) <= level:
-            self._spare.append(np.empty((self._rows, self._cols.shape[1])))
-        return self._spare[level][: len(self._a)]
+            self._spare.append(np.empty(self._size))
+        return self._spare[level][: shape[0] * shape[1]].reshape(shape)
 
 
 def _squares_fit(func):

@@ -321,12 +321,9 @@ class RunRecord:
             "k": self.k,
             "seed": self.seed,
             "metric": self.metric,
-            "coordinates": None
-            if self.coordinates is None
-            else [list(row) for row in self.coordinates],
-            "candidate_coordinates": None
-            if self.candidate_coordinates is None
-            else [list(row) for row in self.candidate_coordinates],
+            # the rows as they are: tuples encode as JSON arrays
+            "coordinates": self.coordinates,
+            "candidate_coordinates": self.candidate_coordinates,
             "selected": list(self.selected),
             "underfilled": self.underfilled,
             "padded": list(self.padded),
@@ -349,16 +346,23 @@ class RunRecord:
             instance_digest=str(obj["instance_digest"]),
             metric=str(obj["metric"]),
             selected=tuple(int(i) for i in obj["selected"]),
-            coordinates=None if coords is None else tuple(tuple(float(v) for v in row) for row in coords),
-            candidate_coordinates=None
-            if cand is None
-            else tuple(tuple(float(v) for v in row) for row in cand),
+            coordinates=_float_rows(coords),
+            candidate_coordinates=_float_rows(cand),
             underfilled=bool(obj.get("underfilled", False)),
             padded=tuple(int(i) for i in obj.get("padded", [])),
             trace=None if trace is None else trace_from_json_obj(trace),
             reports=tuple(AxiomReport.from_json_obj(r) for r in obj.get("reports", [])),
             metrics=dict(obj.get("metrics", {})),
         )
+
+
+def _float_rows(rows):
+    """``rows`` as a tuple of float tuples; JSON reads floats, but an int written by hand is converted."""
+    if rows is None:
+        return None
+    if set(map(type, chain.from_iterable(rows))) <= {float}:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(float(v) for v in row) for row in rows)
 
 
 def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> RunRecord:

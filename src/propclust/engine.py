@@ -17,8 +17,12 @@ prefix weight is its support.  The weights start uniform, so every row
 starts ceil(quota / w0) - 1 positions in, just short of its threshold.
 After a payment only the candidates whose ball held a paying agent are
 charged, and those that fall below the quota move their position forward
-in chunks that double on each pass.  The work is O(k·n·m) in vector
-operations, plus one O(n·m·log n) sort.  This ball-threshold structure
+in chunks that double on each pass.  After round k - 1 the weight left
+is exactly one quota, which every remaining ball must hold whole, so the
+last round takes no charge: each remaining candidate's threshold is its
+distance to the farthest agent with weight, and its support is the
+quota.  The work is O(k·n·m) in vector operations, plus one
+O(n·m·log n) sort.  This ball-threshold structure
 (``_Thresholds``) also runs greedy capture in :mod:`propclust.baselines`,
 with unit weights and quota ceil(n/k).
 
@@ -90,7 +94,8 @@ class _Thresholds:
     shared, since it is then symmetric).  ``radius[c]`` is the smallest
     radius at which the weight ``w`` within it of candidate c reaches
     ``quota``, and ``support[c]`` is that weight.  ``w`` is held by
-    reference: the caller lowers it, then calls :meth:`charge`.
+    reference: the caller lowers it, then calls :meth:`charge`, or
+    :meth:`settle` once it holds just one quota.
 
     ``_order`` (m, n), int32, lists each candidate's agents by distance, and
     ``_pos[c]`` is the last position in ``_order[c]`` within ``radius[c]``: the
@@ -144,6 +149,22 @@ class _Thresholds:
         short = np.flatnonzero(live & (self.support < self._quota))
         if short.size:
             self._advance(short)
+
+    def settle(self, live: np.ndarray) -> None:
+        """Set the ``live`` candidates' thresholds once ``w`` holds just one quota.
+
+        Every ball must then hold all the weight left, so a candidate's radius
+        is its distance to the farthest agent with weight, and its support is
+        the quota.  Rows are read ``_BLOCK // n`` at a time.  No charge
+        follows: ``_pos`` is left as it was.
+        """
+        cands = np.flatnonzero(live)
+        alive = np.flatnonzero(self._w > 0)
+        rows = max(1, _BLOCK // self.DT.shape[1])
+        for i in range(0, cands.size, rows):
+            block = cands[i : i + rows]
+            self.radius[block] = self.DT[np.ix_(block, alive)].max(axis=1)
+        self.support[cands] = self._quota
 
     def _advance(self, cands: np.ndarray) -> None:
         """Move each of ``cands`` to the end of the run where its prefix weight reaches the quota.
@@ -258,5 +279,9 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
             return Outcome(tuple(selected)), SweepTrace(tuple(rounds))
 
         remaining[winner] = False
-        paid = deltas > 0
-        balls.charge(ordered[paid], deltas[paid], remaining)
+        if len(selected) == k - 1:
+            # one quota of weight is left, and the last round takes all of it
+            balls.settle(remaining)
+        else:
+            paid = deltas > 0
+            balls.charge(ordered[paid], deltas[paid], remaining)

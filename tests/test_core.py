@@ -117,6 +117,34 @@ def test_pairwise_bit_identical_to_one_sum(monkeypatch, rows, dims):
                 assert got.tobytes() == _reference_pairwise(a, b, metric).tobytes(), (dim, metric)
 
 
+@pytest.mark.parametrize("plane", [1, 60, 1 << 16], ids=["one-row", "growing", "all-rows"])
+@pytest.mark.parametrize("tile", [1, 7, core._TILE])
+def test_symmetric_half_build_bit_identical(monkeypatch, plane, tile):
+    # with b is a each slab is built from its own first column on and mirrored below;
+    # at 40 rows a plane of 60 entries grows the blocks from one row to all those left
+    rng = np.random.default_rng(23)
+    grid = rng.integers(0, 3, size=(40, 8)).astype(float)  # coincident points and tied distances
+    mixed = rng.normal(size=(40, 9)) * 10.0 ** rng.uniform(-4, 4, size=9)
+    monkeypatch.setattr(core, "_PLANE", plane)
+    monkeypatch.setattr(core, "_TILE", tile)
+    for a in (grid, mixed):
+        for metric in ("euclidean", "manhattan"):
+            got = core._pairwise(a, a, metric)
+            assert got.tobytes() == _reference_pairwise(a, a, metric).tobytes(), metric
+            assert got.tobytes() == got.T.tobytes(order="C"), metric
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_discrete_agent_distances_equal_one_sum(metric):
+    # 300 agents span three slabs; the candidates play no part
+    rng = np.random.default_rng(29)
+    agents = rng.normal(size=(300, 6)) * 10.0 ** rng.uniform(-3, 3, size=6)
+    inst = Instance.discrete(agents, agents[:50] + 0.5, k=3, metric=metric)
+    aa = inst.agent_distances
+    assert aa.tobytes() == _reference_pairwise(agents, agents, metric).tobytes()
+    assert aa.tobytes() == aa.T.tobytes(order="C")
+
+
 def test_distance_build_peak_memory():
     # the matrix is written in place: besides it only a few 2^16-entry planes live
     inst = Instance.unconstrained(np.random.default_rng(5).normal(size=(1000, 8)), k=5)
@@ -127,6 +155,18 @@ def test_distance_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * dm.nbytes
+
+
+def test_discrete_agent_distances_peak_memory():
+    rng = np.random.default_rng(5)
+    inst = Instance.discrete(rng.normal(size=(1000, 8)), rng.normal(size=(40, 8)), k=5)
+    tracemalloc.start()
+    try:
+        aa = inst.agent_distances
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * aa.nbytes
 
 
 def test_pairwise_too_large_raises_before_building():

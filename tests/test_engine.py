@@ -428,3 +428,50 @@ def test_thresholds_reject_more_agents_than_int32_positions():
     too_many = SimpleNamespace(n=2**31, m=1)
     with pytest.raises(InputError, match="2147483648 agents"):
         engine._Thresholds(too_many, np.ones(1, dtype=np.int64), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_last_round_takes_no_charge(monkeypatch, k):
+    # after round k - 1 the weight left is one quota, so the last thresholds are read directly
+    calls = []
+    charge = engine._Thresholds.charge
+
+    def counted(self, *args):
+        calls.append(args)
+        return charge(self, *args)
+
+    monkeypatch.setattr(engine._Thresholds, "charge", counted)
+    inst = Instance.unconstrained(np.random.default_rng(3).normal(size=(30, 2)), k=k)
+    outcome, _ = select_prf_centers(inst)
+    assert len(outcome.selected) == k
+    assert len(calls) == max(0, k - 2)
+
+
+def _last_round_ties(inst, trace):
+    # candidates left whose farthest agent with weight lies at the last radius
+    w = np.full(inst.n, inst.k, dtype=np.int64)
+    for rnd in trace.rounds[:-1]:
+        w[list(rnd.supporters)] = [int(a * inst.k) for a in rnd.weights_after]
+    far = inst.distance_matrix[w > 0].max(axis=0)
+    left = np.ones(inst.m, dtype=bool)
+    left[[r.winner for r in trace.rounds[:-1]]] = False
+    return int((left & (far == trace.rounds[-1].radius)).sum())
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+@pytest.mark.parametrize("block", [7, engine._BLOCK])
+def test_last_round_matches_reference_on_ties(discrete, block):
+    # points rounded to whole numbers: many candidates reach the last radius together,
+    # and a 7-entry block reads their rows one at a time
+    rng = np.random.default_rng(32)
+    points = np.round(rng.normal(size=(36, 2)))
+    inst = (
+        Instance.discrete(points, np.round(rng.normal(size=(20, 2))), k=2)
+        if discrete
+        else Instance.unconstrained(points, k=2)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK", block)
+        _, trace = select_prf_centers(inst)
+    assert trace == reference_sweep(inst)
+    assert _last_round_ties(inst, trace) >= 8

@@ -226,6 +226,22 @@ def test_instance_from_record_detects_corruption():
         instance_from_record(tampered)
 
 
+def test_record_with_int_coordinates_reads_as_floats(tmp_path):
+    # json reads a coordinate written by hand as 2 as an int; the record holds floats all the same
+    inst = Instance.discrete([(0.0, 1.0), (2.0, -3.0), (4.0, 0.5)], [(1.0, 1.0), (0.0, 2.0)], k=2)
+    outcome, _ = select_prf_centers(inst)
+    obj = json.loads(json.dumps(record_for(inst, "prf", outcome).to_json_obj()))
+    obj["coordinates"] = [[0, 1], [2, -3], [4, 0.5]]
+    obj["candidate_coordinates"] = [[1, 1], [0, 2]]
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(obj))
+    record = read_run_record(p, instance=inst)
+    assert record.coordinates == ((0.0, 1.0), (2.0, -3.0), (4.0, 0.5))
+    assert record.candidate_coordinates == ((1.0, 1.0), (0.0, 2.0))
+    assert {type(v) for row in record.coordinates + record.candidate_coordinates for v in row} == {float}
+    assert instance_from_record(record).digest == inst.digest
+
+
 def test_trace_json_uses_exact_weights():
     inst = Instance.unconstrained([(0.0,), (0.0,), (1.0,)], k=2)
     _, trace = select_prf_centers(inst)
