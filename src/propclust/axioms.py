@@ -121,14 +121,7 @@ class Witness:
     note: str = ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "agents": list(self.agents),
-            "candidate": self.candidate,
-            "radius": self.radius,
-            "required": self.required,
-            "found": self.found,
-            "note": self.note,
-        }
+        return {**vars(self), "agents": list(self.agents)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Witness":
@@ -162,12 +155,8 @@ class AxiomReport:
             raise InputError("a violation report requires a witness")
 
     def to_json_obj(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "satisfied": self.satisfied,
-            "witness": None if self.witness is None else self.witness.to_json_obj(),
-            "definitive": self.definitive,
-        }
+        witness = None if self.witness is None else self.witness.to_json_obj()
+        return {**vars(self), "witness": witness}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AxiomReport":

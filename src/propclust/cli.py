@@ -192,17 +192,11 @@ def _format_report(rep: AxiomReport) -> str:
     if rep.satisfied:
         tail = "satisfied" if rep.definitive else "no violation found (sampled, not definitive)"
         return f"{rep.axiom}: {tail}"
-    w = rep.witness
-    parts = [f"{rep.axiom}: VIOLATED", f"agents={','.join(str(i) for i in w.agents)}"]
-    if w.candidate is not None:
-        parts.append(f"candidate={w.candidate}")
-    if w.radius is not None:
-        parts.append(f"radius={w.radius!r}")
-    if w.required is not None:
-        parts.append(f"required={w.required}")
-    if w.found is not None:
-        parts.append(f"found={w.found}")
-    return " ".join(parts)
+    # the witness fields in order, without the note and those left unset
+    fields = {**vars(rep.witness), "agents": ",".join(map(str, rep.witness.agents))}
+    del fields["note"]
+    parts = [f"{name}={value}" for name, value in fields.items() if value is not None]
+    return " ".join([f"{rep.axiom}: VIOLATED", *parts])
 
 
 # ---------------------------------------------------------------------------

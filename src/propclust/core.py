@@ -122,7 +122,10 @@ class Instance:
                 raise InputError("precomputed metric requires a distance matrix")
             if self.agents is not None or self.candidates is not None:
                 raise InputError("precomputed instances take a matrix, not coordinates")
-            mat = np.array(self.matrix, dtype=float)
+            try:
+                mat = np.array(self.matrix, dtype=float)
+            except ValueError:  # ragged rows or entries that are not numbers
+                raise InputError("distance matrix must be a nonempty 2-D array") from None
             if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
                 raise InputError("distance matrix must be a nonempty 2-D array")
             if not np.isfinite(mat).all() or (mat < 0).any():

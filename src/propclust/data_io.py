@@ -29,6 +29,7 @@ import numpy as np
 from propclust.axioms import AxiomReport
 from propclust.core import InputError, Instance
 from propclust.engine import SweepRound, SweepTrace
+from propclust.evaluation import ExperimentGrid
 
 __all__ = [
     "GENERATORS",
@@ -513,8 +514,6 @@ def load_grid(path):
     ``ks`` is required; ``algorithms``, ``seeds``, and ``metrics`` are
     optional with the usual defaults.
     """
-    from propclust.evaluation import ExperimentGrid
-
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: grid must be a JSON object")

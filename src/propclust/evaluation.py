@@ -12,13 +12,13 @@ round-trip float formatting, no timestamps.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from propclust.baselines import greedy_capture, kmeanspp
 from propclust.core import InputError, Instance, Outcome, _squares_fit
-from propclust.data_io import _indented
 from propclust.engine import select_prf_centers
 
 __all__ = [
@@ -196,19 +196,14 @@ def aggregate(table: ResultTable) -> tuple[AggregateRow, ...]:
     Missing values are dropped from means; a group with no values at all
     gets a missing mean and no percent difference.
     """
-    order: list[tuple[str, str, int, str]] = []
-    groups: dict[tuple[str, str, int, str], list[float]] = {}
+    groups: dict[tuple[str, str, int, str], list[float]] = {}  # in first-row order
     for r in table.rows:
-        key = (r.dataset, r.algorithm, r.k, r.metric)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        values = groups.setdefault((r.dataset, r.algorithm, r.k, r.metric), [])
         if r.value is not None:
-            groups[key].append(r.value)
+            values.append(r.value)
     means = {key: (sum(vals) / len(vals) if vals else None) for key, vals in groups.items()}
     out: list[AggregateRow] = []
-    for dataset, algorithm, k, metric in order:
-        mean = means[(dataset, algorithm, k, metric)]
+    for (dataset, algorithm, k, metric), mean in means.items():
         base = means.get((dataset, "kmeanspp", k, metric))
         if mean is None or base is None or base == 0.0:
             pct = None
@@ -219,15 +214,4 @@ def aggregate(table: ResultTable) -> tuple[AggregateRow, ...]:
 
 
 def aggregates_to_json(aggs: tuple[AggregateRow, ...]) -> str:
-    records = [
-        {
-            "dataset": a.dataset,
-            "algorithm": a.algorithm,
-            "k": a.k,
-            "metric": a.metric,
-            "mean": a.mean,
-            "pct_vs_kmeanspp": a.pct_vs_kmeanspp,
-        }
-        for a in aggs
-    ]
-    return "".join(_indented(records, "")) + "\n"
+    return json.dumps([vars(a) for a in aggs], indent=2) + "\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -780,3 +781,92 @@ def test_recheck_rejects_tampered_witness():
         ),
     )
     assert not recheck_witness(inst, out, bad)
+
+
+# name -> (instance, checker, outcome): a hand case whose report is a violation
+_RECHECK_BASES = {
+    # agents 0-2 coincide at 0, n = 5, k = 2: owed one of the candidates there
+    "up": (
+        lambda: Instance.unconstrained([(0.0,), (0.0,), (0.0,), (4.0,), (5.0,)], k=2),
+        check_up,
+        (3, 4),
+    ),
+    # the same distances as a matrix, so coincidence is read off zero rows
+    "up_matrix": (
+        lambda: Instance.precomputed(
+            np.array([[0, 0, 0, 4, 5]] * 3 + [[4, 4, 4, 0, 1], [5, 5, 5, 1, 0]], dtype=float),
+            k=2,
+            shared_candidates=True,
+        ),
+        check_up,
+        (3, 4),
+    ),
+    # four coincident agents owed the 2 candidates within 2.0, given one
+    "up_discrete": (
+        lambda: Instance.discrete([(0.0,)] * 4, [(1.0,), (2.0,), (3.0,)], k=2),
+        check_up,
+        (0, 2),
+    ),
+    "pf": (
+        lambda: Instance.discrete([(0.0,), (0.0,), (1.0,), (1.0,)], [(0.0,), (1.0,), (2.0,)], k=2),
+        check_pf,
+        (1, 2),
+    ),
+    "core": (
+        lambda: Instance.discrete([(0.0,), (0.0,), (0.0,), (1.0,)], [(0.5,), (0.0,)], k=1),
+        check_core,
+        (0,),
+    ),
+    # agents 0 and 1 (diameter 0.0) are owed a center at their spot
+    "prf_unc": (
+        lambda: Instance.unconstrained([(0.0,), (0.0,), (1.0,), (1.0,)], k=2),
+        check_prf_unconstrained,
+        (2, 3),
+    ),
+    # agents 0 and 1 are owed the candidate at 1.0, within radius 1.0
+    "prf_disc": (
+        lambda: Instance.discrete([(0.0,), (0.0,), (3.0,), (3.0,)], [(1.0,), (3.0,), (3.0,)], k=2),
+        check_prf_discrete,
+        (1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "base, change",
+    [
+        ("up", {"agents": ()}),
+        ("up", {"agents": (0, 5)}),  # n = 5
+        ("up", {"agents": (-1, 0)}),
+        ("up", {"agents": (0, 1, 3)}),  # agent 3 is at 4.0
+        ("up_matrix", {"agents": (0, 1, 3)}),
+        ("up", {"required": None}),
+        ("up", {"required": 2}),  # 3 agents // ceil(5/2) = 1
+        ("up_discrete", {"radius": 1.0}),  # one candidate offered, 2 required
+        ("pf", {"agents": (0,)}),  # ceil(4/2) = 2
+        ("core", {"agents": (0, 1, 2)}),  # ceil(4/1) = 4
+        ("prf_unc", {"radius": 1.0}),  # the diameter is 0.0
+        ("prf_unc", {"required": None}),
+        ("prf_unc", {"required": 2}),  # 2 agents * 2 // 4 = 1
+        ("prf_disc", {"radius": None}),
+        ("prf_disc", {"required": None}),
+        ("prf_disc", {"required": 2}),  # 2 agents * 2 // 4 = 1
+        ("prf_disc", {"radius": 0.5}),  # no candidate within 0.5, 1 required
+        ("pf", {"axiom": "NOPE"}),
+    ],
+)
+def test_recheck_rejects_a_violation_changed_in_one_field(base, change):
+    make, checker, selected = _RECHECK_BASES[base]
+    inst, out = make(), Outcome(selected)
+    report = checker(inst, out)
+    assert recheck_witness(inst, out, report)
+    if "axiom" in change:
+        forged = replace(report, **change)
+    else:
+        forged = replace(report, witness=replace(report.witness, **change))
+    assert not recheck_witness(inst, out, forged)
+
+
+def test_recheck_accepts_a_satisfied_report():
+    inst, out = _RECHECK_BASES["pf"][0](), Outcome((0, 1))
+    assert recheck_witness(inst, out, AxiomReport("PF", satisfied=True))

@@ -183,6 +183,26 @@ def test_parser_is_built_once(monkeypatch, capsys):
     assert len(builds) <= 1
 
 
+@pytest.mark.parametrize(
+    "name, k, codes",
+    [
+        ("hexagon", 2, ["UP", "PF", "CORE", "PRF_UNC", "PRF2", "PRF3"]),  # n = 6
+        ("two_mass", 11, ["UP", "PF", "CORE", "PRF_UNC"]),  # n = 110 > 16
+    ],
+)
+def test_check_all_axioms(tmp_path, capsys, name, k, codes):
+    points, run = tmp_path / "points.csv", tmp_path / "run.json"
+    main(["gen", "--name", name, "--out", str(points)])
+    main(["cluster", "--input", str(points), "--k", str(k), "--out", str(run)])
+    assert read_run_record(run).reports == ()
+    capsys.readouterr()
+    # a record with no stored reports is checked against all axioms
+    for axioms in ([], ["--axioms", "all"]):
+        assert main(["check", "--run", str(run), *axioms]) in (0, 2)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == codes
+
+
 def test_check_detects_violation(two_mass_csv, capsys):
     swapped = "0," + ",".join(str(i) for i in range(100, 110))
     code = main(

@@ -211,6 +211,17 @@ def test_precomputed_rejects_nonzero_diagonal_shared():
         assert Instance.precomputed(np.array(d, dtype=float), k=2).n == len(d)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0.0, 1.0], [1.0]], [["a", 1.0], [1.0, 0.0]]],
+    ids=["ragged", "non-numeric"],
+)
+def test_precomputed_rejects_matrix_that_is_not_numeric_2d(matrix, shared):
+    with pytest.raises(InputError, match="2-D array"):
+        Instance.precomputed(matrix, k=1, shared_candidates=shared)
+
+
 def test_rejects_bad_k():
     pts = [(0.0,), (1.0,)]
     with pytest.raises(InputError):
