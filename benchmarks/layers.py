@@ -32,6 +32,15 @@ samples on the sweep's outcome, at n = 1000, 2000 and 4000 on 2-D points,
 - ``prf_discrete``: ``check_prf_discrete`` on the discrete instance with
   m = n/2 candidates, Gaussian points drawn (and rounded) like the agents.
 
+The exhaustive checker layers enumerate every agent subset, on the sweep's
+outcome at n = 16, k = 4 on 2-D points:
+
+- ``exhaustive_unconstrained``: ``check_prf_unconstrained`` on the
+  unconstrained instance;
+- ``exhaustive_discrete``, ``prf2`` and ``prf3``: ``check_prf_discrete``,
+  ``check_prf2`` and ``check_prf3`` on the discrete instance with m = n/2
+  candidates.
+
 The ``kmeanspp`` layer runs ``baselines.kmeanspp`` with its default seed on
 the built unconstrained instance, at n = 500, 1000, 2000 and 4000 on 2-D and
 8-D points.
@@ -42,9 +51,11 @@ sweep's outcome and trace, as ``propclust cluster --out`` does, at n = 500,
 1000, 2000 and 5000 on 2-D and 8-D points.
 
 Per cell the file records the median wall time of 5 untraced calls, 3 at
-n >= 4000 (raw, not scaled to a reference speed), the ``tracemalloc`` peak of
-one more call, that peak over the bytes of the (n, n) matrix, and
-``ru_maxrss`` of the process before and after the calls.  A checker cell
+n >= 4000 (raw, not scaled to a reference speed), made after one untimed
+warm-up call (the first calls of a fresh process are the slow ones), the
+``tracemalloc`` peak of one more call, that peak over the bytes of the (n, n)
+matrix, and ``ru_maxrss`` of the process before and after the calls.  A
+checker cell
 also records the SHA-256 of its report's JSON, and a ``kmeanspp`` cell that of
 its selection, and a ``record`` cell that of the written file, so two trees'
 figures show whether their outputs agree.
@@ -74,6 +85,9 @@ DIMS = (2, 8, 64)
 CHECKERS = ("prf_unconstrained", "prf_discrete")
 CHECK_SIZES = (1000, 2000, 4000)
 CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
+EXHAUSTIVE = ("exhaustive_unconstrained", "exhaustive_discrete", "prf2", "prf3")
+EXHAUSTIVE_N, EXHAUSTIVE_K = 16, 4
+DISCRETE_LAYERS = ("agent_distances", "prf_discrete", *EXHAUSTIVE[1:])
 KMEANSPP_SIZES = (500, 1000, 2000, 4000)
 KMEANSPP_DIMS = (2, 8)
 RECORD_DIMS = (2, 8)
@@ -89,6 +103,7 @@ GRID = (
     ]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
     + [("record", n, dim, None, K) for n in SIZES for dim in RECORD_DIMS]
+    + [(layer, EXHAUSTIVE_N, 2, None, EXHAUSTIVE_K) for layer in EXHAUSTIVE]
 )
 SEED = 20260
 MIB = 1 << 20
@@ -105,7 +120,14 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     import numpy as np
 
     import propclust
-    from propclust import Instance, check_prf_discrete, check_prf_unconstrained, select_prf_centers
+    from propclust import (
+        Instance,
+        check_prf2,
+        check_prf3,
+        check_prf_discrete,
+        check_prf_unconstrained,
+        select_prf_centers,
+    )
     from propclust.baselines import greedy_capture, kmeanspp
     from propclust.data_io import record_for, write_run_record
     from propclust.engine import _Thresholds
@@ -119,7 +141,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
 
     def fresh() -> Instance:
-        if layer in ("prf_discrete", "agent_distances"):
+        if layer in DISCRETE_LAYERS:
             return Instance.discrete(points, candidates, k=k)
         return Instance.unconstrained(points, k=k)
 
@@ -143,10 +165,18 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
             def call(inst):
                 return _Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
 
-        elif layer in CHECKERS:
+        elif layer in CHECKERS + EXHAUSTIVE:
             built.agent_distances
             outcome, _ = select_prf_centers(built)
-            check = check_prf_unconstrained if layer == "prf_unconstrained" else check_prf_discrete
+            # at n = 16 the PRF checkers enumerate subsets by default
+            check = {
+                "prf_unconstrained": check_prf_unconstrained,
+                "prf_discrete": check_prf_discrete,
+                "exhaustive_unconstrained": check_prf_unconstrained,
+                "exhaustive_discrete": check_prf_discrete,
+                "prf2": check_prf2,
+                "prf3": check_prf3,
+            }[layer]
 
             def call(inst):
                 return check(inst, outcome)
@@ -163,6 +193,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
             call = {"sweep": select_prf_centers, "greedy": greedy_capture, "kmeanspp": kmeanspp}[layer]
 
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    call(prepare())  # warm-up, untimed
     times = []
     for _ in range(repeats):
         inst = prepare()
@@ -192,7 +223,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         "ru_maxrss_before_mib": round(rss_before / 1024, 1),
         "ru_maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    if layer in CHECKERS:
+    if layer in CHECKERS + EXHAUSTIVE:
         report = json.dumps(result.to_json_obj(), separators=(",", ":")).encode()
         cell["report_sha256"] = hashlib.sha256(report).hexdigest()
     elif layer == "kmeanspp":

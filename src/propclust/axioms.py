@@ -345,25 +345,21 @@ def _fold_masks(values: np.ndarray, op: Callable, identity: float) -> np.ndarray
     return out
 
 
-def _first_short_group(
-    axiom: str,
-    note: str,
-    members: np.ndarray,
-    radii: np.ndarray,
-    required: np.ndarray,
-    found_within: Callable[[np.ndarray], np.ndarray],
-) -> AxiomReport:
+def _first_short_group(inst, rule, axiom: str, note: str, found_within: Callable) -> AxiomReport:
     """The exhaustive scan: the smallest failing mask, at its first failing column.
 
-    ``radii`` and ``required`` hold one column per radius tried, a row per
-    mask; ``found_within(y)`` counts, for every mask, the centers its rule
-    credits within y[mask].  A mask fails a column when it finds fewer
-    than required.
+    Every bitmask group is tested at ``rule``'s radii, one column each, and
+    owed what the column owes its entitlement; ``found_within(members, y)``
+    counts, for every mask, the centers the checker credits within y[mask].
+    A mask fails a column when it finds fewer than it is owed.
     """
+    members = _subset_members(inst.n)
+    radii = rule.mask_radii(members)
+    required = rule.owed[_entitlement(members.sum(axis=1), inst.k, inst.n)]
     best = None
     for r in range(radii.shape[1]):
         y = radii[:, r]
-        found = found_within(y)
+        found = found_within(members, y)
         short = np.flatnonzero(found < required[:, r])
         if short.size and (best is None or short[0] < best[0]):
             mask = int(short[0])
@@ -382,6 +378,11 @@ def _first_short_group(
             note=note,
         ),
     )
+
+
+def _centers_within(table: np.ndarray) -> Callable:
+    """Count, per mask, the centers whose entry of the (mask, center) ``table`` is within y."""
+    return lambda members, y: np.count_nonzero(table <= y[:, None], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +451,9 @@ class _RadiusRule:
 
     def __init__(self, inst: Instance, caps: np.ndarray):
         self.dm = inst.distance_matrix
-        self.n, self.k, self.width = inst.n, inst.k, caps.size
+        self.n, self.width = inst.n, caps.size
         # row l: what each column owes a group entitled to l centers
         self.owed = np.minimum(np.arange(inst.k + 1)[:, None], caps)
-
-    def columns(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Radii and owed counts of the bitmask groups in ``members``."""
-        need = _entitlement(members.sum(axis=1), self.k, self.n)
-        return self.mask_radii(members), self.owed[need]
 
 
 class _Diameter(_RadiusRule):
@@ -554,15 +550,11 @@ def _check_prf(form, inst, outcome, exhaustive, seed, samples) -> AxiomReport:
         exhaustive = inst.n <= EXHAUSTIVE_LIMIT
     if exhaustive:
         _exhaustive_guard(inst)
-        members = _subset_members(inst.n)
         selmin = _fold_masks(inst.distance_matrix[:, sel], np.minimum, np.inf)
-        return _first_short_group(
-            form.axiom,
-            form.notes[0],
-            members,
-            *form(inst).columns(members),
-            lambda y: np.count_nonzero(selmin <= y[:, None], axis=1),
-        )
+        found_within = _centers_within(selmin)
+        return _first_short_group(inst, form(inst), form.axiom, form.notes[0], found_within)
+    if seed < 0 or samples < 0:
+        raise InputError(f"seed and samples must be non-negative, got {seed} and {samples}")
     witness = _sampled_scan(form(inst), inst, sel, seed, samples)
     if witness is None:
         return AxiomReport(form.axiom, satisfied=True, definitive=False)
@@ -714,21 +706,17 @@ def check_prf2(inst: Instance, outcome: Outcome) -> AxiomReport:
     within y of one common member of the group.  Exhaustive only.
     """
     _exhaustive_guard(inst)
-    sel = _selected(inst, outcome)
-    dm = inst.distance_matrix
-    members = _subset_members(inst.n)
-    per_agent_sel = np.sort(dm[:, sel], axis=1)
+    per_agent_sel = np.sort(inst.distance_matrix[:, _selected(inst, outcome)], axis=1)
 
-    def seen_by_one_member(y):
-        seen = np.stack([np.searchsorted(row, y, side="right") for row in per_agent_sel], axis=1)
-        return np.where(members, seen, 0).max(axis=1)
+    def seen_by_one_member(members, y):
+        # one member at a time: no (mask, agent) table of counts
+        seen = np.zeros(len(y), dtype=np.intp)
+        for row, member in zip(per_agent_sel, members.T):
+            np.maximum(seen, np.searchsorted(row, y, side="right") * member, out=seen)
+        return seen
 
     return _first_short_group(
-        AXIOM_PRF2,
-        "no single member sees enough centers",
-        members,
-        *_Cover(inst).columns(members),
-        seen_by_one_member,
+        inst, _Cover(inst), AXIOM_PRF2, "no single member sees enough centers", seen_by_one_member
     )
 
 
@@ -738,17 +726,9 @@ def check_prf3(inst: Instance, outcome: Outcome) -> AxiomReport:
     The strongest variant; exhaustive only.
     """
     _exhaustive_guard(inst)
-    sel = _selected(inst, outcome)
-    dm = inst.distance_matrix
-    members = _subset_members(inst.n)
-    selmax = _fold_masks(dm[:, sel], np.maximum, -np.inf)
-    return _first_short_group(
-        AXIOM_PRF3,
-        "too few centers cover the whole group",
-        members,
-        *_Cover(inst).columns(members),
-        lambda y: np.count_nonzero(selmax <= y[:, None], axis=1),
-    )
+    selmax = _fold_masks(inst.distance_matrix[:, _selected(inst, outcome)], np.maximum, -np.inf)
+    note = "too few centers cover the whole group"
+    return _first_short_group(inst, _Cover(inst), AXIOM_PRF3, note, _centers_within(selmax))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
     n, m, k = inst.n, inst.m, inst.k
     if m < k:
         raise InputError(f"insufficient candidates: k={k} but only {m} candidate locations")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     dm = inst.distance_matrix
     sq = dm**2
     rng = np.random.default_rng(seed)

@@ -149,6 +149,8 @@ def _parse_metrics(text: str | None) -> tuple[str, ...]:
 
 
 def _load_input_instance(args) -> Instance:
+    if args.input is None:
+        raise InputError("--input is required")
     if args.k is None:
         raise InputError("--k is required with --input")
     return load_csv(args.input, k=args.k, metric=args.metric, standardize=args.standardize)

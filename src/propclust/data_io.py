@@ -340,17 +340,18 @@ class RunRecord:
         coords = obj.get("coordinates")
         cand = obj.get("candidate_coordinates")
         trace = obj.get("trace")
+        seed = obj.get("seed")
         return cls(
             algorithm=str(obj["algorithm"]),
-            k=int(obj["k"]),
-            seed=None if obj.get("seed") is None else int(obj["seed"]),
+            k=_exact(obj["k"], int, "'k'", many=False),
+            seed=None if seed is None else _exact(seed, int, "'seed'", many=False),
             instance_digest=str(obj["instance_digest"]),
             metric=str(obj["metric"]),
-            selected=tuple(int(i) for i in obj["selected"]),
+            selected=_exact(obj["selected"], int, "'selected'"),
             coordinates=_float_rows(coords),
             candidate_coordinates=_float_rows(cand),
             underfilled=bool(obj.get("underfilled", False)),
-            padded=tuple(int(i) for i in obj.get("padded", [])),
+            padded=_exact(obj.get("padded", []), int, "'padded'"),
             trace=None if trace is None else trace_from_json_obj(trace),
             reports=tuple(AxiomReport.from_json_obj(r) for r in obj.get("reports", [])),
             metrics=dict(obj.get("metrics", {})),
@@ -545,16 +546,20 @@ def load_grid(path):
         datasets.append((str(name), inst))
     if not obj.get("ks"):
         raise InputError(f"{path}: grid needs a non-empty 'ks' list")
-    ks = _grid_list(path, obj, "ks", int)
-    axes = {"algorithms": str, "seeds": int, "metrics": str}
-    kwargs = {key: _grid_list(path, obj, key, kind) for key, kind in axes.items() if key in obj}
-    return ExperimentGrid(datasets=tuple(datasets), ks=ks, **kwargs)
+    axes = {"ks": int, "algorithms": str, "seeds": int, "metrics": str}
+    kwargs = {
+        key: _exact(obj[key], kind, f"{path}: {key!r}") for key, kind in axes.items() if key in obj
+    }
+    return ExperimentGrid(datasets=tuple(datasets), **kwargs)
 
 
-def _grid_list(path, obj: dict, key: str, kind: type) -> tuple:
-    """``obj[key]`` as a tuple, checked to be a JSON list of ``kind`` values."""
-    values = obj[key]
-    # exact types: bool is an int subclass, and a float k would be truncated
+def _exact(value, kind: type, what: str, many: bool = True):
+    """``value``, a JSON list of ``kind`` values, as a tuple; with ``many=False``, one such value.
+
+    The types are tested exactly: bool is an int subclass, and ``int()``
+    would truncate a float or parse a string.
+    """
+    values = value if many else [value]
     if not isinstance(values, list) or any(type(v) is not kind for v in values):
-        raise InputError(f"{path}: {key!r} must be a list of {kind.__name__} values")
-    return tuple(values)
+        raise InputError(f"{what} must be a JSON {kind.__name__}{' list' if many else ''}")
+    return tuple(values) if many else value

@@ -732,6 +732,44 @@ def test_exhaustive_mode_rejects_large_instances():
         check_core_bruteforce(inst, out)
 
 
+def _sampled_instance():
+    return Instance.unconstrained(np.linspace(0.0, 1.0, 20).reshape(-1, 1), k=2), Outcome((0, 19))
+
+
+def _wide_discrete_instance():
+    # 2^16 masks times 1000 candidates: past the exhaustive table's cell cap
+    agents = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
+    candidates = np.linspace(0.0, 1.0, 1000).reshape(-1, 1)
+    return Instance.discrete(agents, candidates, k=4), Outcome((0, 300, 600, 999))
+
+
+@pytest.mark.parametrize(
+    "make, check, match",
+    [
+        (_wide_discrete_instance, lambda i, o: check_prf_discrete(i, o, exhaustive=True), "too large"),
+        (_wide_discrete_instance, check_prf2, "too large"),
+        (_wide_discrete_instance, check_prf3, "too large"),
+        (_sampled_instance, lambda i, o: check_prf_unconstrained(i, o, seed=-1), "non-negative"),
+        (_sampled_instance, lambda i, o: check_prf_discrete(i, o, seed=-1), "non-negative"),
+        (_sampled_instance, lambda i, o: check_prf_unconstrained(i, o, samples=-1), "non-negative"),
+        (_sampled_instance, lambda i, o: check_prf_discrete(i, o, samples=-1), "non-negative"),
+    ],
+    ids=["discrete-table", "prf2-table", "prf3-table", "unconstrained-seed", "discrete-seed",
+         "unconstrained-samples", "discrete-samples"],
+)
+def test_checkers_reject_input_they_cannot_scan(make, check, match):
+    inst, outcome = make()
+    with pytest.raises(InputError, match=match):
+        check(inst, outcome)
+
+
+def test_exhaustive_checkers_ignore_the_sampling_seed():
+    inst = Instance.unconstrained(np.linspace(0.0, 1.0, 6).reshape(-1, 1), k=2)
+    outcome = Outcome((0, 5))
+    for check in (check_prf_unconstrained, check_prf_discrete):
+        assert check(inst, outcome, seed=-1, samples=-1) == check(inst, outcome)
+
+
 # -- report plumbing ----------------------------------------------------------
 
 

@@ -282,3 +282,9 @@ def test_insufficient_candidates_rejected():
         greedy_capture(inst)
     with pytest.raises(InputError):
         kmeanspp(inst)
+
+
+def test_kmeanspp_rejects_a_negative_seed():
+    inst = Instance.unconstrained([(0.0,), (1.0,), (2.0,)], k=2)
+    with pytest.raises(InputError, match="non-negative"):
+        kmeanspp(inst, seed=-1)

@@ -71,6 +71,33 @@ def test_cluster_requires_k(two_mass_csv, capsys):
     assert "--k" in capsys.readouterr().err
 
 
+def test_cluster_requires_input(capsys):
+    assert main(["cluster", "--k", "3"]) == 1
+    assert capsys.readouterr().err == "error: --input is required\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--algo", "kmeanspp", "--input", "{csv}", "--k", "11", "--seed", "-1"],
+        ["check", "--input", "{csv}", "--k", "11", "--selected", "0,100", "--axioms", "prf",
+         "--sampling", "--seed", "-1"],
+        ["check", "--input", "{csv}", "--k", "11", "--selected", "0,100", "--axioms", "prf",
+         "--samples", "-1"],
+        ["experiment", "--grid", "{grid}"],
+    ],
+    ids=["kmeanspp-seed", "check-seed", "check-samples", "experiment-seed"],
+)
+def test_negative_seed_or_samples_exit_1(two_mass_csv, tmp_path, capsys, argv):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"datasets": [{"generator": "hexagon"}], "ks": [2],
+                                "algorithms": ["kmeanspp"], "seeds": [-1]}))
+    argv = [a.format(csv=two_mass_csv, grid=grid) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-negative" in err
+
+
 def test_cluster_greedy_underfill(tmp_path, capsys):
     csv_path = tmp_path / "pts.csv"
     csv_path.write_text("x0\n0.0\n0.0\n1.0\n")
@@ -365,3 +392,20 @@ def test_experiment_requires_grid(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--name", "two_mass", "--params", "a"], "bad parameter 'a'"),
+        (["check", "--selected", "0,x", "--axioms", "up"], "cannot parse '0,x'"),
+        (["check", "--selected", "0,1", "--axioms", ","], "--axioms needs at least one name"),
+        (["eval", "--selected", "0,1", "--metrics", ","], "--metrics needs at least one name"),
+    ],
+)
+def test_unparsable_options_exit_1(two_mass_csv, capsys, argv, message):
+    if argv[0] != "gen":
+        argv = argv + ["--input", str(two_mass_csv), "--k", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

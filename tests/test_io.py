@@ -424,6 +424,12 @@ def test_load_grid_errors(tmp_path):
         ("k", "three"),
         ("reports", [{"axiom": "FOO", "satisfied": True, "witness": None, "definitive": True}]),
         ("coordinates", [[0.0, 1.0], [2.0]]),
+        # integers are read exactly: neither truncated nor parsed from text
+        ("selected", [9.7, 15.7, 26.7]),
+        ("selected", ["0", "3", "5"]),
+        ("padded", [1.5]),
+        ("k", 3.0),
+        ("seed", "7"),
     ],
 )
 def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
@@ -449,3 +455,36 @@ def test_experiment_malformed_grid_exits_1(tmp_path, capsys, fields):
     p.write_text(json.dumps({"datasets": [{"generator": "two_mass"}], "ks": [2], **fields}))
     assert main(["experiment", "--grid", str(p)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: load_csv(d / "missing.csv"), "cannot read"),
+        (lambda d: load_csv(_write(d / "p.csv", "")), "empty file"),
+        (lambda d: load_csv(_write(d / "p.csv", "role,id\nagent,a\n")), "no coordinate columns"),
+        (lambda d: load_csv(_write(d / "p.csv", "role,x0\ncandidate,1.0\n")), "no agent rows"),
+        (lambda d: generate("three_circles", m=0), "at least 1"),
+        (lambda d: generate("two_blobs", size=0), "at least 1"),
+        (lambda d: generate("grid_uniform", rows=0), "at least 1"),
+        (
+            lambda d: instance_from_record(
+                RunRecord("prf", 1, None, "0" * 64, "precomputed", (0,))
+            ),
+            "no coordinates",
+        ),
+        (lambda d: load_grid(_write(d / "g.json", "[]")), "must be a JSON object"),
+        (lambda d: load_grid(_write(d / "g.json", '{"datasets": [5], "ks": [1]}')), "must be an object"),
+    ],
+    ids=["csv-unreadable", "csv-empty", "csv-no-coordinates", "csv-no-agents", "three-circles-m",
+         "two-blobs-size", "grid-uniform-rows", "record-no-coordinates", "grid-not-object",
+         "grid-dataset-not-object"],
+)
+def test_inputs_rejected_before_use(tmp_path, call, message):
+    with pytest.raises(InputError, match=message):
+        call(tmp_path)
