@@ -43,7 +43,10 @@ outcome at n = 16, k = 4 on 2-D points:
 
 The ``kmeanspp`` layer runs ``baselines.kmeanspp`` with its default seed on
 the built unconstrained instance, at n = 500, 1000, 2000 and 4000 on 2-D and
-8-D points.
+8-D points.  It also runs it with seeds 0-4 (one call is the five runs) at
+the shape of ``perfbench``'s experiment grid: n = 120 log-normal points in
+6-D, in two channels shaped like the UCI Wholesale customers data, z-scored
+per column, at k = 5, 10 and 20.
 
 The ``record`` layer runs ``data_io.record_for`` and then
 ``data_io.write_run_record`` (to a file in a temporary directory) on the
@@ -90,6 +93,9 @@ EXHAUSTIVE_N, EXHAUSTIVE_K = 16, 4
 DISCRETE_LAYERS = ("agent_distances", "prf_discrete", *EXHAUSTIVE[1:])
 KMEANSPP_SIZES = (500, 1000, 2000, 4000)
 KMEANSPP_DIMS = (2, 8)
+KMEANSPP_GRID = (120, 6)  # (n, dim) of the experiment-grid cells
+KMEANSPP_GRID_KS = (5, 10, 20)
+KMEANSPP_GRID_SEEDS = range(5)
 RECORD_DIMS = (2, 8)
 K = 20
 GRID = (
@@ -102,6 +108,7 @@ GRID = (
         for layer in CHECKERS
     ]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
+    + [("kmeanspp", *KMEANSPP_GRID, None, k) for k in KMEANSPP_GRID_KS]
     + [("record", n, dim, None, K) for n in SIZES for dim in RECORD_DIMS]
     + [(layer, EXHAUSTIVE_N, 2, None, EXHAUSTIVE_K) for layer in EXHAUSTIVE]
 )
@@ -139,6 +146,12 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     candidates = rng.normal(size=(n // 2, dim))
     if decimals is not None:
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
+    experiment_grid = layer == "kmeanspp" and (n, dim) == KMEANSPP_GRID
+    if experiment_grid:
+        retail = np.arange(n) < round(0.3 * n)
+        mu = np.where(retail[:, None], np.linspace(8.0, 9.0, dim), np.linspace(7.5, 8.5, dim)[::-1])
+        points = np.exp(mu + np.linspace(0.8, 1.3, dim) * points)
+        points = (points - points.mean(axis=0)) / points.std(axis=0, ddof=1)
 
     def fresh() -> Instance:
         if layer in DISCRETE_LAYERS:
@@ -189,6 +202,11 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
                 write_run_record(out, record_for(inst, "prf", outcome, trace=trace))
                 return out
 
+        elif experiment_grid:
+
+            def call(inst):
+                return [kmeanspp(inst, seed=seed) for seed in KMEANSPP_GRID_SEEDS]
+
         else:
             call = {"sweep": select_prf_centers, "greedy": greedy_capture, "kmeanspp": kmeanspp}[layer]
 
@@ -227,7 +245,8 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         report = json.dumps(result.to_json_obj(), separators=(",", ":")).encode()
         cell["report_sha256"] = hashlib.sha256(report).hexdigest()
     elif layer == "kmeanspp":
-        cell["selection_sha256"] = hashlib.sha256(json.dumps(result.selected).encode()).hexdigest()
+        selected = [outcome.selected for outcome in result] if experiment_grid else result.selected
+        cell["selection_sha256"] = hashlib.sha256(json.dumps(selected).encode()).hexdigest()
     elif layer == "record":
         cell["record_sha256"] = hashlib.sha256(result.read_bytes()).hexdigest()
         cell["record_bytes"] = result.stat().st_size

@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome
+from propclust.core import InputError, Instance, Outcome, _exact
 
 __all__ = [
     "AXIOM_CORE",
@@ -125,12 +125,16 @@ class Witness:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Witness":
+        def count(key: str) -> int | None:
+            value = obj.get(key)
+            return None if value is None else _exact(value, int, f"witness {key!r}", many=False)
+
         return cls(
-            agents=tuple(int(i) for i in obj["agents"]),
-            candidate=None if obj.get("candidate") is None else int(obj["candidate"]),
+            agents=_exact(obj["agents"], int, "witness 'agents'"),
+            candidate=count("candidate"),
             radius=None if obj.get("radius") is None else float(obj["radius"]),
-            required=None if obj.get("required") is None else int(obj["required"]),
-            found=None if obj.get("found") is None else int(obj["found"]),
+            required=count("required"),
+            found=count("found"),
             note=obj.get("note", ""),
         )
 

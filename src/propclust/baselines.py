@@ -41,6 +41,13 @@ def kmeans_cost(inst: Instance, outcome: Outcome) -> float:
     return float(np.sum(nearest**2))
 
 
+def _draw(rng: np.random.Generator, mass: np.ndarray, total: float) -> int:
+    """The index ``rng.choice(len(mass), p=mass / total)`` draws, by the float operations it runs."""
+    cdf = (mass / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @_squares_fit
 def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
     """Seeded k-means++ restricted to candidate locations.
@@ -54,14 +61,20 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
     rounds pass.
 
     Seeding keeps each agent's squared distance to its nearest center as a
-    running minimum.  Each Lloyd round sorts the agents by cluster once,
-    stably, so a cluster's members are one slice of that order in
-    ascending index; their squared distances are summed per candidate.
-    Only when a cluster's cheapest candidate was already placed earlier in
-    the round are those centers masked and the minimum taken again.  A
-    later cluster's current center never needs masking: the cluster's own
-    center costs its members no more and has the lower index, and no
-    earlier cluster can have taken it.
+    running minimum, and draws the agent from its cumulative sum with the
+    float operations ``Generator.choice(n, p=...)`` runs, so the draws are
+    the same without that call's checks.  Each Lloyd round sorts the
+    agents by cluster once, stably, so a cluster's members are one slice
+    of that order in ascending index; their squared distances are summed
+    per candidate into one row per non-empty cluster, and one ``argmin``
+    over the rows gives every cluster's cheapest candidate.  A cluster
+    whose slice holds the same members as a slice of the previous round
+    has the same sums, so its row is copied from that round instead of
+    gathered again.  Only when a cluster's cheapest candidate was already
+    placed earlier in the round are those centers masked and the minimum
+    taken again.  A later cluster's current center never needs masking:
+    the cluster's own center costs its members no more and has the lower
+    index, and no earlier cluster can have taken it.
 
     With ``return_history=True`` also returns the center tuple after
     seeding and after each Lloyd round; the benchmark counts Lloyd rounds
@@ -85,33 +98,52 @@ def kmeanspp(inst: Instance, seed: int = 0, return_history: bool = False):
             # all agents sit on chosen centers; any unselected candidate is as good
             pick = int(np.nonzero(~chosen)[0][0])
         else:
-            agent = int(rng.choice(n, p=mass / total))
-            row = np.where(chosen, np.inf, dm[agent])
-            pick = int(np.argmin(row))
+            agent = _draw(rng, mass, total)
+            pick = int(np.where(chosen, np.inf, dm[agent]).argmin())
         mass = np.minimum(mass, sq[:, pick]) if centers else sq[:, pick].copy()
         centers.append(pick)
         chosen[pick] = True
     centers.sort()
     history = [tuple(centers)]
 
+    previous: dict[bytes, np.ndarray] = {}  # last round's cost rows by member slice
     for _ in range(100):
-        assign = np.argmin(dm[:, centers], axis=1)
+        assign = dm[:, centers].argmin(axis=1)
         # cluster j's members are order[ends[j - 1] : ends[j]], ascending by index
-        order = np.argsort(assign, kind="stable")
-        ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
-        new_centers: list[int] = []
+        order = assign.argsort(kind="stable")
+        sizes = np.bincount(assign, minlength=k)
+        ends = np.cumsum(sizes).tolist()
+        cost = np.empty((np.count_nonzero(sizes), m))
+        rows: dict[bytes, np.ndarray] = {}
         start = 0
-        for j, end in enumerate(ends):
+        for end in ends:
             if start == end:
+                continue
+            members = order[start:end]
+            row = cost[len(rows)]
+            key = members.tobytes()
+            if key in previous:
+                row[:] = previous[key]
+            else:
+                sq[members].sum(axis=0, out=row)
+            rows[key] = row
+            start = end
+        previous = rows
+        picks = cost.argmin(axis=1).tolist()
+        new_centers: list[int] = []
+        r = 0
+        for j, size in enumerate(sizes.tolist()):
+            if size == 0:
                 new_centers.append(centers[j])
                 continue
-            cost = sq[order[start:end]].sum(axis=0)
-            start = end
-            pick = int(np.argmin(cost))
+            pick = picks[r]
             if pick in new_centers:
-                cost[new_centers] = np.inf
-                pick = int(np.argmin(cost))
+                # mask a copy: the row stays the cluster's sums for the next round
+                masked = cost[r].copy()
+                masked[new_centers] = np.inf
+                pick = int(masked.argmin())
             new_centers.append(pick)
+            r += 1
         new_centers.sort()
         moved = new_centers != centers
         centers = new_centers

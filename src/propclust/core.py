@@ -40,6 +40,18 @@ class InputError(ValueError):
     """Invalid instance, argument, or input file."""
 
 
+def _exact(value, kind: type, what: str, many: bool = True):
+    """``value``, a JSON list of ``kind`` values, as a tuple; with ``many=False``, one such value.
+
+    The types are tested exactly: bool is an int subclass, and ``int()``
+    would truncate a float or parse a string.
+    """
+    values = value if many else [value]
+    if not isinstance(values, list) or any(type(v) is not kind for v in values):
+        raise InputError(f"{what} must be a JSON {kind.__name__}{' list' if many else ''}")
+    return tuple(values) if many else value
+
+
 def _as_points(arr, name: str) -> np.ndarray:
     try:
         pts = np.array(arr, dtype=float)

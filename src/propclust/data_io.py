@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from propclust.axioms import AxiomReport
-from propclust.core import InputError, Instance
+from propclust.core import InputError, Instance, _exact
 from propclust.engine import SweepRound, SweepTrace
 from propclust.evaluation import ExperimentGrid
 
@@ -551,15 +551,3 @@ def load_grid(path):
         key: _exact(obj[key], kind, f"{path}: {key!r}") for key, kind in axes.items() if key in obj
     }
     return ExperimentGrid(datasets=tuple(datasets), **kwargs)
-
-
-def _exact(value, kind: type, what: str, many: bool = True):
-    """``value``, a JSON list of ``kind`` values, as a tuple; with ``many=False``, one such value.
-
-    The types are tested exactly: bool is an int subclass, and ``int()``
-    would truncate a float or parse a string.
-    """
-    values = value if many else [value]
-    if not isinstance(values, list) or any(type(v) is not kind for v in values):
-        raise InputError(f"{what} must be a JSON {kind.__name__}{' list' if many else ''}")
-    return tuple(values) if many else value

@@ -17,6 +17,7 @@ from propclust import (
     kmeanspp,
 )
 from propclust import engine
+from propclust.baselines import _draw
 from propclust.data_io import generate
 from reference_greedy import reference_greedy
 from reference_kmeanspp import reference_kmeanspp
@@ -211,6 +212,27 @@ def _kmeanspp_cases():
         hub = rng.uniform(0, 6, size=(n, m))
         hub[:, rng.integers(0, m)] = 1.0 + 0.1 * rng.random(n)
         yield Instance.precomputed(hub, k=k)
+    yield from _experiment_grid_cases()
+
+
+def _experiment_grid_cases():
+    """The shape the experiment benchmark clusters: n = 120 heavy-tailed
+    (log-normal) points in 6-D, two customer channels, z-scored per column,
+    at k = 5, 10 and 20."""
+    rng = np.random.default_rng(35)
+    n, dim = 120, 6
+    retail = np.arange(n) < 36
+    mu = np.where(retail[:, None], np.linspace(8.0, 9.0, dim), np.linspace(7.5, 8.5, dim)[::-1])
+    points = np.exp(mu + np.linspace(0.8, 1.3, dim) * rng.normal(size=(n, dim)))
+    points = (points - points.mean(axis=0)) / points.std(axis=0, ddof=1)
+    for k in (5, 10, 20):
+        yield Instance.unconstrained(points, k=k)
+
+
+def _member_sets(inst, centers):
+    """The member sets of the non-empty clusters of a Lloyd round from ``centers``."""
+    assign = np.argmin(inst.distance_matrix[:, list(centers)], axis=1)
+    return {tuple(np.flatnonzero(assign == j)) for j in range(len(centers))} - {()}
 
 
 def test_kmeanspp_matches_reference():
@@ -225,6 +247,68 @@ def test_kmeanspp_matches_reference():
                 empty, blocked = empty + e, blocked + b
     # both branches of a round are exercised, not only the common path
     assert empty > 0 and blocked > 0
+
+
+def test_kmeanspp_reuses_clusters_on_the_experiment_grid_shape():
+    # many clusters keep their members from one Lloyd round to the next
+    # here, so their cost rows come from the previous round
+    repeats = 0
+    for inst in _experiment_grid_cases():
+        for seed in range(5):
+            got = kmeanspp(inst, seed=seed, return_history=True)
+            assert got == reference_kmeanspp(inst, seed=seed, return_history=True)
+            rounds = [_member_sets(inst, centers) for centers in got[1][:-1]]
+            repeats += sum(len(a & b) for a, b in zip(rounds, rounds[1:]))
+    assert repeats > 0
+
+
+@pytest.mark.parametrize(
+    "agents, candidates, k",
+    [
+        (
+            [[8, 8], [0, 2], [4, 2], [1, 6], [8, 8], [9, 6], [2, 0], [1, 5], [7, 8], [2, 10], [3, 1]],
+            [[1, 0], [2, 11], [2, 9], [4, 4], [10, 2], [5, 1], [4, 0], [5, 8], [4, 4], [1, 9], [6, 1]],
+            5,
+        ),
+        (
+            [[3, 7], [2, 11], [8, 2], [2, 3], [3, 6], [4, 3], [5, 7], [0, 5]],
+            [[8, 5], [3, 9], [6, 10], [5, 8], [1, 1], [4, 2], [4, 3], [5, 9], [10, 11], [9, 8]],
+            3,
+        ),
+    ],
+)
+def test_kmeanspp_keeps_a_blocked_cluster_row_unmasked(agents, candidates, k):
+    # at seed 1 a cluster's cheapest candidate is taken earlier in a round and
+    # the cluster keeps its members into the next round: its reused row must
+    # be its sums, not the row masked for the re-pick
+    inst = Instance.discrete(np.array(agents, dtype=float), np.array(candidates, dtype=float), k=k)
+    got = kmeanspp(inst, seed=1, return_history=True)
+    assert got == reference_kmeanspp(inst, seed=1, return_history=True)
+
+
+@pytest.mark.parametrize("kind", ["zeros", "one-nonzero", "near-uniform", "uniform"])
+def test_draw_matches_generator_choice(kind):
+    # the seeding draw must pick what Generator.choice(n, p=...) picks from
+    # the same stream, and take as many numbers from it
+    rng = np.random.default_rng(36)
+    for s in range(40):
+        n = int(rng.integers(1, 300))
+        if kind == "zeros":
+            mass = rng.random(n) * (rng.random(n) < 0.3)
+            mass[rng.integers(n)] = 1.0 + rng.random()
+        elif kind == "one-nonzero":
+            mass = np.zeros(n)
+            mass[rng.integers(n)] = rng.exponential()
+        elif kind == "near-uniform":
+            mass = 1.0 + 1e-12 * rng.random(n)
+        else:
+            mass = np.ones(n)
+        total = float(mass.sum())
+        ours, numpy_choice = np.random.default_rng(s), np.random.default_rng(s)
+        for _ in range(100):
+            agent = _draw(ours, mass, total)
+            assert agent == int(numpy_choice.choice(n, p=mass / total))
+            assert mass[agent] > 0
 
 
 @settings(max_examples=300)

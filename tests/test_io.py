@@ -449,6 +449,37 @@ def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
     assert err.startswith("error: " if field == "coordinates" else f"error: {p}: ")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("agents", [0.5, 1.9]),
+        ("agents", ["4", "5"]),
+        ("candidate", 2.7),
+        ("candidate", True),
+        ("required", "2"),
+        ("found", 2.0),
+    ],
+)
+def test_check_record_with_inexact_witness_exits_1(tmp_path, capsys, field, value):
+    p = tmp_path / "run.json"
+    write_run_record(p, _witness_record())
+    obj = json.loads(p.read_text())
+    obj["reports"][0]["witness"][field] = value
+    p.write_text(json.dumps(obj))
+    assert main(["check", "--run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: witness {field!r} must be a JSON int")
+
+
+def test_witness_integers_may_be_null(tmp_path):
+    p = tmp_path / "run.json"
+    write_run_record(p, _witness_record())
+    obj = json.loads(p.read_text())
+    obj["reports"][0]["witness"].update(candidate=None, required=None, found=None)
+    p.write_text(json.dumps(obj))
+    witness = read_run_record(p).reports[0].witness
+    assert (witness.agents, witness.candidate, witness.required, witness.found) == ((4, 5), None, None, None)
+
+
 @pytest.mark.parametrize("fields", MALFORMED_GRIDS)
 def test_experiment_malformed_grid_exits_1(tmp_path, capsys, fields):
     p = tmp_path / "grid.json"
