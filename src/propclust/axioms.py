@@ -10,6 +10,11 @@ the unconstrained form at its diameter, owed l centers, and the discrete
 family at its r-th smallest cover radius, owed min(l, r), for r = 1..min(k,
 m).  Past r = l the owed count stays l while the radius and the centers
 found never fall, so every failing group fails first at some r <= min(l, m).
+A form is the distance rows a group folds (agent-agent for the diameter,
+agent-candidate for the cover radii) plus one reading of the radii off
+the folded rows; bitmask groups, seed prefixes and random subsets differ
+only in how they fold.  The lower bounds the sampling scan tests first
+are kept apart from that reading.
 The exhaustive checkers (unconstrained, discrete, PRF2 and PRF3) run one
 scan over all 2^n agent bitmasks; the witness is the smallest failing mask
 at its first failing r.
@@ -64,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome, _exact
+from propclust.core import InputError, Instance, Outcome, _exact, _number
 
 __all__ = [
     "AXIOM_CORE",
@@ -129,13 +134,14 @@ class Witness:
             value = obj.get(key)
             return None if value is None else _exact(value, int, f"witness {key!r}", many=False)
 
+        radius = obj.get("radius")
         return cls(
             agents=_exact(obj["agents"], int, "witness 'agents'"),
             candidate=count("candidate"),
-            radius=None if obj.get("radius") is None else float(obj["radius"]),
+            radius=None if radius is None else _number(radius, "witness 'radius'"),
             required=count("required"),
             found=count("found"),
-            note=obj.get("note", ""),
+            note=_exact(obj.get("note", ""), str, "witness 'note'", many=False),
         )
 
 
@@ -170,9 +176,9 @@ class AxiomReport:
         wit = obj.get("witness")
         return cls(
             axiom=axiom,
-            satisfied=bool(obj["satisfied"]),
+            satisfied=_exact(obj["satisfied"], bool, "report 'satisfied'", many=False),
             witness=None if wit is None else Witness.from_json_obj(wit),
-            definitive=bool(obj.get("definitive", True)),
+            definitive=_exact(obj.get("definitive", True), bool, "report 'definitive'", many=False),
         )
 
 
@@ -358,7 +364,7 @@ def _first_short_group(inst, rule, axiom: str, note: str, found_within: Callable
     A mask fails a column when it finds fewer than it is owed.
     """
     members = _subset_members(inst.n)
-    radii = rule.mask_radii(members)
+    radii = rule.radii(_fold_masks(rule.table, np.maximum, -np.inf), members)
     required = rule.owed[_entitlement(members.sum(axis=1), inst.k, inst.n)]
     best = None
     for r in range(radii.shape[1]):
@@ -446,16 +452,20 @@ class _RadiusRule:
     """The radii one PRF form tests a group at, one column each.
 
     Column r owes a group entitled to l centers min(l, caps[r]) of them.
-    A form gives its radii for every bitmask group, for a seed's prefixes
-    at the entitlement steps and for one random subset, the last two also
-    as lower bounds read from rows of the group's own members (for a
-    block of seeds' orders at once), plus its axiom code and the notes of
-    its exhaustive, seeded and random witnesses.
+    A form is the ``table`` of distance rows a group folds plus one
+    reading, ``radii(cover, inside)``, of a group's radii off its folded
+    cover rows: cover[g, j] is the largest distance in column j of the
+    table from a member of group g, and inside[g] marks those members.
+    Bitmask groups, a seed's prefixes and random subsets differ only in
+    how they fold.  Lower bounds on the radii, read from rows of a
+    group's own members (for a block of seeds' orders at once), are kept
+    apart from the reading: they are the scan's hot path.  A form also
+    gives its axiom code and the notes of its exhaustive, seeded and
+    random witnesses.
     """
 
-    def __init__(self, inst: Instance, caps: np.ndarray):
-        self.dm = inst.distance_matrix
-        self.n, self.width = inst.n, caps.size
+    def __init__(self, inst: Instance, caps: np.ndarray, table: np.ndarray):
+        self.table, self.width = table, caps.size
         # row l: what each column owes a group entitled to l centers
         self.owed = np.minimum(np.arange(inst.k + 1)[:, None], caps)
 
@@ -472,35 +482,20 @@ class _Diameter(_RadiusRule):
 
     def __init__(self, inst: Instance):
         # capped at k, min(l, k) is l; capped at 1 it would owe one center
-        super().__init__(inst, np.array([inst.k]))
-        self.aa = inst.agent_distances
-        self.rank = np.empty(inst.n, dtype=np.intp)
+        super().__init__(inst, np.array([inst.k]), inst.agent_distances)
 
-    def mask_radii(self, members):
-        # the diagonal is zero, so the masked row maxima hold the diameter
-        farthest = _fold_masks(self.aa, np.maximum, -np.inf)
-        return np.where(members, farthest, 0.0).max(axis=1)[:, None]
+    def radii(self, cover, inside):
+        # the diagonal is zero, so the members' farthest distances hold the diameter
+        return np.where(inside, cover, 0.0).max(axis=1)[:, None]
 
     def prefix_bounds(self, orders, steps):
         # every prefix holds its first member, whose farthest distance into
         # it is at most its diameter
-        first = self.aa[orders[:, :1], orders]
+        first = self.table[orders[:, :1], orders]
         return np.maximum.accumulate(first, axis=1, out=first)[:, steps, None]
 
-    def prefix_radii(self, order, blocks, steps):
-        self.rank[order] = np.arange(self.n)
-        # a pair joins the prefix with its later member: far[l, b] is agent
-        # b's largest distance into block l, read for b up to step l
-        far = self.aa[blocks].max(axis=1)
-        joined = np.where(self.rank <= steps[:, None], far, 0.0).max(axis=1)
-        return np.maximum.accumulate(joined)[:, None]
-
     def subset_bounds(self, members):
-        return self.aa[members[0], members].max(keepdims=True)
-
-    def subset_radii(self, members):
-        # whole rows first: far cheaper than a (size, size) fancy gather
-        return self.aa[members].max(axis=0)[members].max(keepdims=True)
+        return self.table[members[0], members].max(keepdims=True)
 
 
 class _Cover(_RadiusRule):
@@ -518,34 +513,27 @@ class _Cover(_RadiusRule):
     )
 
     def __init__(self, inst: Instance):
-        super().__init__(inst, np.arange(1, min(inst.k, inst.m) + 1))
+        super().__init__(inst, np.arange(1, min(inst.k, inst.m) + 1), inst.distance_matrix)
 
-    def mask_radii(self, members):
-        return np.sort(_fold_masks(self.dm, np.maximum, -np.inf), axis=1)[:, : self.width]
+    def radii(self, cover, inside):
+        return np.sort(cover, axis=1)[:, : self.width]
 
     def prefix_bounds(self, orders, steps):
         # a prefix's cover distances are at least those of its first and
         # last members, and so is each cover radius
         out = np.empty((len(orders), len(steps), self.width))
         # the (seeds, k, m) distances are sorted a few seeds at a time
-        per = max(1, _SEED_BLOCK // (len(steps) * self.dm.shape[1]))
+        per = max(1, _SEED_BLOCK // (len(steps) * self.table.shape[1]))
         for start in range(0, len(orders), per):
             part = orders[start : start + per]
-            low = self.dm[part[:, steps]]
-            np.maximum(low, self.dm[part[:, :1]], out=low)
+            low = self.table[part[:, steps]]
+            np.maximum(low, self.table[part[:, :1]], out=low)
             low.sort(axis=-1)
             out[start : start + per] = low[..., : self.width]
         return out
 
-    def prefix_radii(self, order, blocks, steps):
-        cover = _fold_prefixes(self.dm, np.maximum, blocks)
-        return np.sort(cover, axis=1)[:, : self.width]
-
     def subset_bounds(self, members):
-        return np.sort(self.dm[members[0]])[: self.width]
-
-    def subset_radii(self, members):
-        return np.sort(self.dm[members].max(axis=0))[: self.width]
+        return np.sort(self.table[members[0]])[: self.width]
 
 
 def _check_prf(form, inst, outcome, exhaustive, seed, samples) -> AxiomReport:
@@ -642,6 +630,7 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
         # selection exceeds the radius
         steps, blocks = _entitlement_blocks(n, k)
         req = rule.owed[1:]
+        rank = np.empty(n, dtype=np.intp)
         per = max(1, _SEED_BLOCK // max(n, k * sel.size))
         for start in range(0, n, per):
             orders = _stable_order(aa[start : start + per])
@@ -661,7 +650,9 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
                     continue
                 # a step that passes at its bound passes at its radii
                 last = int(np.flatnonzero(short)[-1]) + 1
-                y = rule.prefix_radii(order, members[:last], steps[:last])
+                rank[order] = np.arange(n)
+                cover = _fold_prefixes(rule.table, np.maximum, members[:last])
+                y = rule.radii(cover, rank <= steps[:last, None])
                 bad = kth[:last] > y
                 if bad.any():
                     r0 = int(np.argmax(bad.any(axis=0)))
@@ -684,7 +675,9 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
         to_sel = np.sort(dsel[members].min(axis=0))
         if (np.searchsorted(to_sel, rule.subset_bounds(members), side="right") >= owed).all():
             continue
-        y = rule.subset_radii(members)
+        inside = np.zeros((1, n), dtype=bool)
+        inside[0, members] = True
+        y = rule.radii(rule.table[members].max(axis=0, keepdims=True), inside)[0]
         found = np.searchsorted(to_sel, y, side="right")
         bad = np.flatnonzero(found < owed)
         if bad.size:

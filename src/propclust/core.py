@@ -52,6 +52,13 @@ def _exact(value, kind: type, what: str, many: bool = True):
     return tuple(values) if many else value
 
 
+def _number(value, what: str) -> float:
+    """``value``, a JSON number (an int or a float, not a bool), as a float."""
+    if type(value) not in (int, float):
+        raise InputError(f"{what} must be a JSON number")
+    return float(value)
+
+
 def _as_points(arr, name: str) -> np.ndarray:
     try:
         pts = np.array(arr, dtype=float)

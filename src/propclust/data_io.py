@@ -17,6 +17,7 @@ random numbers, so a generated CSV is byte-identical across runs.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from propclust.axioms import AxiomReport
-from propclust.core import InputError, Instance, _exact
+from propclust.core import InputError, Instance, _exact, _number
 from propclust.engine import SweepRound, SweepTrace
 from propclust.evaluation import ExperimentGrid
 
@@ -147,8 +148,8 @@ def instance_to_csv(inst: Instance) -> str:
 
 def _two_mass(a: int = 100, b: int = 10, k: int = 11) -> Instance:
     """a agents at 0 and b agents at 1 on a line; locations are shared."""
-    pts = np.concatenate([np.zeros(int(a)), np.ones(int(b))])
-    return Instance.unconstrained(pts, k=int(k))
+    pts = np.concatenate([np.zeros(a), np.ones(b)])
+    return Instance.unconstrained(pts, k=k)
 
 
 _TRIANGLE_HALF_HEIGHT = float(np.sqrt(3.0) / 4.0)
@@ -166,12 +167,11 @@ def _equilateral(cx: float, flip: bool) -> list[tuple[float, float]]:
 def _hexagon(k: int = 3) -> Instance:
     """Two far-apart equilateral triangles of three agents each."""
     pts = np.asarray(_equilateral(0.0, flip=False) + _equilateral(5.0, flip=True))
-    return Instance.unconstrained(pts, k=int(k))
+    return Instance.unconstrained(pts, k=k)
 
 
 def _three_circles(m: int = 12, k: int = 3) -> Instance:
     """Two small adjacent circles and one far big circle, m points each."""
-    m = int(m)
     if m < 1:
         raise InputError("m must be at least 1")
     ang = 2.0 * np.pi * np.arange(m) / m
@@ -179,7 +179,7 @@ def _three_circles(m: int = 12, k: int = 3) -> Instance:
     small_a = 0.3 * ring + [0.0, 0.5]
     small_b = 0.3 * ring + [0.0, -0.5]
     big = 1.0 * ring + [6.0, 0.0]
-    return Instance.unconstrained(np.concatenate([small_a, small_b, big]), k=int(k))
+    return Instance.unconstrained(np.concatenate([small_a, small_b, big]), k=k)
 
 
 def _prf2_counterexample(k: int = 2) -> Instance:
@@ -191,30 +191,28 @@ def _prf2_counterexample(k: int = 2) -> Instance:
     """
     agents = np.asarray([0.0, 0.0, 1.0, 1.0])
     candidates = np.asarray([0.0, 0.5, 0.5, 1.0])
-    return Instance.discrete(agents, candidates, k=int(k))
+    return Instance.discrete(agents, candidates, k=k)
 
 
 def _two_blobs(size: int = 20, separation: float = 10.0, k: int = 2) -> Instance:
     """Two compact square grids of `size` points, `separation` apart in x."""
-    size = int(size)
     if size < 1:
         raise InputError("size must be at least 1")
     side = int(np.ceil(np.sqrt(size)))
     g = np.arange(side) * 0.1
     blob = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)[:size]
     other = blob + [float(separation), 0.0]
-    return Instance.unconstrained(np.concatenate([blob, other]), k=int(k))
+    return Instance.unconstrained(np.concatenate([blob, other]), k=k)
 
 
 def _grid_uniform(rows: int = 5, cols: int = 5, spacing: float = 1.0, k: int = 4) -> Instance:
     """A rows-by-cols lattice of agents with shared candidate locations."""
-    rows, cols = int(rows), int(cols)
     if rows < 1 or cols < 1:
         raise InputError("rows and cols must be at least 1")
     r = np.arange(rows) * float(spacing)
     c = np.arange(cols) * float(spacing)
     pts = np.stack(np.meshgrid(r, c, indexing="ij"), axis=-1).reshape(-1, 2)
-    return Instance.unconstrained(pts, k=int(k))
+    return Instance.unconstrained(pts, k=k)
 
 
 GENERATORS = {
@@ -232,6 +230,14 @@ def generate(name: str, **params) -> Instance:
     fn = GENERATORS.get(name)
     if fn is None:
         raise InputError(f"unknown generator {name!r}; expected one of {', '.join(GENERATORS)}")
+    # a parameter has its default's type, tested exactly: a count is an int
+    # (int() would truncate 2.7) and a length an int or a float, never a
+    # bool or a string; a name the generator lacks fails in the call
+    defaults = inspect.signature(fn).parameters
+    for key, value in params.items():
+        if key in defaults and type(value) not in (type(defaults[key].default), int):
+            what = "an integer" if type(defaults[key].default) is int else "a number"
+            raise InputError(f"generator {name!r}: parameter {key!r} must be {what}, got {value!r}")
     try:
         return fn(**params)
     except InputError:
@@ -341,20 +347,23 @@ class RunRecord:
         cand = obj.get("candidate_coordinates")
         trace = obj.get("trace")
         seed = obj.get("seed")
+        metrics = obj.get("metrics", {})
+        if not isinstance(metrics, dict):
+            raise InputError("'metrics' must be a JSON object")
         return cls(
-            algorithm=str(obj["algorithm"]),
+            algorithm=_exact(obj["algorithm"], str, "'algorithm'", many=False),
             k=_exact(obj["k"], int, "'k'", many=False),
             seed=None if seed is None else _exact(seed, int, "'seed'", many=False),
-            instance_digest=str(obj["instance_digest"]),
-            metric=str(obj["metric"]),
+            instance_digest=_exact(obj["instance_digest"], str, "'instance_digest'", many=False),
+            metric=_exact(obj["metric"], str, "'metric'", many=False),
             selected=_exact(obj["selected"], int, "'selected'"),
             coordinates=_float_rows(coords),
             candidate_coordinates=_float_rows(cand),
-            underfilled=bool(obj.get("underfilled", False)),
+            underfilled=_exact(obj.get("underfilled", False), bool, "'underfilled'", many=False),
             padded=_exact(obj.get("padded", []), int, "'padded'"),
             trace=None if trace is None else trace_from_json_obj(trace),
             reports=tuple(AxiomReport.from_json_obj(r) for r in obj.get("reports", [])),
-            metrics=dict(obj.get("metrics", {})),
+            metrics={k: None if v is None else _number(v, f"metric {k!r}") for k, v in metrics.items()},
         )
 
 
@@ -534,16 +543,17 @@ def load_grid(path):
                 raise InputError(f"{where}: {exc}") from None
             name = entry.get("name", gen_name)
         elif "generator" not in entry and isinstance(entry.get("path"), str):
+            standardize = entry.get("standardize", False)
             inst = load_csv(
                 entry["path"],
                 k=1,
                 metric=entry.get("metric", "euclidean"),
-                standardize=bool(entry.get("standardize", False)),
+                standardize=_exact(standardize, bool, f"{where}: 'standardize'", many=False),
             )
             name = entry.get("name", Path(entry["path"]).stem)
         else:
             raise InputError(f"{where} needs a 'generator' name with object 'params', or a 'path'")
-        datasets.append((str(name), inst))
+        datasets.append((_exact(name, str, f"{where}: 'name'", many=False), inst))
     if not obj.get("ks"):
         raise InputError(f"{path}: grid needs a non-empty 'ks' list")
     axes = {"ks": int, "algorithms": str, "seeds": int, "metrics": str}

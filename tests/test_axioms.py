@@ -662,6 +662,58 @@ def test_stable_order_matches_stable_argsort():
         assert np.array_equal(axioms._stable_order(block), np.argsort(block, axis=1, kind="stable"))
 
 
+def _radius_instances():
+    # every kind of instance the forms read: unconstrained, rounded (so
+    # with ties), discrete and shared precomputed
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 5, 8):
+        k = int(rng.integers(1, n + 1))
+        pts = rng.normal(size=(n, 2))
+        mat = rng.integers(0, 4, size=(n, n)).astype(float)
+        mat = np.minimum(mat, mat.T)
+        np.fill_diagonal(mat, 0)
+        yield Instance.unconstrained(pts, k=k)
+        yield Instance.unconstrained(np.round(pts), k=k)
+        yield Instance.discrete(pts, rng.normal(size=(int(rng.integers(1, 7)), 2)), k=k)
+        yield Instance.precomputed(mat, k=k, shared_candidates=True)
+
+
+def _defined_radii(form, inst, group):
+    """A group's radii by the paper's definitions, one pair or candidate at a time."""
+    if form is axioms._Diameter:
+        aa = inst.agent_distances
+        return [max((aa[i, j] for i, j in combinations(group, 2)), default=0.0)]
+    dm = inst.distance_matrix
+    covers = sorted(max(dm[i, c] for i in group) for c in range(inst.m))
+    return covers[: min(inst.k, inst.m)]
+
+
+@pytest.mark.parametrize("form", [axioms._Diameter, axioms._Cover])
+def test_radii_follow_the_definitions(form):
+    # a form reads one group's radii however the group was folded: as a
+    # bitmask, as a seed's prefix at an entitlement step or as a random subset
+    rng = np.random.default_rng(7)
+    for inst in _radius_instances():
+        n, rule = inst.n, form(inst)
+        members = axioms._subset_members(n)
+        radii = rule.radii(axioms._fold_masks(rule.table, np.maximum, -np.inf), members)
+        for mask in range(1, 1 << n):
+            assert radii[mask].tolist() == _defined_radii(form, inst, np.flatnonzero(members[mask]))
+        steps, blocks = axioms._entitlement_blocks(n, inst.k)
+        rank = np.empty(n, dtype=np.intp)
+        for order in axioms._stable_order(inst.agent_distances):
+            rank[order] = np.arange(n)
+            cover = axioms._fold_prefixes(rule.table, np.maximum, order[blocks])
+            for t, y in zip(steps, rule.radii(cover, rank <= steps[:, None])):
+                assert y.tolist() == _defined_radii(form, inst, order[: t + 1])
+        for _ in range(20):
+            group = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            inside = np.zeros((1, n), dtype=bool)
+            inside[0, group] = True
+            y = rule.radii(rule.table[group].max(axis=0, keepdims=True), inside)[0]
+            assert y.tolist() == _defined_radii(form, inst, group)
+
+
 def _pinned_reports(inst):
     engine_out, _ = select_prf_centers(inst)
     rng = np.random.default_rng(0)

@@ -41,6 +41,23 @@ def test_gen_params_and_errors(capsys, tmp_path):
     assert capsys.readouterr().err.count("error: generator") == 2
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("two_mass", "a=2.7,b=1,k=1"),  # truncated, a = 2 would write 3 points
+        ("two_mass", "k=2.0"),
+        ("three_circles", "m=3.9"),
+        ("two_blobs", "size=1.5"),
+        ("grid_uniform", "rows=2,cols=2.5"),
+    ],
+)
+def test_gen_counts_must_be_integers(capsys, tmp_path, name, params):
+    path = tmp_path / "p.csv"
+    assert main(["gen", "--name", name, "--params", params, "--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: generator {name!r}: parameter ")
+    assert not path.exists()
+
+
 def test_cluster_writes_record(two_mass_csv, tmp_path, capsys):
     run = tmp_path / "run.json"
     code = main(

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -390,6 +391,13 @@ MALFORMED_GRIDS = [
     {"datasets": 5},
     {"datasets": [{"generator": "two_mass", "params": 5}]},
     {"datasets": [{"generator": "two_mass", "params": {"k": "x"}}]},
+    # generator parameters and names are read exactly, not converted
+    {"datasets": [{"generator": "two_mass", "params": {"a": "3"}}]},
+    {"datasets": [{"generator": "two_mass", "params": {"a": 2.7}}]},
+    {"datasets": [{"generator": "two_mass", "params": {"k": True}}]},
+    {"datasets": [{"generator": "two_blobs", "params": {"separation": True}}]},
+    {"datasets": [{"generator": "grid_uniform", "params": {"spacing": "2"}}]},
+    {"datasets": [{"generator": "two_mass", "name": 7}]},
 ]
 
 
@@ -415,6 +423,85 @@ def test_load_grid_errors(tmp_path):
     p.write_text(json.dumps({"datasets": [{}], "ks": [1]}))
     with pytest.raises(InputError, match="generator"):
         load_grid(p)
+
+
+@pytest.mark.parametrize("standardize", ["false", 0, None])
+def test_grid_standardize_must_be_a_json_bool(tmp_path, capsys, standardize):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("x0\n0.0\n1.0\n5.0\n")
+    p = tmp_path / "grid.json"
+    read = []
+    for flag in (False, True):
+        p.write_text(json.dumps({"datasets": [{"path": str(csv_path), "standardize": flag}], "ks": [1]}))
+        read.append(load_grid(p).datasets[0][1].agents[:, 0].tolist())
+    assert read[0] == [0.0, 1.0, 5.0] != read[1]
+    p.write_text(json.dumps({"datasets": [{"path": str(csv_path), "standardize": standardize}], "ks": [1]}))
+    with pytest.raises(InputError, match="'standardize' must be a JSON bool"):
+        load_grid(p)
+    assert main(["experiment", "--grid", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: datasets[0]: ")
+
+
+def _set_report(index, **fields):
+    def change(obj):
+        obj["reports"][index].update(fields)
+    return change
+
+
+def _set_witness(**fields):
+    def change(obj):
+        obj["reports"][0]["witness"].update(fields)
+    return change
+
+
+def _set(**fields):
+    return lambda obj: obj.update(fields)
+
+
+# each changes one stored field of the witness record to a value of another
+# JSON type, which used to be converted: "false" read as True, 5 as "5"
+STORED_FIELDS = {
+    "report-satisfied-string": _set_report(1, satisfied="false"),
+    "report-satisfied-int": _set_report(1, satisfied=1),
+    "report-definitive-int": _set_report(1, definitive=0),
+    "report-definitive-null": _set_report(0, definitive=None),
+    "witness-radius-string": _set_witness(radius="2.5"),
+    "witness-radius-bool": _set_witness(radius=True),
+    "witness-note-int": _set_witness(note=5),
+    "record-underfilled-string": _set(underfilled="false"),
+    "record-algorithm-int": _set(algorithm=5),
+    "record-digest-int": _set(instance_digest=5),
+    "record-metric-null": _set(metric=None),
+    "record-metrics-pairs": _set(metrics=[["msd1", 1.0]]),
+    "record-metrics-string": _set(metrics={"msd1": "1.0"}),
+    "record-metrics-bool": _set(metrics={"msd1": True}),
+}
+
+
+@pytest.mark.parametrize("change", STORED_FIELDS.values(), ids=STORED_FIELDS)
+def test_stored_fields_are_read_exactly(tmp_path, capsys, change):
+    p = tmp_path / "run.json"
+    write_run_record(p, _witness_record())
+    obj = json.loads(p.read_text())
+    change(obj)
+    p.write_text(json.dumps(obj))
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: .* must be a JSON "):
+        read_run_record(p)
+    assert main(["check", "--run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
+def test_stored_numbers_may_be_ints(tmp_path):
+    p = tmp_path / "run.json"
+    write_run_record(p, _witness_record())
+    obj = json.loads(p.read_text())
+    obj["reports"][0]["witness"]["radius"] = 2
+    obj["reports"][1].pop("definitive")
+    obj["metrics"] = {"msd1": 1, "msdk": None}
+    p.write_text(json.dumps(obj))
+    record = read_run_record(p)
+    assert record.reports[0].witness.radius == 2.0 and record.reports[1].definitive
+    assert record.metrics == {"msd1": 1.0, "msdk": None}
 
 
 @pytest.mark.parametrize(
