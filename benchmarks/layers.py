@@ -32,6 +32,10 @@ samples on the sweep's outcome, at n = 1000, 2000 and 4000 on 2-D points,
 - ``prf_discrete``: ``check_prf_discrete`` on the discrete instance with
   m = n/2 candidates, Gaussian points drawn (and rounded) like the agents.
 
+The ``audit_unconstrained`` and ``audit_discrete`` layers run the same two
+checks at the shape of ``perfbench``'s ``audit-sampled`` workload: n = 300
+2-D points, k = 20, and m = 150 candidates for the discrete one.
+
 The exhaustive checker layers enumerate every agent subset, on the sweep's
 outcome at n = 16, k = 4 on 2-D points:
 
@@ -88,9 +92,12 @@ DIMS = (2, 8, 64)
 CHECKERS = ("prf_unconstrained", "prf_discrete")
 CHECK_SIZES = (1000, 2000, 4000)
 CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
+AUDIT = ("audit_unconstrained", "audit_discrete")
+AUDIT_N = 300
 EXHAUSTIVE = ("exhaustive_unconstrained", "exhaustive_discrete", "prf2", "prf3")
 EXHAUSTIVE_N, EXHAUSTIVE_K = 16, 4
-DISCRETE_LAYERS = ("agent_distances", "prf_discrete", *EXHAUSTIVE[1:])
+SAMPLED = CHECKERS + AUDIT
+DISCRETE_LAYERS = ("agent_distances", "prf_discrete", "audit_discrete", *EXHAUSTIVE[1:])
 KMEANSPP_SIZES = (500, 1000, 2000, 4000)
 KMEANSPP_DIMS = (2, 8)
 KMEANSPP_GRID = (120, 6)  # (n, dim) of the experiment-grid cells
@@ -107,6 +114,7 @@ GRID = (
         for dim, decimals in CHECK_POINTS
         for layer in CHECKERS
     ]
+    + [(layer, AUDIT_N, 2, None, K) for layer in AUDIT]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
     + [("kmeanspp", *KMEANSPP_GRID, None, k) for k in KMEANSPP_GRID_KS]
     + [("record", n, dim, None, K) for n in SIZES for dim in RECORD_DIMS]
@@ -178,13 +186,15 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
             def call(inst):
                 return _Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
 
-        elif layer in CHECKERS + EXHAUSTIVE:
+        elif layer in SAMPLED + EXHAUSTIVE:
             built.agent_distances
             outcome, _ = select_prf_centers(built)
             # at n = 16 the PRF checkers enumerate subsets by default
             check = {
                 "prf_unconstrained": check_prf_unconstrained,
                 "prf_discrete": check_prf_discrete,
+                "audit_unconstrained": check_prf_unconstrained,
+                "audit_discrete": check_prf_discrete,
                 "exhaustive_unconstrained": check_prf_unconstrained,
                 "exhaustive_discrete": check_prf_discrete,
                 "prf2": check_prf2,
@@ -241,7 +251,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         "ru_maxrss_before_mib": round(rss_before / 1024, 1),
         "ru_maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    if layer in CHECKERS + EXHAUSTIVE:
+    if layer in SAMPLED + EXHAUSTIVE:
         report = json.dumps(result.to_json_obj(), separators=(",", ":")).encode()
         cell["report_sha256"] = hashlib.sha256(report).hexdigest()
     elif layer == "kmeanspp":

@@ -43,19 +43,34 @@ centers only grows with the radius, so a seed that passes at its bounds
 passes.  The test runs in three tiers, each only for the seeds the one
 before leaves open, with s selected centers:
 
-1. pre-test, O(k*s) per seed: the seeds are sorted and tested a block at
-   a time, counting only the centers near each prefix's first member and
-   its members at the steps.  Those lie in the prefix, so the count is
-   low and a seed that passes passes.  Every seed also pays the sort of
-   its row and its bounds: O(n) for the diameter, or the sort of k rows
-   of m for the cover radii;
-2. bound, O(n*s) per seed: the centers near every member count;
-3. exact radii, through the seed's last step short at its bound (the
-   steps after it pass at their bounds): O(n^2) for the diameters or
-   O(n*m) for the cover radii.  The first failure is the same as without
-   the bounds.
+1. pre-test, O(k*s*log s) per seed, for the sort of k rows of s
+   distances that reads the owed-th nearest center: the seeds are sorted
+   and tested a block at a time, counting only the centers near each
+   prefix's first member and its members at the steps.  Those lie in the
+   prefix, so the count is low and a seed that passes passes.  Every seed
+   also pays the sort of its row and its bounds: O(n) for the diameter,
+   or the sort of k rows of m for the cover radii;
+2. bound, O(n*s) per seed: the centers near every member count.  A
+   block's open seeds are tested together, with one gather of their
+   members' distances to the centers;
+3. exact radii, seed by seed in index order, through the seed's last
+   step short at its bound (the steps after it pass at their bounds):
+   O(n^2) for the diameters or O(n*m) for the cover radii.  The first
+   failure is the same as without the bounds.
 
-A random subset is likewise tested first at its first member's row.
+A random subset is likewise tested first at a bound from its first
+(smallest) member's row: that member's farthest distance into the subset
+for the diameter, or its sorted distances to the candidates for the cover
+radii.  The subsets are drawn lazily, in the order of the seeded
+generator, and pre-tested a batch at a time: the batch's members are
+concatenated, one ``np.minimum.reduceat`` gives each subset's nearest
+distance to each center, and the owed-th nearest is compared with the
+bounds.  Only the subsets left open are sorted and reach the exact radii,
+in draw order, so the first that fails is the witness.
+
+A batch holds about ``_BATCH * _SEED_BLOCK`` entries: a subset counts its
+members times s plus one row of the form's table, and the open seeds'
+gather, which lives beside its block's arrays, takes half of that.
 
 Checkers are pure functions of (instance, outcome) and safe to run in
 parallel on shared instances.
@@ -112,6 +127,11 @@ _TABLE_CELL_LIMIT = 60_000_000
 # (54, 20, 150) cover bounds raised the peak RSS of perfbench's n = 300 audit
 # by about 9%, this cap by about 1%
 _SEED_BLOCK = 1 << 14
+
+# the open seeds and the random subsets are tested at their bounds in
+# batches of about this many seed blocks of entries; larger batches raise
+# the peak memory of the n = 1000 checks above that of their seed blocks
+_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -413,7 +433,7 @@ def check_prf_unconstrained(
     sampling mode checks every agent-seeded neighborhood ball plus seeded
     random subsets and is one-sided when it finds nothing.  Both modes run
     the scans :func:`check_prf_discrete` runs, with the diameter as the
-    one radius.  A seed passes the pre-test in O(k*s) for s selected
+    one radius.  A seed passes the pre-test in O(k*s*log s) for s selected
     centers beyond the sort of its row, the bound in O(n*s), and only a
     seed short at the bound from its first member pays O(n^2) for the
     exact diameters (see the module docstring).
@@ -437,11 +457,11 @@ def check_prf_discrete(
     the change points, so checking those is complete.  Both modes run the
     scans :func:`check_prf_unconstrained` runs, with one radius per cover
     rank r; the witness is the first failing r, then its first failing
-    group.  A seed passes the pre-test in O(k*s) for s selected centers
-    beyond the sort of its row and of k rows of its bounds, the bound in
-    O(n*s), and only a seed short at the bounds from its first and last
-    members pays O(n*m) for the exact cover radii (see the module
-    docstring).
+    group.  A seed passes the pre-test in O(k*s*log s) for s selected
+    centers beyond the sort of its row and of k rows of its bounds, the
+    bound in O(n*s), and only a seed short at the bounds from its first
+    and last members pays O(n*m) for the exact cover radii (see the
+    module docstring).
     Precomputed instances without agent-agent distances sample only random
     subsets.
     """
@@ -458,10 +478,10 @@ class _RadiusRule:
     table from a member of group g, and inside[g] marks those members.
     Bitmask groups, a seed's prefixes and random subsets differ only in
     how they fold.  Lower bounds on the radii, read from rows of a
-    group's own members (for a block of seeds' orders at once), are kept
-    apart from the reading: they are the scan's hot path.  A form also
-    gives its axiom code and the notes of its exhaustive, seeded and
-    random witnesses.
+    group's own members (for a block of seeds' orders, or a batch of
+    random subsets, at once), are kept apart from the reading: they are
+    the scan's hot path.  A form also gives its axiom code and the notes
+    of its exhaustive, seeded and random witnesses.
     """
 
     def __init__(self, inst: Instance, caps: np.ndarray, table: np.ndarray):
@@ -494,8 +514,11 @@ class _Diameter(_RadiusRule):
         first = self.table[orders[:, :1], orders]
         return np.maximum.accumulate(first, axis=1, out=first)[:, steps, None]
 
-    def subset_bounds(self, members):
-        return self.table[members[0], members].max(keepdims=True)
+    def subset_bounds(self, firsts, joined, starts):
+        # each subset's first member's farthest distance into it; the
+        # subsets' members are joined, each starting at its entry of starts
+        rows = self.table[np.repeat(firsts, np.diff(starts, append=joined.size)), joined]
+        return np.maximum.reduceat(rows, starts)[:, None]
 
 
 class _Cover(_RadiusRule):
@@ -532,8 +555,9 @@ class _Cover(_RadiusRule):
             out[start : start + per] = low[..., : self.width]
         return out
 
-    def subset_bounds(self, members):
-        return np.sort(self.table[members[0]])[: self.width]
+    def subset_bounds(self, firsts, joined, starts):
+        # a subset's cover radii are at least those of its first member
+        return np.sort(self.table[firsts], axis=1)[:, : self.width]
 
 
 def _check_prf(form, inst, outcome, exhaustive, seed, samples) -> AxiomReport:
@@ -614,46 +638,74 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     Every group is first tested at the rule's lower bounds on its radii: a
     count of covered centers only grows with the radius, so a group that
     passes at its bounds passes.  Seeds are sorted and pre-tested a block
-    at a time; only the seeds the pre-test leaves open are tested one by
-    one, in index order.
+    at a time, and the block's open seeds are tested at the bound together;
+    random subsets are drawn and tested at their bounds a batch at a time.
+    Only the seeds and subsets short at their bounds reach the exact radii,
+    one by one: seeds in index order, subsets in draw order.  A batch's
+    temporaries hold about ``_BATCH * _SEED_BLOCK`` entries (more only
+    where one seed's or one subset's alone do).
     """
-    n, k = inst.n, inst.k
     dsel = inst.distance_matrix[:, sel]
     try:
         aa = inst.agent_distances
     except InputError:
         aa = None
-    if aa is not None:
-        # the first failing prefix of a seed is at an entitlement step (see
-        # the module docstring), so only those k prefixes are tested.
-        # found < req exactly when the req-th smallest distance to the
-        # selection exceeds the radius
-        steps, blocks = _entitlement_blocks(n, k)
-        req = rule.owed[1:]
-        rank = np.empty(n, dtype=np.intp)
-        per = max(1, _SEED_BLOCK // max(n, k * sel.size))
-        for start in range(0, n, per):
-            orders = _stable_order(aa[start : start + per])
-            low = rule.prefix_bounds(orders, steps)
-            # the first member and those at steps 0..l all lie in prefix l,
-            # so their nearest distances bound the prefix's from above
-            upper = np.minimum.accumulate(dsel[orders[:, steps]], axis=1)
-            np.minimum(upper, dsel[orders[:, :1]], out=upper)
-            open_seeds = np.flatnonzero((_kth_nearest(upper, req) > low).any(axis=(1, 2)))
-            for b in open_seeds:
-                order = orders[b]
-                members = order[blocks]
-                nearest = _fold_prefixes(dsel, np.minimum, members)
-                kth = _kth_nearest(nearest, req)
-                short = (kth > low[b]).any(axis=1)
-                if not short.any():
-                    continue
+    witness = None if aa is None else _first_short_seed(rule, inst, aa, dsel)
+    if witness is not None:
+        return witness
+    budget = _BATCH * _SEED_BLOCK
+    batch, used = [], 0
+    for lmax, members in _random_subsets(np.random.default_rng(seed), inst.n, inst.k, samples):
+        cost = members.size * sel.size + rule.table.shape[1]
+        if batch and used + cost > budget:
+            witness = _first_short_subset(rule, dsel, batch)
+            if witness is not None:
+                return witness
+            batch, used = [], 0
+        batch.append((lmax, members))
+        used += cost
+    return _first_short_subset(rule, dsel, batch) if batch else None
+
+
+def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
+    """The first failing agent-seeded prefix, by seed index, or None.
+
+    The first failing prefix of a seed is at an entitlement step (see the
+    module docstring), so only those k prefixes are tested.  found < req
+    exactly when the req-th smallest distance to the selection exceeds the
+    radius.
+    """
+    n, k, s = inst.n, inst.k, dsel.shape[1]
+    steps, blocks = _entitlement_blocks(n, k)
+    req = rule.owed[1:]
+    rank = np.empty(n, dtype=np.intp)
+    per = max(1, _SEED_BLOCK // max(n, k * s))
+    # the open seeds' (seeds, n, s) gather lives beside the block's orders
+    # and bounds, so it takes half the budget
+    fold = max(1, _BATCH * _SEED_BLOCK // (2 * n * s))
+    for start in range(0, n, per):
+        orders = _stable_order(aa[start : start + per])
+        low = rule.prefix_bounds(orders, steps)
+        # the first member and those at steps 0..l all lie in prefix l, so
+        # their nearest distances bound the prefix's from above
+        upper = np.minimum.accumulate(dsel[orders[:, steps]], axis=1)
+        np.minimum(upper, dsel[orders[:, :1]], out=upper)
+        open_seeds = np.flatnonzero((_kth_nearest(upper, req) > low).any(axis=(1, 2)))
+        for at in range(0, open_seeds.size, fold):
+            seeds = open_seeds[at : at + fold]
+            # row l: each center's nearest distance from blocks 0..l of a seed's order
+            nearest = np.minimum.reduceat(dsel[orders[seeds]], blocks[:, 0], axis=1)
+            np.minimum.accumulate(nearest, axis=1, out=nearest)
+            kth = _kth_nearest(nearest, req)
+            short = (kth > low[seeds]).any(axis=2)
+            for i in np.flatnonzero(short.any(axis=1)):
                 # a step that passes at its bound passes at its radii
-                last = int(np.flatnonzero(short)[-1]) + 1
+                last = int(np.flatnonzero(short[i])[-1]) + 1
+                order = orders[seeds[i]]
                 rank[order] = np.arange(n)
-                cover = _fold_prefixes(rule.table, np.maximum, members[:last])
+                cover = _fold_prefixes(rule.table, np.maximum, order[blocks[:last]])
                 y = rule.radii(cover, rank <= steps[:last, None])
-                bad = kth[:last] > y
+                bad = kth[i, :last] > y
                 if bad.any():
                     r0 = int(np.argmax(bad.any(axis=0)))
                     j = int(np.argmax(bad[:, r0]))
@@ -661,31 +713,50 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
                         agents=tuple(sorted(int(a) for a in order[: steps[j] + 1])),
                         radius=float(y[j, r0]),
                         required=int(req[j, r0]),
-                        found=int(np.count_nonzero(nearest[j] <= y[j, r0])),
+                        found=int(np.count_nonzero(nearest[i, j] <= y[j, r0])),
                         note=rule.notes[1],
                     )
-    rng = np.random.default_rng(seed)
+    return None
+
+
+def _random_subsets(rng, n: int, k: int, samples: int):
+    """The seeded random subsets, drawn lazily: (entitlement, unsorted members).
+
+    A subset entitled to no center is drawn in size only and skipped.
+    """
     for _ in range(samples):
         size = int(rng.integers(1, n + 1))
         lmax = _entitlement(size, k, n)
-        if lmax == 0:
-            continue
-        members = np.sort(rng.choice(n, size=size, replace=False))
-        owed = rule.owed[lmax]
-        to_sel = np.sort(dsel[members].min(axis=0))
-        if (np.searchsorted(to_sel, rule.subset_bounds(members), side="right") >= owed).all():
-            continue
-        inside = np.zeros((1, n), dtype=bool)
+        if lmax:
+            yield lmax, rng.choice(n, size=size, replace=False)
+
+
+def _first_short_subset(rule: _RadiusRule, dsel, batch) -> Witness | None:
+    """The first subset of ``batch`` that fails, tested at its bounds together first.
+
+    Each subset's nearest distance to each center is the minimum over its
+    members, and its first member is the smallest one.
+    """
+    joined = np.concatenate([drawn for _, drawn in batch])
+    starts = np.zeros(len(batch), dtype=np.intp)
+    np.cumsum([drawn.size for _, drawn in batch[:-1]], out=starts[1:])
+    nearest = np.minimum.reduceat(dsel[joined], starts, axis=0)
+    owed = rule.owed[[lmax for lmax, _ in batch]]
+    low = rule.subset_bounds(np.minimum.reduceat(joined, starts), joined, starts)
+    for i in np.flatnonzero((_kth_nearest(nearest, owed) > low).any(axis=1)):
+        members = np.sort(batch[i][1])
+        to_sel = np.sort(nearest[i])
+        inside = np.zeros((1, len(dsel)), dtype=bool)
         inside[0, members] = True
         y = rule.radii(rule.table[members].max(axis=0, keepdims=True), inside)[0]
         found = np.searchsorted(to_sel, y, side="right")
-        bad = np.flatnonzero(found < owed)
+        bad = np.flatnonzero(found < owed[i])
         if bad.size:
             r0 = int(bad[0])
             return Witness(
                 agents=tuple(int(a) for a in members),
                 radius=float(y[r0]),
-                required=int(owed[r0]),
+                required=int(owed[i, r0]),
                 found=int(found[r0]),
                 note=rule.notes[2],
             )

@@ -47,7 +47,7 @@ def _exact(value, kind: type, what: str, many: bool = True):
     would truncate a float or parse a string.
     """
     values = value if many else [value]
-    if not isinstance(values, list) or any(type(v) is not kind for v in values):
+    if not isinstance(values, list) or not set(map(type, values)) <= {kind}:
         raise InputError(f"{what} must be a JSON {kind.__name__}{' list' if many else ''}")
     return tuple(values) if many else value
 

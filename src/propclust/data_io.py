@@ -279,23 +279,34 @@ def trace_to_json_obj(trace: SweepTrace) -> list:
 
 
 def trace_from_json_obj(obj: list) -> SweepTrace:
+    """Read a stored trace exactly: a field of another JSON type raises InputError."""
+    if type(obj) is not list:
+        raise InputError("'trace' must be a JSON list")
     # weights are multiples of 1/k, so a trace repeats a few strings many
-    # times; each is parsed once and the immutable Fraction shared
+    # times; each is parsed once and the immutable Fraction shared.  Only a
+    # string is ever parsed, and no other value equals a string key
     parsed: dict[str, Fraction] = {}
 
     def frac(text: str) -> Fraction:
         if text not in parsed:
+            if type(text) is not str:
+                raise InputError("a trace weight or support must be a JSON str")
             parsed[text] = Fraction(text)
         return parsed[text]
 
+    def fracs(values, key: str) -> tuple[Fraction, ...]:
+        if type(values) is not list:
+            raise InputError(f"trace {key!r} must be a JSON str list")
+        return tuple(map(frac, values))
+
     rounds = tuple(
         SweepRound(
-            radius=float(r["radius"]),
-            winner=int(r["winner"]),
+            radius=_number(r["radius"], "trace 'radius'"),
+            winner=_exact(r["winner"], int, "trace 'winner'", many=False),
             support=frac(r["support"]),
-            supporters=tuple(int(i) for i in r["supporters"]),
-            weights_before=tuple(map(frac, r["weight_before"])),
-            weights_after=tuple(map(frac, r["weight_after"])),
+            supporters=_exact(r["supporters"], int, "trace 'supporters'"),
+            weights_before=fracs(r["weight_before"], "weight_before"),
+            weights_after=fracs(r["weight_after"], "weight_after"),
         )
         for r in obj
     )
@@ -544,12 +555,12 @@ def load_grid(path):
             name = entry.get("name", gen_name)
         elif "generator" not in entry and isinstance(entry.get("path"), str):
             standardize = entry.get("standardize", False)
-            inst = load_csv(
-                entry["path"],
-                k=1,
-                metric=entry.get("metric", "euclidean"),
-                standardize=_exact(standardize, bool, f"{where}: 'standardize'", many=False),
-            )
+            metric = _exact(entry.get("metric", "euclidean"), str, f"{where}: 'metric'", many=False)
+            standardize = _exact(standardize, bool, f"{where}: 'standardize'", many=False)
+            try:
+                inst = load_csv(entry["path"], k=1, metric=metric, standardize=standardize)
+            except InputError as exc:
+                raise InputError(f"{where}: {exc}") from None
             name = entry.get("name", Path(entry["path"]).stem)
         else:
             raise InputError(f"{where} needs a 'generator' name with object 'params', or a 'path'")

@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -608,13 +609,90 @@ def test_sampled_witness_after_a_step_that_passes_at_its_radii():
 
 @pytest.mark.parametrize("block_entries", [1, 40, None])
 def test_sampled_reports_do_not_depend_on_the_block(monkeypatch, block_entries):
-    # 1: one seed per block; 40: two or three (12 agents, k <= 4 centers)
+    # 1: one seed per block, and one open seed or random subset per batch;
+    # 40: two or three seeds per block (12 agents, k <= 4 centers), one or
+    # two open seeds and 2-10 subsets per batch; None: every seed in one
+    # block and every open seed and subset in one batch
     if block_entries is not None:
         monkeypatch.setattr(axioms, "_SEED_BLOCK", block_entries)
-    for seed, k in ((34, 3), (2480, 4)):
+    for seed, k in ((34, 3), (2480, 4), (647, 4)):
         inst, out = _random_precomputed(seed, k)
-        for samples in (0, 20):
+        for samples in (0, 20, 200):
             _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def test_sampled_first_failing_seed_of_a_batch_is_the_witness():
+    # seeds 0, 3, 7 and 9 are short at the bound, all in one block and one
+    # batch; seed 0 passes at its exact diameters, and of the three that
+    # fail the lowest, seed 3, gives the witness (seed 9's prefix differs)
+    inst, out = _random_precomputed(647, k=4)
+    # a seed's pre-test arrays hold k * s = 16 entries
+    assert axioms._SEED_BLOCK // 16 >= inst.n
+    tiers = _diameter_tiers(inst, out)
+    assert [i for i, tier in enumerate(tiers) if tier in ("radii", "fails")] == [0, 3, 7, 9]
+    assert [i for i, tier in enumerate(tiers) if tier == "fails"] == [3, 7, 9]
+    report = check_prf_unconstrained(inst, out, exhaustive=False, samples=0)
+    size = len(report.witness.agents)
+    prefix = {i: tuple(sorted(np.argsort(inst.agent_distances[i], kind="stable")[:size])) for i in (3, 9)}
+    assert report.witness.agents == prefix[3] != prefix[9]
+    assert recheck_witness(inst, out, report)
+    for samples in (0, 20):
+        _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def _subset_fails(inst, sel, ell, members):
+    """Whether a random subset fails the discrete form, from the definition."""
+    rows = inst.distance_matrix[members]
+    cover = np.sort(rows.max(axis=0))
+    nearest = rows[:, sel].min(axis=0)
+    return any(np.count_nonzero(nearest <= cover[r]) < min(ell, r + 1) for r in range(min(inst.k, inst.m)))
+
+
+@pytest.mark.parametrize("block_entries", [1, 36, None])
+def test_sampled_first_failing_subset_drawn_is_the_witness(monkeypatch, block_entries):
+    # 28 agents 1 from candidates 0-3 and 5 from 4-7, and agents 10 and 20
+    # the other way round; the outcome takes 4-7.  A random subset fails
+    # exactly when it holds neither 10 nor 20.  With no agent distances
+    # only random subsets are drawn, each counting its members times 4
+    # centers plus a row of 8 entries against the budget of 4 * _SEED_BLOCK:
+    # all 18 entitled draws fit in one batch by default, each has its own
+    # at 1, and at 36 draws 1-3 (36 + 68 + 40 entries) share one
+    if block_entries is not None:
+        monkeypatch.setattr(axioms, "_SEED_BLOCK", block_entries)
+    n, k = 30, 5
+    mat = np.full((n, 8), 5.0)
+    mat[:, :4] = 1.0
+    mat[[10, 20]] = [5.0] * 4 + [1.0] * 4
+    inst = Instance.precomputed(mat, k=k)
+    out = Outcome((4, 5, 6, 7))
+    rng = np.random.default_rng(2)
+    draws = []
+    for _ in range(20):
+        size = int(rng.integers(1, n + 1))
+        if size * k // n:
+            members = np.sort(rng.choice(n, size=size, replace=False))
+            draws.append((members, _subset_fails(inst, list(out.selected), size * k // n, members)))
+    failing = [i for i, (_, fails) in enumerate(draws) if fails]
+    assert failing[:3] == [1, 3, 6] and len(failing) >= 8
+    report = check_prf_discrete(inst, out, exhaustive=False, seed=2, samples=20)
+    assert report.witness.agents == tuple(draws[1][0])
+    assert recheck_witness(inst, out, report)
+    _sampled_reports_match_reference(inst, out, seed=2, samples=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.data())
+def test_sampled_batches_match_reference(inst, data):
+    # blocks of one to a few seeds, and batches of one to a few open seeds
+    # and random subsets
+    if data.draw(st.booleans(), label="prf outcome"):
+        out, _ = select_prf_centers(inst)
+    else:
+        picks = data.draw(st.permutations(range(inst.m)), label="candidates")
+        out = Outcome(tuple(picks[: data.draw(st.integers(1, inst.m), label="size")]))
+    block = data.draw(st.sampled_from((1, 8, 40, 200)), label="block")
+    with patch.object(axioms, "_SEED_BLOCK", block):
+        _sampled_reports_match_reference(inst, out, data.draw(st.integers(0, 3), label="seed"), 200)
 
 
 def test_sampled_first_failure_in_a_later_block():

@@ -567,6 +567,72 @@ def test_witness_integers_may_be_null(tmp_path):
     assert (witness.agents, witness.candidate, witness.required, witness.found) == ((4, 5), None, None, None)
 
 
+@pytest.mark.parametrize(
+    "metric, message",
+    [(5, "'metric' must be a JSON str"), (None, "'metric' must be a JSON str"), ("cosine", "unknown metric 'cosine'")],
+)
+def test_grid_metric_must_be_a_known_string(tmp_path, capsys, metric, message):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text("x0\n0.0\n1.0\n5.0\n")
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps({"datasets": [{"path": str(csv_path), "metric": "manhattan"}], "ks": [1]}))
+    assert load_grid(p).datasets[0][1].metric == "manhattan"
+    p.write_text(json.dumps({"datasets": [{"path": str(csv_path), "metric": metric}], "ks": [1]}))
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: datasets\\[0\\]: {message}"):
+        load_grid(p)
+    assert main(["experiment", "--grid", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: datasets[0]: {message}")
+
+
+def _set_round(**fields):
+    def change(obj):
+        obj["trace"][0].update(fields)
+    return change
+
+
+# each changes the first round of a stored trace to hold a value of another
+# JSON type, which used to be converted: 5.7 read as winner 5, "0.5" as 0.5
+TRACE_FIELDS = {
+    "winner-float": _set_round(winner=5.7),
+    "winner-string": _set_round(winner="5"),
+    "winner-bool": _set_round(winner=True),
+    "radius-string": _set_round(radius="0.5"),
+    "radius-null": _set_round(radius=None),
+    "supporters-strings": _set_round(supporters=["0", "1"]),
+    "supporters-floats": _set_round(supporters=[0.0, 1.0]),
+    "supporters-string": _set_round(supporters="01"),
+    "support-number": _set_round(support=1),
+    "weight-numbers": _set_round(weight_before=[1, 1, 1, 1, 1, 1]),
+    "weight-string": _set_round(weight_after="111111"),
+    "all-at-once": _set_round(winner=5.7, supporters=["0", "1"], radius="0.5"),
+    "trace-object": _set(trace={"radius": 1.0}),
+}
+
+
+@pytest.mark.parametrize("change", TRACE_FIELDS.values(), ids=TRACE_FIELDS)
+def test_stored_trace_is_read_exactly(tmp_path, capsys, change):
+    p = tmp_path / "run.json"
+    write_run_record(p, _witness_record())
+    obj = json.loads(p.read_text())
+    change(obj)
+    p.write_text(json.dumps(obj))
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: .*must be a JSON "):
+        read_run_record(p)
+    assert main(["check", "--run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
+def test_stored_trace_radius_may_be_an_int(tmp_path):
+    p = tmp_path / "run.json"
+    record = _witness_record()
+    write_run_record(p, record)
+    obj = json.loads(p.read_text())
+    obj["trace"][0]["radius"] = 2
+    p.write_text(json.dumps(obj))
+    rounds = read_run_record(p).trace.rounds
+    assert rounds[0].radius == 2.0 and rounds[1:] == record.trace.rounds[1:]
+
+
 @pytest.mark.parametrize("fields", MALFORMED_GRIDS)
 def test_experiment_malformed_grid_exits_1(tmp_path, capsys, fields):
     p = tmp_path / "grid.json"
