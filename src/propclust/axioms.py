@@ -190,7 +190,7 @@ class AxiomReport:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AxiomReport":
-        axiom = str(obj["axiom"])
+        axiom = _exact(obj["axiom"], str, "report 'axiom'", many=False)
         if axiom not in _AXIOM_CODES:
             raise InputError(f"unknown axiom code {axiom!r}")
         wit = obj.get("witness")

@@ -17,9 +17,10 @@ of rows) and copies them across.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Sequence
 
@@ -74,6 +75,15 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
+def _checked_k(k, n: int) -> int:
+    """``k`` as an int, when it is an integer with 1 <= k <= n."""
+    if not isinstance(k, (int, np.integer)):
+        raise InputError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise InputError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
+    return int(k)
+
+
 def distance(p: Sequence[float], q: Sequence[float], metric: str = "euclidean") -> float:
     """Distance between two coordinate points under the named metric.
 
@@ -115,8 +125,8 @@ class Instance:
     agents : ndarray or None
         (n, dim) agent coordinates.  ``None`` only in precomputed mode.
     candidates : ndarray or None
-        (m, dim) candidate coordinates.  When omitted, candidates are a
-        verbatim indexed copy of the agents (the unconstrained mode).
+        (m, dim) candidate coordinates.  When omitted, or equal to the
+        agents bit for bit, this is the agents array itself.
     k : int
         Number of centers to select, 1 <= k <= n.
     metric : str
@@ -175,16 +185,16 @@ class Instance:
                         f"agents have dimension {agents.shape[1]} but candidates have {cands.shape[1]}"
                     )
                 shared = cands.shape == agents.shape and bool(np.array_equal(cands, agents))
+                # the same bits (a -0.0 would change the digest) are stored once, so the
+                # distance build sees the agents twice and sums half the matrix
+                if shared and np.array_equal(cands.view(np.int64), agents.view(np.int64)):
+                    cands = agents
             object.__setattr__(self, "agents", agents)
             object.__setattr__(self, "candidates", cands)
             object.__setattr__(self, "shared_candidates", shared)
         else:
             raise InputError(f"unknown metric {self.metric!r}")
-        if not isinstance(self.k, (int, np.integer)):
-            raise InputError(f"k must be an integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        if not 1 <= self.k <= self.n:
-            raise InputError(f"k must satisfy 1 <= k <= n, got k={self.k} with n={self.n}")
+        object.__setattr__(self, "k", _checked_k(self.k, self.n))
 
     # -- constructors -------------------------------------------------
 
@@ -229,15 +239,14 @@ class Instance:
         return bool(self.shared_candidates)
 
     def with_k(self, k: int) -> "Instance":
-        """The same agents and candidates with another k.
+        """The same instance with another k.
 
-        Distance matrices already built are shared with the new instance;
-        the digest is not, because it covers k.
+        A shallow copy: the points, the matrix and every cached property
+        already built are shared, except the digest, which covers k.
         """
-        out = replace(self, k=k)
-        for attr in ("distance_matrix", "agent_distances"):
-            if attr in self.__dict__:
-                out.__dict__[attr] = self.__dict__[attr]
+        out = copy.copy(self)
+        object.__setattr__(out, "k", _checked_k(k, self.n))
+        out.__dict__.pop("digest", None)
         return out
 
     # -- distances -----------------------------------------------------

@@ -246,6 +246,8 @@ def generate(name: str, **params) -> Instance:
         raise InputError(f"generator {name!r} does not accept parameters {sorted(params)}") from None
     except (OverflowError, ValueError) as exc:
         raise InputError(f"generator {name!r}: bad parameter value ({exc})") from None
+    except MemoryError:
+        raise InputError(f"generator {name!r}: the instance does not fit in memory") from None
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +354,9 @@ class RunRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunRecord":
-        if obj.get("schema_version") != 1:
-            raise InputError(f"unsupported run record schema {obj.get('schema_version')!r}")
+        version = _exact(obj.get("schema_version"), int, "'schema_version'", many=False)
+        if version != 1:
+            raise InputError(f"unsupported run record schema {version!r}")
         coords = obj.get("coordinates")
         cand = obj.get("candidate_coordinates")
         trace = obj.get("trace")
@@ -373,7 +376,7 @@ class RunRecord:
             underfilled=_exact(obj.get("underfilled", False), bool, "'underfilled'", many=False),
             padded=_exact(obj.get("padded", []), int, "'padded'"),
             trace=None if trace is None else trace_from_json_obj(trace),
-            reports=tuple(AxiomReport.from_json_obj(r) for r in obj.get("reports", [])),
+            reports=tuple(map(AxiomReport.from_json_obj, _exact(obj.get("reports", []), dict, "'reports'"))),
             metrics={k: None if v is None else _number(v, f"metric {k!r}") for k, v in metrics.items()},
         )
 
@@ -571,4 +574,7 @@ def load_grid(path):
     kwargs = {
         key: _exact(obj[key], kind, f"{path}: {key!r}") for key, kind in axes.items() if key in obj
     }
-    return ExperimentGrid(datasets=tuple(datasets), **kwargs)
+    try:
+        return ExperimentGrid(datasets=tuple(datasets), **kwargs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

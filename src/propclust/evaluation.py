@@ -157,6 +157,12 @@ class ExperimentGrid:
     metrics: tuple[str, ...] = METRIC_KEYS
 
     def __post_init__(self):
+        # rows are keyed by dataset name, so two datasets of one name would be averaged together
+        seen = set()
+        for name, _ in self.datasets:
+            if name in seen:
+                raise InputError(f"dataset name {name!r} is repeated; each dataset needs its own name")
+            seen.add(name)
         for name in self.algorithms:
             if name not in ALGORITHM_NAMES:
                 raise InputError(f"unknown algorithm {name!r}")

@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,6 +265,78 @@ def test_with_k_reuses_built_distances():
     fresh = Instance.unconstrained([(0.0,), (1.0,)], k=1).with_k(2)
     assert "distance_matrix" not in fresh.__dict__
     np.testing.assert_array_equal(fresh.distance_matrix, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "discrete", "precomputed"])
+def test_with_k_shares_everything_but_the_digest(mode):
+    pts = np.random.default_rng(3).normal(size=(6, 2))
+    inst = Instance.unconstrained(pts, k=1)
+    if mode == "precomputed":
+        inst = Instance.precomputed(inst.distance_matrix, k=1, shared_candidates=True)
+    elif mode == "discrete":
+        inst = Instance.discrete(pts, pts[:4] + 0.5, k=1)
+    before = inst.digest
+    built = {attr: getattr(inst, attr) for attr in ("distance_matrix", "agent_distances")}
+    out = inst.with_k(3)
+    for attr in ("agents", "candidates", "matrix", "metric", "shared_candidates"):
+        assert getattr(out, attr) is getattr(inst, attr), attr
+    for attr, value in built.items():
+        assert getattr(out, attr) is value, attr
+    assert (out.k, inst.k, inst.digest) == (3, 1, before)
+    assert "digest" not in out.__dict__
+    assert out.digest == replace(inst, k=3).digest != before
+
+
+def test_with_k_of_a_precomputed_instance_allocates_no_matrix():
+    matrix = Instance.unconstrained(np.random.default_rng(4).normal(size=(2000, 2)), k=1).distance_matrix
+    inst = Instance.precomputed(matrix, k=1, shared_candidates=True)
+    built = inst.distance_matrix, inst.agent_distances
+    tracemalloc.start()
+    try:
+        out = inst.with_k(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert out.matrix is out.distance_matrix is out.agent_distances is built[0] is built[1]
+
+
+def test_shared_candidates_get_the_half_build(monkeypatch):
+    halves = []  # one entry per distance build: whether it was the symmetric half build
+    real = core._pairwise
+    monkeypatch.setattr(core, "_pairwise", lambda a, b, metric: halves.append(b is a) or real(a, b, metric))
+    pts = np.random.default_rng(6).normal(size=(40, 3))
+    # a k-variant taken before any build, and candidates passed as a copy of the agents
+    variant = Instance.unconstrained(pts, k=2).with_k(5)
+    copied = Instance.discrete(pts, pts.copy(), k=2)
+    assert copied.candidates is copied.agents and copied.is_unconstrained
+    for inst in (variant, copied):
+        assert inst.distance_matrix.tobytes() == _reference_pairwise(pts, pts, "euclidean").tobytes()
+    assert halves == [True, True]
+
+
+def test_signed_zero_candidates_stay_their_own_array():
+    # -0.0 equals 0.0, so the candidates are shared, but their bits (and the digest) differ
+    agents = np.array([[0.0], [1.0]])
+    inst = Instance.discrete(agents, [[-0.0], [1.0]], k=1)
+    assert inst.is_unconstrained and inst.candidates is not inst.agents
+    assert inst.digest != Instance.discrete(agents, agents.copy(), k=1).digest
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (0, "k must satisfy 1 <= k <= n, got k=0 with n=3"),
+        (4, "k must satisfy 1 <= k <= n, got k=4 with n=3"),
+        (2.0, "k must be an integer, got 2.0"),
+    ],
+)
+def test_with_k_checks_k_as_construction_does(k, message):
+    inst = Instance.unconstrained([(0.0,), (1.0,), (2.0,)], k=1)
+    for make in (inst.with_k, lambda k: Instance.unconstrained(inst.agents, k=k)):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make(k)
+    assert inst.with_k(np.int64(2)).k == 2 and type(inst.with_k(np.int64(2)).k) is int
 
 
 def test_digest_stable_and_sensitive():

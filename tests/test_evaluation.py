@@ -115,6 +115,9 @@ def test_grid_validation():
         ExperimentGrid(datasets=(("d", inst),), ks=(1,), metrics=("msd2",))
     with pytest.raises(InputError):
         ExperimentGrid(datasets=(("d", inst),), ks=(1,), seeds=())
+    # rows are grouped by dataset name, so two datasets of one name would be averaged together
+    with pytest.raises(InputError, match="dataset name 'd' is repeated"):
+        ExperimentGrid(datasets=(("d", inst), ("d", inst.with_k(2))), ks=(1,))
 
 
 def test_experiment_builds_distances_once_per_dataset(monkeypatch):
@@ -124,7 +127,8 @@ def test_experiment_builds_distances_once_per_dataset(monkeypatch):
     real = core._pairwise
 
     def counting(a, b, metric):
-        builds.append(a.shape[0])
+        # with_k shares the candidates, which are the agents array, so the build sums half the matrix
+        builds.append(b is a)
         return real(a, b, metric)
 
     monkeypatch.setattr(core, "_pairwise", counting)
@@ -135,7 +139,7 @@ def test_experiment_builds_distances_once_per_dataset(monkeypatch):
         metrics=("msd1",),
     )
     run_experiment(grid)
-    assert len(builds) == 1
+    assert builds == [True]
 
 
 def test_experiment_row_layout():

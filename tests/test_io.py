@@ -672,3 +672,52 @@ def _write(path, text):
 def test_inputs_rejected_before_use(tmp_path, call, message):
     with pytest.raises(InputError, match=message):
         call(tmp_path)
+
+
+def test_grid_dataset_names_must_be_unique(tmp_path, capsys):
+    # both entries default to the generator's name, so their rows would be averaged together
+    entries = [
+        {"generator": "two_blobs", "params": {"size": 10}},
+        {"generator": "two_blobs", "params": {"size": 30, "separation": 50}},
+    ]
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps({"datasets": entries, "ks": [2], "algorithms": ["prf"], "metrics": ["msd1"]}))
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: dataset name 'two_blobs' is repeated"):
+        load_grid(p)
+    assert main(["experiment", "--grid", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+    entries[1]["name"] = "two_blobs_far"
+    p.write_text(json.dumps({"datasets": entries, "ks": [2], "algorithms": ["prf"], "metrics": ["msd1"]}))
+    assert [name for name, _ in load_grid(p).datasets] == ["two_blobs", "two_blobs_far"]
+
+
+def test_generator_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    def too_large(m: int = 12, k: int = 3):
+        raise MemoryError  # what numpy raises for an array it cannot allocate
+
+    monkeypatch.setitem(data_io.GENERATORS, "three_circles", too_large)
+    with pytest.raises(InputError, match="^generator 'three_circles': the instance does not fit in memory$"):
+        generate("three_circles", m=10**12)
+    assert main(["gen", "--name", "three_circles", "--params", "m=1000000000000"]) == 1
+    assert capsys.readouterr().err.startswith("error: generator 'three_circles': ")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("schema_version", True, "'schema_version' must be a JSON int"),
+        ("schema_version", 1.0, "'schema_version' must be a JSON int"),
+        ("reports", {}, "'reports' must be a JSON dict list"),
+        ("reports", [{"axiom": ["PRF_UNC"], "satisfied": True}], "report 'axiom' must be a JSON str"),
+    ],
+)
+def test_record_header_and_axiom_codes_are_read_exactly(tmp_path, capsys, field, value, message):
+    p = tmp_path / "run.json"
+    write_run_record(p, _witness_record())
+    obj = json.loads(p.read_text())
+    obj[field] = value
+    p.write_text(json.dumps(obj))
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: {re.escape(message)}$"):
+        read_run_record(p)
+    assert main(["check", "--run", str(p)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {p}: {message}")
