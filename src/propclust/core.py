@@ -41,6 +41,10 @@ class InputError(ValueError):
     """Invalid instance, argument, or input file."""
 
 
+#: ``json.dumps(obj, separators=(",", ":"))``, the digest's serialization.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _exact(value, kind: type, what: str, many: bool = True):
     """``value``, a JSON list of ``kind`` values, as a tuple; with ``many=False``, one such value.
 
@@ -60,9 +64,25 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _frozen(arr) -> bool:
+    """True when ``arr`` is a float64, 2-D, C-contiguous array that nothing can write.
+
+    Such an array (another instance's points or distance matrix) is used
+    as it is rather than copied.  Neither it nor any array in its ``.base``
+    chain may be writeable, so no view the caller holds can change it.
+    """
+    if type(arr) is not np.ndarray or arr.dtype != np.float64 or arr.ndim != 2 or not arr.flags.c_contiguous:
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None  # a buffer that is not an array (bytearray, mmap) may be written through
+
+
 def _as_points(arr, name: str) -> np.ndarray:
     try:
-        pts = np.array(arr, dtype=float)
+        pts = arr if _frozen(arr) else np.array(arr, dtype=float)
     except ValueError:  # ragged rows or entries that are not numbers
         raise InputError(f"{name} must be a nonempty 2-D array of coordinates") from None
     if pts.ndim == 1:
@@ -152,7 +172,7 @@ class Instance:
             if self.agents is not None or self.candidates is not None:
                 raise InputError("precomputed instances take a matrix, not coordinates")
             try:
-                mat = np.array(self.matrix, dtype=float)
+                mat = self.matrix if _frozen(self.matrix) else np.array(self.matrix, dtype=float)
             except ValueError:  # ragged rows or entries that are not numbers
                 raise InputError("distance matrix must be a nonempty 2-D array") from None
             if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
@@ -274,18 +294,37 @@ class Instance:
         return out
 
     @cached_property
+    def _coordinate_json(self) -> tuple[str, str] | None:
+        """Compact JSON text of ``agents.tolist()`` and ``candidates.tolist()``.
+
+        ``None`` in precomputed mode.  The coordinates are rendered once per
+        instance, and its k-variants share the text: the digest and a run
+        record's coordinates are both written from it.  Candidates that are
+        the agents array share its string.
+        """
+        if self.agents is None:
+            return None
+        agents = _compact(self.agents.tolist())
+        return agents, agents if self.candidates is self.agents else _compact(self.candidates.tolist())
+
+    @cached_property
     def digest(self) -> str:
-        """SHA-256 over a canonical serialization; stable across runs."""
-        payload = {
-            "schema": "instance/1",
-            "metric": self.metric,
-            "k": self.k,
-            "agents": None if self.agents is None else self.agents.tolist(),
-            "candidates": None if self.candidates is None else self.candidates.tolist(),
-            "matrix": None if self.matrix is None else self.matrix.tolist(),
-            "shared_candidates": self.shared_candidates,
-        }
-        blob = json.dumps(payload, separators=(",", ":"))
+        """SHA-256 over a canonical serialization; stable across runs.
+
+        The serialization is ``json.dumps(payload, separators=(",", ":"))``
+        of the payload ``{"schema": "instance/1", "metric", "k", "agents",
+        "candidates", "matrix", "shared_candidates"}``, with the points as
+        nested lists; it is joined here around the cached coordinate text.
+        """
+        agents, candidates = self._coordinate_json or ("null", "null")
+        blob = "".join((
+            '{"schema":"instance/1","metric":', _compact(self.metric),
+            ',"k":', str(self.k),
+            ',"agents":', agents,
+            ',"candidates":', candidates,
+            ',"matrix":', "null" if self.matrix is None else _compact(self.matrix.tolist()),
+            ',"shared_candidates":', _compact(self.shared_candidates), "}",
+        ))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -7,8 +7,10 @@ Results of a run serialize to a single JSON document (:class:`RunRecord`)
 with a fixed key order, exact rational weights rendered as fraction
 strings, and the instance digest embedded so a record can be matched
 back to its inputs.  Its bytes are exactly ``json.dumps(obj, indent=2)``
-plus a newline, written in pieces by the C encoder (see
+plus a newline, written in pieces of bounded size (see
 :func:`write_run_record`); perfbench's ``expected.json`` digests pin them.
+An instance renders its coordinates to JSON text once, and its digest and
+the records made from it share that text.
 
 Generators are deterministic functions of their parameters; none draw
 random numbers, so a generated CSV is byte-identical across runs.
@@ -332,6 +334,10 @@ class RunRecord:
     trace: SweepTrace | None = None
     reports: tuple[AxiomReport, ...] = ()
     metrics: dict = field(default_factory=dict)
+    # compact JSON text of the coordinate fields, keyed by field name, from
+    # the instance (set by record_for only: a replaced or parsed record has
+    # none, so it can never write text that disagrees with its fields)
+    _coordinate_text: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -396,7 +402,7 @@ def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> R
     cand = None
     if not inst.is_unconstrained and inst.candidates is not None:
         cand = tuple(map(tuple, inst.candidates.tolist()))
-    return RunRecord(
+    record = RunRecord(
         algorithm=algorithm,
         k=inst.k,
         seed=seed,
@@ -407,6 +413,12 @@ def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> R
         candidate_coordinates=cand,
         **extra,
     )
+    if coords is not None:
+        agents, candidates = inst._coordinate_json
+        record._coordinate_text["coordinates"] = agents
+        if cand is not None:
+            record._coordinate_text["candidate_coordinates"] = candidates
+    return record
 
 
 _ROWS = 256  # rows of a numeric matrix encoded per piece
@@ -416,15 +428,28 @@ _encode = json.JSONEncoder().encode  # the C encoder, for leaves and flat lists
 _string = json.encoder.encode_basestring_ascii
 
 
+@dataclass(frozen=True)
+class _RowsText:
+    """The compact JSON text of a nonempty list of nonempty numeric rows.
+
+    A holder rather than a ``str`` subclass, which would copy the text.
+    """
+
+    text: str
+
+
 def _indented(obj, pad: str):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces.
 
     ``pad`` is the indent of the line ``obj`` starts on; dict keys must be
-    strings.  A list of scalars is C-encoded at once, and each ``", "``
-    separator becomes a line break: no number contains a comma, and the
-    count catches a string that does.  A list of numeric rows is encoded
-    ``_ROWS`` rows per piece the same way, with ``"], ["`` as the row seam,
-    so no piece is ever a large string.
+    strings.  A list of strings that need no escaping (a trace's fraction
+    weights) is joined directly.  Any other list of scalars is C-encoded at
+    once, and each ``", "`` separator becomes a line break: no number
+    contains a comma, and the count catches a string that does.  A
+    :class:`_RowsText`, the coordinates an instance rendered once for its
+    digest, is laid out from that text (:func:`_rows_from_text`); other
+    numeric rows are encoded ``_ROWS`` rows per piece the same way, with
+    ``"], ["`` as the row seam.  Either way no piece is ever a large string.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -437,6 +462,8 @@ def _indented(obj, pad: str):
             yield from _indented(value, inner)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
+    elif type(obj) is _RowsText:
+        yield from _rows_from_text(obj.text, pad)
     elif not isinstance(obj, (list, tuple)):
         yield _encode(obj)
     elif not obj:
@@ -444,6 +471,12 @@ def _indented(obj, pad: str):
     else:
         inner, deeper = pad + "  ", pad + "    "
         kinds = set(map(type, obj))
+        if kinds == {str}:
+            # the encoder leaves printable ASCII as it is, except '"' and '\\'
+            chars = "".join(obj)
+            if chars.isascii() and chars.isprintable() and '"' not in chars and "\\" not in chars:
+                yield '[\n' + inner + '"' + ('",\n' + inner + '"').join(obj) + '"\n' + pad + "]"
+                return
         if kinds <= _SCALARS:
             text = _encode(obj)
             if str not in kinds or text.count(", ") == len(obj) - 1:
@@ -466,16 +499,43 @@ def _indented(obj, pad: str):
         yield "\n" + pad + "]"
 
 
+def _rows_from_text(text: str, pad: str):
+    """Yield ``json.dumps(rows, indent=2)`` from ``text``, the compact JSON of ``rows``.
+
+    ``rows`` is a nonempty list of nonempty numeric rows, so a number's
+    text holds no ``,``, ``[`` or ``]``: every ``,`` becomes a line break,
+    and then the row seam ``],`` + break + ``[`` is laid out (in that order,
+    or the seam's own comma would be split).  Each piece is cut at a seam
+    about ``_ROWS`` rows on.
+    """
+    inner, deeper = pad + "  ", pad + "    "
+    comma = ",\n" + deeper
+    seam = "\n" + inner + "],\n" + inner + "[\n" + deeper
+    step = len(text) * _ROWS // (text.count("],[") + 1)  # characters in about _ROWS rows
+    end = len(text) - 2
+    start, sep = 2, "[\n" + inner + "[\n" + deeper
+    while start < end:
+        stop = text.find("],[", start + step, end)
+        stop = end if stop < 0 else stop
+        yield sep + text[start:stop].replace(",", comma).replace("]" + comma + "[", seam)
+        start, sep = stop + 3, seam
+    yield "\n" + inner + "]\n" + pad + "]"
+
+
 def write_run_record(path, record: RunRecord) -> None:
     """Write ``record`` as ``json.dumps(record.to_json_obj(), indent=2) + "\\n"``.
 
     The bytes are exactly those, but :func:`_indented` produces them in
-    pieces with the C encoder, and each piece is written as it comes, so
-    the document is never one string.  perfbench's ``expected.json``
-    digests pin these bytes.
+    pieces, and each piece is written as it comes, so the document is
+    never one string.  The coordinates of a record made by
+    :func:`record_for` are laid out from the compact text its instance
+    rendered once for its digest.  perfbench's ``expected.json`` digests
+    pin these bytes.
     """
+    obj = record.to_json_obj()
+    obj.update((key, _RowsText(text)) for key, text in record._coordinate_text.items())
     with open(path, "w") as fh:
-        fh.writelines(_indented(record.to_json_obj(), ""))
+        fh.writelines(_indented(obj, ""))
         fh.write("\n")
 
 

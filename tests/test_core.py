@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -6,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from propclust import (
     Instance,
@@ -347,6 +351,100 @@ def test_digest_stable_and_sensitive():
     assert a.digest != Instance.unconstrained(pts, k=2).digest
     assert a.digest != Instance.unconstrained([(0.0,), (1.5,)], k=1).digest
     assert a.digest != Instance.unconstrained(pts, k=1, metric="manhattan").digest
+
+
+def _reference_digest(inst):
+    payload = {
+        "schema": "instance/1",
+        "metric": inst.metric,
+        "k": inst.k,
+        "agents": None if inst.agents is None else inst.agents.tolist(),
+        "candidates": None if inst.candidates is None else inst.candidates.tolist(),
+        "matrix": None if inst.matrix is None else inst.matrix.tolist(),
+        "shared_candidates": inst.shared_candidates,
+    }
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+def _digest_cases():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(30, 3))
+    signed = np.array([[0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+    unconstrained = Instance.unconstrained(pts, k=2)
+    return {
+        "unconstrained": unconstrained,
+        "manhattan": Instance.unconstrained(pts, k=2, metric="manhattan"),
+        "discrete": Instance.discrete(pts, rng.normal(size=(12, 3)), k=2),
+        "copied-candidates": Instance.discrete(pts, pts.copy(), k=2),
+        "signed-zero-candidates": Instance.discrete(signed, [[-0.0, 1.0], [2.0, 0.0], [3.0, 4.0]], k=2),
+        "precomputed-shared": Instance.precomputed(unconstrained.distance_matrix, k=2, shared_candidates=True),
+        "precomputed": Instance.precomputed(rng.uniform(0, 5, size=(7, 4)), k=2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_digest_cases()))
+def test_digest_equals_the_json_dumps_reference(name):
+    inst = _digest_cases()[name]
+    if name == "signed-zero-candidates":
+        assert inst.is_unconstrained and inst.candidates is not inst.agents
+    for variant in (inst, inst.with_k(1), inst.with_k(3), inst.with_k(1).with_k(2)):
+        assert variant.digest == _reference_digest(variant)
+    assert inst.with_k(3)._coordinate_json is inst._coordinate_json
+
+
+_COORDINATES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1]
+)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.lists(_COORDINATES, min_size=dim, max_size=dim), min_size=1, max_size=6),
+            st.none() | st.lists(st.lists(_COORDINATES, min_size=dim, max_size=dim), min_size=1, max_size=6),
+        )
+    )
+)
+def test_digest_property_over_edge_coordinates(points):
+    agents, candidates = points
+    inst = Instance.discrete(agents, agents if candidates is None else candidates, k=1)
+    assert inst.digest == _reference_digest(inst)
+    assert inst.with_k(len(agents)).digest == _reference_digest(inst.with_k(len(agents)))
+
+
+def test_frozen_arrays_are_used_as_they_are():
+    # another instance's frozen arrays: an n = 2000 copy would keep a second 30.5 MiB matrix
+    source = Instance.unconstrained(np.random.default_rng(9).normal(size=(2000, 2)), k=1)
+    matrix = source.distance_matrix
+    tracemalloc.start()
+    try:
+        inst = Instance.precomputed(matrix, k=3, shared_candidates=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20 and peak < matrix.nbytes / 4
+    assert inst.matrix is inst.distance_matrix is matrix
+    points = Instance.discrete(source.agents, source.agents, k=3)
+    assert points.agents is points.candidates is source.agents
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_writable_input_is_still_copied(view):
+    # a read-only view of a writable array can still change through that array
+    rng = np.random.default_rng(10)
+    matrix = rng.uniform(0, 5, size=(6, 4))
+    pts = rng.normal(size=(6, 2))
+    given_matrix, given_pts = (matrix.view(), pts.view()) if view else (matrix, pts)
+    if view:
+        given_matrix.flags.writeable = given_pts.flags.writeable = False
+    pre = Instance.precomputed(given_matrix, k=2)
+    unc = Instance.unconstrained(given_pts, k=2)
+    before = [(inst.distance_matrix.copy(), inst.digest) for inst in (pre, unc)]
+    matrix += 1.0
+    pts += 1.0
+    for inst, (distances, digest) in zip((pre, unc), before):
+        assert inst.distance_matrix.tobytes() == distances.tobytes()
+        assert replace(inst).digest == digest
 
 
 def test_outcome_requires_distinct_indices():

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from propclust import (
     check_pf,
     check_up,
     greedy_capture,
+    kmeanspp,
     select_prf_centers,
 )
 from propclust import data_io
@@ -22,6 +26,7 @@ from propclust.data_io import (
     GENERATORS,
     RunRecord,
     _indented,
+    _RowsText,
     generate,
     instance_from_record,
     instance_to_csv,
@@ -289,12 +294,35 @@ def _witness_record():
     return record_for(inst, "prf", outcome, seed=7, trace=trace, reports=reports, metrics=metrics)
 
 
+def _kmeanspp_record():
+    inst = Instance.discrete(_gaussian(50, 2, 7), _gaussian(30, 2, 8), k=5)
+    outcome = kmeanspp(inst, seed=3)
+    return record_for(inst, "kmeanspp", outcome, seed=3, reports=(check_up(inst, outcome), check_pf(inst, outcome)))
+
+
+def _replaced_record():
+    # the copy holds other coordinates than the instance rendered: they must be written
+    record = _prf_record(Instance.unconstrained(_gaussian(30, 2, 9), k=3))
+    return dataclasses.replace(record, coordinates=tuple(map(tuple, _gaussian(30, 2, 10).tolist())))
+
+
+def _read_back_record():
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "run.json"
+        write_run_record(p, _witness_record())
+        return read_run_record(p)
+
+
 RECORDS = {
     "prf-unconstrained": lambda: _prf_record(Instance.unconstrained(_gaussian(60, 2, 1), k=5)),
     "prf-discrete": lambda: _prf_record(Instance.discrete(_gaussian(40, 3, 2), _gaussian(25, 3, 3), k=4)),
     "greedy-padded": _greedy_record,
+    "kmeanspp-with-reports": _kmeanspp_record,
     "witness-and-none": _witness_record,
+    "replaced-coordinates": _replaced_record,
+    "read-back": _read_back_record,
     "row-seam": lambda: _prf_record(Instance.unconstrained(_gaussian(2 * data_io._ROWS + 3, 2, 4), k=6)),
+    "n2000-discrete": lambda: _prf_record(Instance.discrete(_gaussian(2000, 3, 11), _gaussian(700, 3, 12), k=20)),
 }
 
 
@@ -304,6 +332,18 @@ def test_written_record_equals_indented_json_dumps(tmp_path, name):
     p = tmp_path / "run.json"
     write_run_record(p, record)
     assert p.read_bytes() == (json.dumps(record.to_json_obj(), indent=2) + "\n").encode()
+
+
+def test_only_record_for_stores_coordinate_text(tmp_path):
+    inst = Instance.discrete(_gaussian(8, 2, 13), _gaussian(5, 2, 14), k=2)
+    record = _prf_record(inst)
+    assert record._coordinate_text == dict(zip(("coordinates", "candidate_coordinates"), inst._coordinate_json))
+    assert _prf_record(inst.with_k(1))._coordinate_text["coordinates"] is inst._coordinate_json[0]
+    assert dataclasses.replace(record)._coordinate_text == {}
+    p = tmp_path / "run.json"
+    write_run_record(p, record)
+    assert read_run_record(p)._coordinate_text == {}
+    assert "_coordinate_text" not in repr(record)
 
 
 _TRICKY_TEXT = st.lists(
@@ -333,6 +373,15 @@ def test_indented_matches_json_dumps(obj, rows):
     assert text == json.dumps(obj, indent=2)
 
 
+@pytest.mark.parametrize(
+    "strings",
+    [["1/2", "-3/4", "5"], [""], ["a, b", "], ["], ['1"2'], ["1\\2"], ["1\x7f"], ["\x1f"], ["é"], ["1/2", "\u2028"]],
+)
+def test_string_lists_are_joined_only_without_escapes(strings):
+    # fraction strings are joined as they are; a string the encoder escapes keeps the encoder path
+    assert "".join(_indented({"weights": strings}, "")) == json.dumps({"weights": strings}, indent=2)
+
+
 def test_record_write_peak_memory(tmp_path):
     # the pure-Python indented encoder peaks at about 4.2 MiB here
     record = _prf_record(Instance.unconstrained(_gaussian(1200, 8, 5), k=20))
@@ -346,11 +395,36 @@ def test_record_write_peak_memory(tmp_path):
     assert peak <= 1.5 * (1 << 20)
 
 
-def test_indented_matrix_comes_in_small_pieces():
+def _assert_matrix_comes_in_small_pieces(text):
     rows = _gaussian(20 * data_io._ROWS, 8, 6).tolist()
-    pieces = list(_indented({"coordinates": rows}, ""))
+    value = _RowsText(json.dumps(rows, separators=(",", ":"))) if text else rows
+    pieces = list(_indented({"coordinates": value}, ""))
     assert "".join(pieces) == json.dumps({"coordinates": rows}, indent=2)
     assert max(map(len, pieces)) * 16 < sum(map(len, pieces))
+
+
+def test_indented_matrix_comes_in_small_pieces():
+    _assert_matrix_comes_in_small_pieces(text=False)
+
+
+def test_indented_rows_text_comes_in_small_pieces():
+    _assert_matrix_comes_in_small_pieces(text=True)
+
+
+_ROW_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308, 3.0])
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(_ROW_FLOATS, min_size=1, max_size=4), min_size=1, max_size=9),
+    st.sampled_from((1, 2, 3, data_io._ROWS)),
+    st.sampled_from(("", "  ", "      ")),
+)
+def test_rows_text_matches_json_dumps(rows, per_piece, pad):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io, "_ROWS", per_piece)
+        text = "".join(_indented(_RowsText(json.dumps(rows, separators=(",", ":"))), pad))
+    assert text == json.dumps(rows, indent=2).replace("\n", "\n" + pad)
 
 
 # -- grid files ----------------------------------------------------------------
