@@ -3,6 +3,7 @@
     python3 benchmarks/layers.py --label change --out BENCH_x.json
     python3 benchmarks/layers.py --label parent --src OTHER/src --out BENCH_x.json
     python3 benchmarks/layers.py --label change --layers distances sweep --out BENCH_x.json
+    python3 benchmarks/layers.py --label change --layers thresholds_discrete --sizes 500 --out BENCH_x.json
 
 Each (layer, n, dim, decimals, k) cell runs in a fresh ``python3`` process
 that imports ``propclust`` from ``--src`` (default: this checkout's ``src/``),
@@ -22,6 +23,10 @@ n/k is large:
   (weights k, quota n), on a built matrix;
 - ``sweep``: ``select_prf_centers``, on a built matrix;
 - ``greedy``: ``baselines.greedy_capture``, on a built matrix.
+
+The ``thresholds_discrete`` layer constructs ``engine._Thresholds`` the same
+way on the discrete instance with m = n/2 Gaussian candidates, at n = 500,
+1000, 2000 and 5000 on 2-D points.
 
 The checker layers run the sampled PRF checks with their default seed and
 samples on the sweep's outcome, at n = 1000, 2000 and 4000 on 2-D points,
@@ -50,7 +55,9 @@ the built unconstrained instance, at n = 500, 1000, 2000 and 4000 on 2-D and
 8-D points.  It also runs it with seeds 0-4 (one call is the five runs) at
 the shape of ``perfbench``'s experiment grid: n = 120 log-normal points in
 6-D, in two channels shaped like the UCI Wholesale customers data, z-scored
-per column, at k = 5, 10 and 20.
+per column, at k = 5, 10 and 20.  The ``grid_sweep`` and ``grid_greedy``
+layers run ``select_prf_centers`` and ``greedy_capture(pad=True)`` (as the
+experiment runs it) once per call on the same points and ks.
 
 The ``record`` layer runs ``data_io.record_for`` and then
 ``data_io.write_run_record`` (to a file in a temporary directory) on the
@@ -61,14 +68,16 @@ Per cell the file records the median wall time of 5 untraced calls, 3 at
 n >= 4000 (raw, not scaled to a reference speed), made after one untimed
 warm-up call (the first calls of a fresh process are the slow ones), the
 ``tracemalloc`` peak of one more call, that peak over the bytes of the (n, n)
-matrix, and ``ru_maxrss`` of the process before and after the calls.  A
-checker cell
-also records the SHA-256 of its report's JSON, and a ``kmeanspp`` cell that of
-its selection, and a ``record`` cell that of the written file, so two trees'
-figures show whether their outputs agree.
+matrix (the (n, m) one for ``thresholds_discrete``), and ``ru_maxrss`` of
+the process before and after the calls.  A checker cell also records the
+SHA-256 of its report's JSON; a ``kmeanspp``, ``sweep``, ``greedy``,
+``grid_sweep`` or ``grid_greedy`` cell that of its selection, and a sweep
+cell that of its trace's compact JSON as well; and a ``record`` cell that of
+the written file, so two trees' figures show whether their outputs agree.
 Results are merged into ``--out`` under ``--label``, so one file can hold the
 figures of two trees made by this same script.  ``--layers`` runs only the
-named layers, and replaces only their cells under the label.  The runs are
+named layers, and replaces only their cells under the label; ``--sizes``
+runs only their cells at the given n (and replaces all of theirs).  The runs are
 sequential; BLAS and OpenMP thread counts are pinned to 1.
 """
 
@@ -97,10 +106,11 @@ AUDIT_N = 300
 EXHAUSTIVE = ("exhaustive_unconstrained", "exhaustive_discrete", "prf2", "prf3")
 EXHAUSTIVE_N, EXHAUSTIVE_K = 16, 4
 SAMPLED = CHECKERS + AUDIT
-DISCRETE_LAYERS = ("agent_distances", "prf_discrete", "audit_discrete", *EXHAUSTIVE[1:])
+DISCRETE_LAYERS = ("agent_distances", "thresholds_discrete", "prf_discrete", "audit_discrete", *EXHAUSTIVE[1:])
 KMEANSPP_SIZES = (500, 1000, 2000, 4000)
 KMEANSPP_DIMS = (2, 8)
 KMEANSPP_GRID = (120, 6)  # (n, dim) of the experiment-grid cells
+GRID_LAYERS = ("kmeanspp", "grid_sweep", "grid_greedy")
 KMEANSPP_GRID_KS = (5, 10, 20)
 KMEANSPP_GRID_SEEDS = range(5)
 RECORD_DIMS = (2, 8)
@@ -108,6 +118,7 @@ K = 20
 GRID = (
     [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in (*DISTANCE_LAYERS, *LAYERS[1:])]
     + [(layer, n, 2, None, k) for n in SIZES for k in SMALL_KS for layer in LAYERS[1:]]
+    + [("thresholds_discrete", n, 2, None, K) for n in SIZES]
     + [
         (layer, n, dim, decimals, K)
         for n in CHECK_SIZES
@@ -116,7 +127,7 @@ GRID = (
     ]
     + [(layer, AUDIT_N, 2, None, K) for layer in AUDIT]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
-    + [("kmeanspp", *KMEANSPP_GRID, None, k) for k in KMEANSPP_GRID_KS]
+    + [(layer, *KMEANSPP_GRID, None, k) for layer in GRID_LAYERS for k in KMEANSPP_GRID_KS]
     + [("record", n, dim, None, K) for n in SIZES for dim in RECORD_DIMS]
     + [(layer, EXHAUSTIVE_N, 2, None, EXHAUSTIVE_K) for layer in EXHAUSTIVE]
 )
@@ -144,7 +155,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         select_prf_centers,
     )
     from propclust.baselines import greedy_capture, kmeanspp
-    from propclust.data_io import record_for, write_run_record
+    from propclust.data_io import record_for, trace_to_json_obj, write_run_record
     from propclust.engine import _Thresholds
 
     if not Path(propclust.__file__).is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
@@ -154,7 +165,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     candidates = rng.normal(size=(n // 2, dim))
     if decimals is not None:
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
-    experiment_grid = layer == "kmeanspp" and (n, dim) == KMEANSPP_GRID
+    experiment_grid = layer in GRID_LAYERS and (n, dim) == KMEANSPP_GRID
     if experiment_grid:
         retail = np.arange(n) < round(0.3 * n)
         mu = np.where(retail[:, None], np.linspace(8.0, 9.0, dim), np.linspace(7.5, 8.5, dim)[::-1])
@@ -181,7 +192,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         def prepare():
             return built
 
-        if layer == "thresholds":
+        if layer in ("thresholds", "thresholds_discrete"):
 
             def call(inst):
                 return _Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
@@ -212,13 +223,19 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
                 write_run_record(out, record_for(inst, "prf", outcome, trace=trace))
                 return out
 
-        elif experiment_grid:
+        elif layer == "kmeanspp" and experiment_grid:
 
             def call(inst):
                 return [kmeanspp(inst, seed=seed) for seed in KMEANSPP_GRID_SEEDS]
 
+        elif layer == "grid_greedy":
+
+            def call(inst):
+                return greedy_capture(inst, pad=True)
+
         else:
-            call = {"sweep": select_prf_centers, "greedy": greedy_capture, "kmeanspp": kmeanspp}[layer]
+            call = {"sweep": select_prf_centers, "grid_sweep": select_prf_centers, "greedy": greedy_capture,
+                    "kmeanspp": kmeanspp}[layer]
 
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     call(prepare())  # warm-up, untimed
@@ -235,7 +252,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    matrix_bytes = n * n * 8
+    matrix_bytes = inst.distance_matrix.nbytes if layer == "thresholds_discrete" else n * n * 8
     cell = {
         "layer": layer,
         "n": n,
@@ -257,6 +274,13 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     elif layer == "kmeanspp":
         selected = [outcome.selected for outcome in result] if experiment_grid else result.selected
         cell["selection_sha256"] = hashlib.sha256(json.dumps(selected).encode()).hexdigest()
+    elif layer in ("sweep", "grid_sweep"):
+        outcome, trace = result
+        cell["selection_sha256"] = hashlib.sha256(json.dumps(outcome.selected).encode()).hexdigest()
+        blob = json.dumps(trace_to_json_obj(trace), separators=(",", ":")).encode()
+        cell["trace_sha256"] = hashlib.sha256(blob).hexdigest()
+    elif layer in ("greedy", "grid_greedy"):
+        cell["selection_sha256"] = hashlib.sha256(json.dumps(result.outcome.selected).encode()).hexdigest()
     elif layer == "record":
         cell["record_sha256"] = hashlib.sha256(result.read_bytes()).hexdigest()
         cell["record_bytes"] = result.stat().st_size
@@ -294,13 +318,14 @@ def main(argv=None) -> None:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge the figures into")
     parser.add_argument("--layers", nargs="+", choices=sorted({cell[0] for cell in GRID}),
                         help="run only these layers (default: all)")
+    parser.add_argument("--sizes", nargs="+", type=int, help="run only the cells at these n (default: all)")
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
     layers = set(args.layers or (cell[0] for cell in GRID))
     cells = []
     for layer, n, dim, decimals, k in GRID:
-        if layer not in layers:
+        if layer not in layers or (args.sizes and n not in args.sizes):
             continue
         cell = _run_cell(src, layer, n, dim, decimals, k, 5 if n < 4000 else 3)
         print(json.dumps(cell), flush=True)

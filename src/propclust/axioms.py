@@ -84,7 +84,7 @@ from typing import Callable
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome, _exact, _number
+from propclust.core import InputError, Instance, Outcome, _exact, _marked_order, _number
 
 __all__ = [
     "AXIOM_CORE",
@@ -597,30 +597,6 @@ def _fold_prefixes(values: np.ndarray, op, blocks: np.ndarray) -> np.ndarray:
     return op.accumulate(op.reduce(values[blocks], axis=1), axis=0)
 
 
-def _stable_order(rows: np.ndarray) -> np.ndarray:
-    """``np.argsort(rows, axis=1, kind="stable")``, from the faster default sort.
-
-    A row whose sorted values hold no equal neighbours already has the
-    stable order.  A row with ties is put in it by sorting the keys
-    run * n + agent, where run numbers the row's runs of equal values: the
-    keys are distinct, ordered as the stable sort orders the agents, and
-    the agent is the key modulo n.
-    """
-    order = np.argsort(rows, axis=1)
-    ranked = np.take_along_axis(rows, order, axis=1)
-    rises = ranked[:, 1:] != ranked[:, :-1]
-    tied = np.flatnonzero(~rises.all(axis=1))
-    if tied.size:
-        n = rows.shape[1]
-        key = np.zeros((tied.size, n), dtype=np.int64)
-        np.cumsum(rises[tied], axis=1, out=key[:, 1:])
-        key *= n
-        key += order[tied]
-        key.sort(axis=1)
-        order[tied] = key % n
-    return order
-
-
 def _kth_nearest(nearest: np.ndarray, req: np.ndarray) -> np.ndarray:
     """[..., l, r]: the req[l, r]-th smallest of nearest[..., l, :], inf past its end."""
     ranked = np.sort(nearest, axis=-1)
@@ -638,7 +614,9 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     Every group is first tested at the rule's lower bounds on its radii: a
     count of covered centers only grows with the radius, so a group that
     passes at its bounds passes.  Seeds are sorted and pre-tested a block
-    at a time, and the block's open seeds are tested at the bound together;
+    at a time (each seed's row of agent distances in the stable order, ties
+    by agent index, from :func:`propclust.core._marked_order`, the sort the
+    engine uses), and the block's open seeds are tested at the bound together;
     random subsets are drawn and tested at their bounds a batch at a time.
     Only the seeds and subsets short at their bounds reach the exact radii,
     one by one: seeds in index order, subsets in draw order.  A batch's
@@ -673,7 +651,8 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
     The first failing prefix of a seed is at an entitlement step (see the
     module docstring), so only those k prefixes are tested.  found < req
     exactly when the req-th smallest distance to the selection exceeds the
-    radius.
+    radius.  A seed's order is its row of ``aa`` sorted stably (ties by
+    agent index), decoded from the marked order of ``_marked_order``.
     """
     n, k, s = inst.n, inst.k, dsel.shape[1]
     steps, blocks = _entitlement_blocks(n, k)
@@ -684,7 +663,9 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
     # and bounds, so it takes half the budget
     fold = max(1, _BATCH * _SEED_BLOCK // (2 * n * s))
     for start in range(0, n, per):
-        orders = _stable_order(aa[start : start + per])
+        orders = _marked_order(aa[start : start + per])
+        orders ^= orders >> 31
+        orders = orders.astype(np.intp)
         low = rule.prefix_bounds(orders, steps)
         # the first member and those at steps 0..l all lie in prefix l, so
         # their nearest distances bound the prefix's from above

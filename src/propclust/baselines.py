@@ -216,7 +216,7 @@ def greedy_capture(inst: Instance, pad: bool = False) -> GreedyCaptureResult:
             is_open[c] = True
             opened.append(c)
             openings.append((c, float(radius)))
-            np.minimum(nearest, balls.DT[c], out=nearest)
+            np.minimum(nearest, balls.D[:, c], out=nearest)
             continue
         w[newly] = 0
         uncaptured -= newly.size

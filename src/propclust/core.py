@@ -440,6 +440,65 @@ class _BlockSum:
         return self._spare[level][: shape[0] * shape[1]].reshape(shape)
 
 
+def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's column indices in stable sorted order, with the end of each run of equal values marked.
+
+    ``out[i]`` (int32) is ``np.argsort(rows[i], kind="stable")``, except that
+    the last index of each run of equal values (so the last column always)
+    is stored as ``~index``: ``order ^ (order >> 31)`` decodes it.  ``-0.0``
+    and ``0.0`` are equal.  The rows are sorted as int64 keys: each value's
+    order-preserving integer image with its low ``b = (n-1).bit_length()``
+    bits replaced by the column index, so one integer sort orders them with
+    ties by index.  Neighbours whose high parts differ are in order and end
+    a run.  Only rows holding a neighbour pair with equal high parts gather
+    their sorted values, to mark their runs and to catch two values that
+    differ only in the dropped bits; such a row is sorted again by
+    ``np.argsort(kind="stable")``.  Beside ``out`` the temporaries hold one
+    int64 key per entry, plus a gather of the rows with equal high parts.
+    """
+    r, n = rows.shape
+    if out is None:
+        out = np.empty((r, n), dtype=np.int32)
+    bits = (n - 1).bit_length()
+    low = (1 << bits) - 1
+    keys = np.empty((r, n), dtype=np.int64)
+    # -0.0 + 0.0 is 0.0; a block of columns is read in its own memory order
+    if rows.strides[0] < rows.strides[1]:
+        np.add(rows.T, 0.0, out=keys.view(np.float64).T)
+    else:
+        np.add(rows, 0.0, out=keys.view(np.float64))
+    if keys.min() < 0:
+        # a negative value's magnitude bits count up as it falls: flip them
+        neg = keys >> 63
+        neg &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+        keys ^= neg
+    keys &= ~low
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    np.bitwise_and(keys, low, out=out, casting="unsafe")
+    keys >>= bits
+    ends = keys[:, 1:] != keys[:, :-1]
+    del keys
+    tied = np.flatnonzero(~ends.all(axis=1))
+    if tied.size:
+        # a flat take from a copy of the rows is faster than a 2-D gather
+        at = out[tied] + (np.arange(tied.size) * n)[:, None]
+        vals = rows[tied].take(at)
+        runs = vals[:, 1:] != vals[:, :-1]
+        for i in np.flatnonzero((runs & ~ends[tied]).any(axis=1)):
+            # two values differ only in the dropped bits
+            row = rows[tied[i]]
+            out[tied[i]] = order = np.argsort(row, kind="stable")
+            runs[i] = row[order[1:]] != row[order[:-1]]
+        ends[tied] = runs
+    # ~i is i ^ -1: the bools read as int8 0 or 1 and are negated in place
+    marks = ends.view(np.int8)
+    np.negative(marks, out=marks)
+    np.bitwise_xor(out[:, :-1], marks, out=out[:, :-1])
+    np.invert(out[:, -1], out=out[:, -1])
+    return out
+
+
 def _squares_fit(func):
     """Decorate a function that squares distances: overflow raises InputError.
 

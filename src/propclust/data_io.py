@@ -399,9 +399,8 @@ def _float_rows(rows):
 def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> RunRecord:
     """Assemble a record for an outcome on this instance."""
     coords = None if inst.agents is None else tuple(map(tuple, inst.agents.tolist()))
-    cand = None
-    if not inst.is_unconstrained and inst.candidates is not None:
-        cand = tuple(map(tuple, inst.candidates.tolist()))
+    # candidates equal to the agents but for signed zeros are their own array, and the digest covers them
+    cand = None if inst.candidates is inst.agents else tuple(map(tuple, inst.candidates.tolist()))
     record = RunRecord(
         algorithm=algorithm,
         k=inst.k,

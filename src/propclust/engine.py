@@ -13,8 +13,10 @@ every distinct distance.
 Each candidate's distances are sorted once.  Per candidate the sweep keeps
 the end of the run of equal distances at which its prefix weight first
 reaches the quota, so its counted prefix is its whole ball and the
-prefix weight is its support.  The weights start uniform, so every row
-starts ceil(quota / w0) - 1 positions in, just short of its threshold.
+prefix weight is its support.  The sort marks the end of every run in the
+sorted order itself, so finding that end reads no distance.  The weights
+start uniform, so every row starts ceil(quota / w0) - 1 positions in,
+just short of its threshold.
 After a payment only the candidates whose ball held a paying agent are
 charged, and those that fall below the quota move their position forward
 in chunks that double on each pass.  After round k - 1 the weight left
@@ -26,14 +28,15 @@ O(n·m·log n) sort.  This ball-threshold structure
 (``_Thresholds``) also runs greedy capture in :mod:`propclust.baselines`,
 with unit weights and quota ceil(n/k).
 
-The structure keeps its sorted order as int32, half a matrix's bytes
-(plus a transposed copy of the matrix for discrete candidates), and
-reads who lies in a ball from the distances themselves.  Its sort, its
-advance passes and its charges work a block of rows at a time, so no
+The structure keeps its marked order as int32, half a matrix's bytes, and
+reads who lies in a ball from the distances themselves: a candidate's
+distances are a column of the matrix, which is never copied.  Its sort,
+its advance passes and its charges work a block of rows at a time, so no
 other temporary holds more than ``_BLOCK`` entries (or one row, where a
 row is longer).  Beside the distance matrix, at n = 1000 on 2-D points,
 the set-up then peaks at about 0.6 times the matrix's bytes and a sweep
-or greedy run at about 0.8 times.
+or greedy run at about 0.8 times; with 500 discrete candidates, at about
+0.7 and 1.1 times that (smaller) matrix.
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -49,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome
+from propclust.core import InputError, Instance, Outcome, _marked_order
 
 __all__ = [
     "SweepRound",
@@ -89,21 +92,24 @@ class SweepTrace:
 class _Thresholds:
     """Each candidate's ball threshold over its distance row, sorted once.
 
-    ``D`` is the (n, m) distance matrix and ``DT`` is (m, n): row c holds
-    candidate c's distance to every agent (``D`` itself when candidates are
-    shared, since it is then symmetric).  ``radius[c]`` is the smallest
-    radius at which the weight ``w`` within it of candidate c reaches
-    ``quota``, and ``support[c]`` is that weight.  ``w`` is held by
-    reference: the caller lowers it, then calls :meth:`charge`, or
-    :meth:`settle` once it holds just one quota.
+    ``D`` is the (n, m) distance matrix: column c holds candidate c's
+    distance to every agent.  ``radius[c]`` is the smallest radius at which
+    the weight ``w`` within it of candidate c reaches ``quota``, and
+    ``support[c]`` is that weight.  ``w`` is held by reference: the caller
+    lowers it, then calls :meth:`charge`, or :meth:`settle` once it holds
+    just one quota.
 
-    ``_order`` (m, n), int32, lists each candidate's agents by distance, and
-    ``_pos[c]`` is the last position in ``_order[c]`` within ``radius[c]``: the
-    counted prefix ``_order[c, : _pos[c] + 1]`` is the whole ball, so none of
-    ``_pos``, ``support`` and ``radius`` depends on how the sort broke ties.
-    No other temporary holds more than ``_BLOCK`` entries (or one row, where
-    a row is longer): the sort, the advance passes and the charges each take
-    a block of rows at a time.
+    ``_order`` (m, n), int32, lists each candidate's agents by distance
+    (ties by index), with the last agent a of each run of equal distances
+    stored as ``~a`` (see :func:`propclust.core._marked_order`), and
+    ``_pos[c]`` is the last position in ``_order[c]`` within ``radius[c]``,
+    always a marked one: the counted prefix ``_order[c, : _pos[c] + 1]`` is
+    the whole ball, so none of ``_pos``, ``support`` and ``radius`` depends
+    on how ties are broken.  An advance pass reads only the order and the
+    weights, and one distance per row it finishes, its radius.  No other
+    temporary holds more than ``_BLOCK`` entries (or one row, where a row
+    is longer): the sort, the advance passes and the charges each take a
+    block of rows at a time.
     """
 
     def __init__(self, inst: Instance, w: np.ndarray, quota: int):
@@ -111,20 +117,18 @@ class _Thresholds:
         if n > np.iinfo(np.int32).max:
             raise InputError(f"{n} agents are too many: sorted positions are int32")
         self.D = D = inst.distance_matrix
+        rows = max(1, _BLOCK // n)
         try:
-            # C order, as the flat gathers of _pass index it row by row
-            self.DT = np.ascontiguousarray(D if inst.is_unconstrained else D.T)
             self._order = np.empty((m, n), dtype=np.int32)
+            # a shared matrix is symmetric, so its rows are its columns
+            for i in range(0, m, rows):
+                block = D[i : i + rows] if inst.is_unconstrained else D[:, i : i + rows].T
+                _marked_order(block, out=self._order[i : i + rows])
         except MemoryError:
-            need = n * m * (4 if inst.is_unconstrained else 12)
             raise InputError(
-                f"the ball thresholds of {n} agents and {m} candidates need {need / 2**30:.1f} GiB "
+                f"the ball thresholds of {n} agents and {m} candidates need {n * m * 4 / 2**30:.1f} GiB "
                 "beside the distance matrix, more than can be allocated"
             ) from None
-        # order[c] sorts the agents by DT[c] (ties in any order)
-        rows = max(1, _BLOCK // n)
-        for i in range(0, m, rows):
-            self._order[i : i + rows] = np.argsort(self.DT[i : i + rows], axis=1)
         # support[c] is the weight of the agents order[c, : pos[c] + 1].  Uniform
         # weights w0 (k each in the sweep, 1 in greedy) reach the quota at no
         # position before p = ceil(quota / w0) - 1, so every row starts with
@@ -160,10 +164,10 @@ class _Thresholds:
         """
         cands = np.flatnonzero(live)
         alive = np.flatnonzero(self._w > 0)
-        rows = max(1, _BLOCK // self.DT.shape[1])
+        rows = max(1, _BLOCK // self.D.shape[0])
         for i in range(0, cands.size, rows):
             block = cands[i : i + rows]
-            self.radius[block] = self.DT[np.ix_(block, alive)].max(axis=1)
+            self.radius[block] = self.D[np.ix_(alive, block)].max(axis=0)
         self.support[cands] = self._quota
 
     def _advance(self, cands: np.ndarray) -> None:
@@ -188,42 +192,41 @@ class _Thresholds:
     def _pass(self, cands: np.ndarray, size: int) -> np.ndarray:
         """Read the next ``size`` sorted positions of each of ``cands``; return those not yet done.
 
-        A row is done where its prefix weight has reached the quota and the
-        next sorted distance is larger (or the row ends), hence one more read.
+        A row is done at the first position where its prefix weight has
+        reached the quota and a run of equal distances ends; only then is a
+        distance read, its radius.
         """
         order, pos, support, quota = self._order, self._pos, self.support, self._quota
         n = order.shape[1]
         start = pos[cands] + 1
-        idx = start[:, None] + np.arange(size + 1)
+        idx = start[:, None] + np.arange(size)
         past = idx >= n
         np.minimum(idx, n - 1, out=idx)
-        rows = cands[:, None] * n
-        agents = order.take(rows + idx)
-        cums = self._w.take(agents[:, :-1])
-        cums[past[:, :-1]] = 0
+        codes = order.take(cands[:, None] * n + idx)
+        agents = codes >> 31
+        agents ^= codes
+        # intp indices: numpy's take casts int32 ones slowly past a few thousand
+        cums = self._w.take(agents.astype(np.intp))
+        cums[past] = 0
         np.cumsum(cums, axis=1, out=cums)
         cums += support[cands][:, None]
-        rest = cums[:, -1] < quota
-        stuck = past[:, -1] & rest
+        # the last position is a run end, and positions past it add nothing
+        reached = (cums >= quota) & (codes < 0)
+        ends = reached.any(axis=1)
+        stuck = past[:, -1] & ~ends
         if stuck.any():
             raise RuntimeError(
                 f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
                 f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
             )
-        # a row that stays short of the quota cannot end in this chunk, so only the others read distances
-        near = np.flatnonzero(~rest)
-        dist = self.DT.take((rows + agents)[near])
-        reached = (cums[near] >= quota) & ((dist[:, 1:] > dist[:, :-1]) | past[near, 1:])
-        ends = reached.any(axis=1)
-        hit = near[ends]
         # the column each row stops at: where it ends, or the chunk's last for the rest
         col = np.full(cands.size, size - 1)
-        col[hit] = reached[ends].argmax(axis=1)
+        col[ends] = reached[ends].argmax(axis=1)
         pos[cands] = start + col
         support[cands] = cums[np.arange(cands.size), col]
-        self.radius[cands[hit]] = dist[ends, col[hit]]
-        rest[near[~ends]] = True  # their run of equal distances goes on past the chunk
-        return cands[rest]
+        hit = cands[ends]
+        self.radius[hit] = self.D[agents[ends, col[ends]], hit]
+        return cands[~ends]
 
 
 def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
@@ -254,7 +257,7 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
         winner = int(tied[np.argmax(balls.support[tied])])  # first maximum, so lowest index on ties
         sup_val = int(balls.support[winner])
 
-        row = balls.DT[winner]
+        row = balls.D[:, winner]
         members = np.flatnonzero(row <= radius)
         before = w[members]
 

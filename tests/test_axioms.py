@@ -26,6 +26,7 @@ from propclust import (
     select_prf_centers,
 )
 from propclust import axioms
+from propclust.core import _marked_order
 from propclust.data_io import generate
 from reference_axioms import (
     check_core_bruteforce,
@@ -726,6 +727,20 @@ def test_sampled_scan_on_rows_that_all_hold_ties():
             _sampled_reports_match_reference(inst, out, seed=1, samples=samples)
 
 
+def _assert_marked_order(block):
+    # the stable order, with the last agent of each run of equal values stored as ~agent
+    marked = _marked_order(block)
+    order = np.argsort(block, axis=1, kind="stable")
+    assert marked.dtype == np.int32
+    assert np.array_equal(marked ^ (marked >> 31), order)
+    ranked = np.take_along_axis(block, order, axis=1)
+    ends = np.ones(block.shape, dtype=bool)
+    ends[:, :-1] = ranked[:, 1:] > ranked[:, :-1]
+    assert np.array_equal(marked < 0, ends)
+    # a block of columns, as the engine reads a discrete matrix, gives the same order
+    assert np.array_equal(_marked_order(np.asfortranarray(block)), marked)
+
+
 def test_stable_order_matches_stable_argsort():
     rng = np.random.default_rng(32)
     rows = [
@@ -735,9 +750,50 @@ def test_stable_order_matches_stable_argsort():
         rng.choice([-0.0, 0.0, 1.0], size=(6, 50)),  # signed zeros compare equal
         np.vstack([rng.normal(size=50), np.round(rng.normal(size=50), 1)]),
         rng.integers(0, 2, size=(3, 1)).astype(float),
+        -np.abs(rng.normal(size=(3, 33))),  # negative values
+        rng.choice([-2.5, -1.0, -0.0, 0.0, 3.0], size=(4, 40)),
     ]
     for block in rows:
-        assert np.array_equal(axioms._stable_order(block), np.argsort(block, axis=1, kind="stable"))
+        _assert_marked_order(block)
+
+
+@st.composite
+def _near_rows(draw):
+    # n = 2^b and 2^b + 1 among the row lengths; values drawn from a few
+    # floats a few ulps apart (neighbours within 2^b ulps can share their
+    # high parts), heavy ties, and signed zeros
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129]))
+    rows = draw(st.integers(1, 3))
+    base = np.float64(draw(st.floats(-1e6, 1e6)))
+    ulps = draw(st.lists(st.integers(0, 600), min_size=1, max_size=6))
+    pool = np.array([(base.view(np.int64) + u).view(np.float64) for u in ulps] + [0.0, -0.0])
+    picks = draw(st.lists(st.integers(0, pool.size - 1), min_size=rows * n, max_size=rows * n))
+    return pool[np.array(picks)].reshape(rows, n)
+
+
+@given(_near_rows())
+@settings(max_examples=400)
+def test_marked_order_on_near_and_tied_values(block):
+    _assert_marked_order(block)
+
+
+def test_marked_order_sorts_truncation_collisions_again(monkeypatch):
+    # 1 + 2 ulps (agent 0) and 1 + 1 ulp (agent 1) share their high part when
+    # n = 4 drops 2 bits, so the key sort leaves them by index and the row
+    # is sorted again; the other row has only ties and is not
+    one = np.float64(1.0).view(np.int64)
+    block = np.array([[(one + 2).view(np.float64), (one + 1).view(np.float64), 3.0, 1.0], [2.0, 2.0, 1.0, 1.0]])
+    calls = []
+    argsort = np.argsort
+
+    def counted(row, *args, **kwargs):
+        calls.append(row.tolist())
+        return argsort(row, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    marked = _marked_order(block)
+    assert calls == [block[0].tolist()]
+    assert marked.tolist() == [[~3, ~1, ~0, ~2], [2, ~3, 0, ~1]]
 
 
 def _radius_instances():
@@ -779,7 +835,8 @@ def test_radii_follow_the_definitions(form):
             assert radii[mask].tolist() == _defined_radii(form, inst, np.flatnonzero(members[mask]))
         steps, blocks = axioms._entitlement_blocks(n, inst.k)
         rank = np.empty(n, dtype=np.intp)
-        for order in axioms._stable_order(inst.agent_distances):
+        marked = _marked_order(inst.agent_distances)
+        for order in marked ^ (marked >> 31):
             rank[order] = np.arange(n)
             cover = axioms._fold_prefixes(rule.table, np.maximum, order[blocks])
             for t, y in zip(steps, rule.radii(cover, rank <= steps[:, None])):

@@ -197,6 +197,19 @@ def test_check_run_record_pipeline(two_mass_csv, tmp_path, capsys):
     assert "PF: satisfied" in out
 
 
+def test_record_of_candidates_differing_by_signed_zeros_checks(tmp_path, capsys):
+    # candidates equal to the agents but for a -0.0 make an unconstrained
+    # instance whose digest covers the -0.0, so the record stores them
+    points = tmp_path / "points.csv"
+    points.write_text("role,x0\nagent,0.0\nagent,1.0\ncandidate,-0.0\ncandidate,1.0\n")
+    run = tmp_path / "run.json"
+    assert main(["cluster", "--input", str(points), "--k", "1", "--algo", "prf", "--out", str(run)]) == 0
+    assert repr(read_run_record(run).candidate_coordinates) == "((-0.0,), (1.0,))"
+    capsys.readouterr()
+    assert main(["check", "--run", str(run)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_check_reads_the_record_once(two_mass_csv, tmp_path, capsys, monkeypatch):
     run = tmp_path / "run.json"
     main(["cluster", "--input", str(two_mass_csv), "--k", "11", "--axioms", "up", "--out", str(run)])

@@ -273,17 +273,25 @@ def test_advance_past_row_end_raises():
         engine._Thresholds(inst, w, 4)
 
 
+def _decoded(order):
+    # the agents of a marked order: a run's last agent a is stored as ~a
+    return order ^ (order >> 31)
+
+
 def _assert_balls_match_brute_force(balls, inst, w, quota, live):
     # every live candidate's support, radius and counted prefix, read straight off its column
     D = inst.distance_matrix
+    order = _decoded(balls._order)
     for c in np.flatnonzero(live):
         col, radius = D[:, c], balls.radius[c]
         assert balls.support[c] == w[col <= radius].sum()
         # radius is the smallest distance at which that weight reaches the quota
         assert radius in col and balls.support[c] >= quota and w[col < radius].sum() < quota
         assert balls._pos[c] + 1 == (col <= radius).sum()
+        # the counted prefix ends a run of equal distances, and that end is marked
+        assert balls._order[c, balls._pos[c]] < 0
         if balls._pos[c] + 1 < inst.n:
-            assert D[balls._order[c, balls._pos[c] + 1], c] > radius
+            assert D[order[c, balls._pos[c] + 1], c] > radius
 
 
 @pytest.mark.parametrize("discrete", [False, True])
@@ -368,10 +376,12 @@ def test_sweep_peak_memory_with_large_tie_groups():
 
 def _prefix_start(balls, w, quota):
     # each row's threshold read from position 0, and the end of its run of equal distances
-    cums = np.cumsum(w[balls._order], axis=1)
+    order = _decoded(balls._order)
+    cums = np.cumsum(w[order], axis=1)
     rows = np.arange(cums.shape[0])
-    radius = balls.DT[rows, balls._order[rows, (cums >= quota).argmax(axis=1)]]
-    pos = (balls.DT <= radius[:, None]).sum(axis=1) - 1
+    D = balls.D
+    radius = D[order[rows, (cums >= quota).argmax(axis=1)], rows]
+    pos = (D <= radius).sum(axis=0) - 1
     return pos, cums[rows, pos], radius
 
 
@@ -408,17 +418,21 @@ def test_thresholds_too_large_to_allocate_raise_input_error():
         engine._Thresholds(huge, np.ones(1, dtype=np.int64), 1)
 
 
-@pytest.mark.parametrize("alloc", ["ascontiguousarray", "empty"])
+@pytest.mark.parametrize("alloc", ["keys", "empty"])
 def test_thresholds_allocation_failure_raises_input_error(monkeypatch, alloc):
-    # the discrete DT copy and the int32 order: 30 x 7 entries, 12 bytes each
+    # "empty" fails every np.empty, so the int32 order (7 x 30 entries, 4 bytes
+    # each) first; "keys" fails only the sort's int64 key buffer
     rng = np.random.default_rng(13)
     inst = Instance.discrete(rng.normal(size=(30, 2)), rng.normal(size=(7, 2)), k=3)
     inst.distance_matrix
+    empty = np.empty
 
-    def fail(*args, **kwargs):
-        raise MemoryError
+    def fail(shape, dtype=float, *args, **kwargs):
+        if alloc == "empty" or np.dtype(dtype) == np.int64:
+            raise MemoryError
+        return empty(shape, dtype, *args, **kwargs)
 
-    monkeypatch.setattr(engine.np, alloc, fail)
+    monkeypatch.setattr(engine.np, "empty", fail)
     with pytest.raises(InputError, match=r"30 agents and 7 candidates need 0\.0 GiB"):
         engine._Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
 
