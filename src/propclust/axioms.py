@@ -84,7 +84,7 @@ from typing import Callable
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome, _exact, _marked_order, _number
+from propclust.core import InputError, Instance, Outcome, _exact, _marked_order, _number, _unmarked
 
 __all__ = [
     "AXIOM_CORE",
@@ -652,7 +652,7 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
     module docstring), so only those k prefixes are tested.  found < req
     exactly when the req-th smallest distance to the selection exceeds the
     radius.  A seed's order is its row of ``aa`` sorted stably (ties by
-    agent index), decoded from the marked order of ``_marked_order``.
+    agent index), decoded from its marked order.
     """
     n, k, s = inst.n, inst.k, dsel.shape[1]
     steps, blocks = _entitlement_blocks(n, k)
@@ -663,9 +663,7 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
     # and bounds, so it takes half the budget
     fold = max(1, _BATCH * _SEED_BLOCK // (2 * n * s))
     for start in range(0, n, per):
-        orders = _marked_order(aa[start : start + per])
-        orders ^= orders >> 31
-        orders = orders.astype(np.intp)
+        orders = _unmarked(_marked_order(aa[start : start + per]))
         low = rule.prefix_bounds(orders, steps)
         # the first member and those at steps 0..l all lie in prefix l, so
         # their nearest distances bound the prefix's from above

@@ -445,7 +445,7 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
     ``out[i]`` (int32) is ``np.argsort(rows[i], kind="stable")``, except that
     the last index of each run of equal values (so the last column always)
-    is stored as ``~index``: ``order ^ (order >> 31)`` decodes it.  ``-0.0``
+    is stored as ``~index``: :func:`_unmarked` decodes it.  ``-0.0``
     and ``0.0`` are equal.  The rows are sorted as int64 keys: each value's
     order-preserving integer image with its low ``b = (n-1).bit_length()``
     bits replaced by the column index, so one integer sort orders them with
@@ -478,7 +478,7 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     np.bitwise_and(keys, low, out=out, casting="unsafe")
     keys >>= bits
     ends = keys[:, 1:] != keys[:, :-1]
-    del keys
+    del keys  # before the gather below
     tied = np.flatnonzero(~ends.all(axis=1))
     if tied.size:
         # a flat take from a copy of the rows is faster than a 2-D gather
@@ -497,6 +497,18 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     np.bitwise_xor(out[:, :-1], marks, out=out[:, :-1])
     np.invert(out[:, -1], out=out[:, -1])
     return out
+
+
+def _unmarked(order: np.ndarray) -> np.ndarray:
+    """The indices of a :func:`_marked_order` (or part of one), as intp.
+
+    ``~i`` is ``i ^ -1`` and ``i >> 31`` is -1 just for the marked ones.  The
+    indices are widened because numpy's ``take`` casts int32 ones slowly
+    past a few thousand.
+    """
+    out = order >> 31
+    out ^= order
+    return out.astype(np.intp)
 
 
 def _squares_fit(func):

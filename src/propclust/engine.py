@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome, _marked_order
+from propclust.core import InputError, Instance, Outcome, _marked_order, _unmarked
 
 __all__ = [
     "SweepRound",
@@ -203,10 +203,8 @@ class _Thresholds:
         past = idx >= n
         np.minimum(idx, n - 1, out=idx)
         codes = order.take(cands[:, None] * n + idx)
-        agents = codes >> 31
-        agents ^= codes
-        # intp indices: numpy's take casts int32 ones slowly past a few thousand
-        cums = self._w.take(agents.astype(np.intp))
+        agents = _unmarked(codes)
+        cums = self._w.take(agents)
         cums[past] = 0
         np.cumsum(cums, axis=1, out=cums)
         cums += support[cands][:, None]

@@ -26,7 +26,7 @@ from propclust import (
     select_prf_centers,
 )
 from propclust import axioms
-from propclust.core import _marked_order
+from propclust.core import _marked_order, _unmarked
 from propclust.data_io import generate
 from reference_axioms import (
     check_core_bruteforce,
@@ -732,7 +732,8 @@ def _assert_marked_order(block):
     marked = _marked_order(block)
     order = np.argsort(block, axis=1, kind="stable")
     assert marked.dtype == np.int32
-    assert np.array_equal(marked ^ (marked >> 31), order)
+    assert np.array_equal(np.where(marked < 0, ~marked, marked), order)
+    assert np.array_equal(_unmarked(marked), order)
     ranked = np.take_along_axis(block, order, axis=1)
     ends = np.ones(block.shape, dtype=bool)
     ends[:, :-1] = ranked[:, 1:] > ranked[:, :-1]
@@ -835,8 +836,7 @@ def test_radii_follow_the_definitions(form):
             assert radii[mask].tolist() == _defined_radii(form, inst, np.flatnonzero(members[mask]))
         steps, blocks = axioms._entitlement_blocks(n, inst.k)
         rank = np.empty(n, dtype=np.intp)
-        marked = _marked_order(inst.agent_distances)
-        for order in marked ^ (marked >> 31):
+        for order in _unmarked(_marked_order(inst.agent_distances)):
             rank[order] = np.arange(n)
             cover = axioms._fold_prefixes(rule.table, np.maximum, order[blocks])
             for t, y in zip(steps, rule.radii(cover, rank <= steps[:, None])):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from propclust import Instance, InputError, select_prf_centers
 from propclust import engine
 from propclust.baselines import greedy_capture
+from propclust.core import _unmarked
 from propclust.data_io import generate, trace_to_json_obj
 from reference_sweep import reduce_weights, reference_sweep, weighted_support
 from util import pinned_instance, random_instance, small_instances
@@ -273,15 +274,10 @@ def test_advance_past_row_end_raises():
         engine._Thresholds(inst, w, 4)
 
 
-def _decoded(order):
-    # the agents of a marked order: a run's last agent a is stored as ~a
-    return order ^ (order >> 31)
-
-
 def _assert_balls_match_brute_force(balls, inst, w, quota, live):
     # every live candidate's support, radius and counted prefix, read straight off its column
     D = inst.distance_matrix
-    order = _decoded(balls._order)
+    order = _unmarked(balls._order)
     for c in np.flatnonzero(live):
         col, radius = D[:, c], balls.radius[c]
         assert balls.support[c] == w[col <= radius].sum()
@@ -376,7 +372,7 @@ def test_sweep_peak_memory_with_large_tie_groups():
 
 def _prefix_start(balls, w, quota):
     # each row's threshold read from position 0, and the end of its run of equal distances
-    order = _decoded(balls._order)
+    order = _unmarked(balls._order)
     cums = np.cumsum(w[order], axis=1)
     rows = np.arange(cums.shape[0])
     D = balls.D
