@@ -440,6 +440,21 @@ class _BlockSum:
         return self._spare[level][: shape[0] * shape[1]].reshape(shape)
 
 
+def _ordered_ints(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into the int64 ``out`` integers that order as the float ``values`` do; -0.0 is 0.0."""
+    # -0.0 + 0.0 is 0.0; a block of columns is read in its own memory order
+    if values.strides[0] < values.strides[1]:
+        np.add(values.T, 0.0, out=out.view(np.float64).T)
+    else:
+        np.add(values, 0.0, out=out.view(np.float64))
+    if out.min() < 0:
+        # a negative value's magnitude bits count up as it falls: flip them
+        neg = out >> 63
+        neg &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+        out ^= neg
+    return out
+
+
 def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each row's column indices in stable sorted order, with the end of each run of equal values marked.
 
@@ -451,27 +466,19 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     bits replaced by the column index, so one integer sort orders them with
     ties by index.  Neighbours whose high parts differ are in order and end
     a run.  Only rows holding a neighbour pair with equal high parts gather
-    their sorted values, to mark their runs and to catch two values that
-    differ only in the dropped bits; such a row is sorted again by
-    ``np.argsort(kind="stable")``.  Beside ``out`` the temporaries hold one
-    int64 key per entry, plus a gather of the rows with equal high parts.
+    their values in that order, to mark their runs and to catch values that
+    differ only in the dropped bits (distances a few ulps apart, as rounded
+    coordinates give); only a row holding such values is put in order, by
+    ``np.argsort(kind="stable")`` of its nearly sorted values.  Beside
+    ``out`` the temporaries hold one int64 key per entry, plus a few
+    gathers of the rows with equal high parts.
     """
     r, n = rows.shape
     if out is None:
         out = np.empty((r, n), dtype=np.int32)
     bits = (n - 1).bit_length()
     low = (1 << bits) - 1
-    keys = np.empty((r, n), dtype=np.int64)
-    # -0.0 + 0.0 is 0.0; a block of columns is read in its own memory order
-    if rows.strides[0] < rows.strides[1]:
-        np.add(rows.T, 0.0, out=keys.view(np.float64).T)
-    else:
-        np.add(rows, 0.0, out=keys.view(np.float64))
-    if keys.min() < 0:
-        # a negative value's magnitude bits count up as it falls: flip them
-        neg = keys >> 63
-        neg &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
-        keys ^= neg
+    keys = _ordered_ints(rows, np.empty((r, n), dtype=np.int64))
     keys &= ~low
     keys |= np.arange(n)
     keys.sort(axis=1)
@@ -481,15 +488,20 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     del keys  # before the gather below
     tied = np.flatnonzero(~ends.all(axis=1))
     if tied.size:
-        # a flat take from a copy of the rows is faster than a 2-D gather
-        at = out[tied] + (np.arange(tied.size) * n)[:, None]
-        vals = rows[tied].take(at)
+        # a flat take is faster than a 2-D gather (it copies rows that are not C-contiguous)
+        vals = rows.take(out[tied] + (tied * n)[:, None])
         runs = vals[:, 1:] != vals[:, :-1]
-        for i in np.flatnonzero((runs & ~ends[tied]).any(axis=1)):
-            # two values differ only in the dropped bits
-            row = rows[tied[i]]
-            out[tied[i]] = order = np.argsort(row, kind="stable")
-            runs[i] = row[order[1:]] != row[order[:-1]]
+        bad = np.flatnonzero((runs & ~ends[tied]).any(axis=1))
+        if bad.size:
+            # values that differ only in the dropped bits: a stable sort of the
+            # nearly sorted values puts them in order, equal ones still by index
+            ints = vals[bad]
+            ints = _ordered_ints(ints, ints.view(np.int64))
+            fix = np.argsort(ints, axis=1, kind="stable")
+            fix += (np.arange(bad.size) * n)[:, None]
+            out[tied[bad]] = out[tied[bad]].take(fix)
+            ranked = ints.take(fix)
+            runs[bad] = ranked[:, 1:] != ranked[:, :-1]
         ends[tied] = runs
     # ~i is i ^ -1: the bools read as int8 0 or 1 and are negated in place
     marks = ends.view(np.int8)

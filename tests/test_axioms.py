@@ -779,21 +779,22 @@ def test_marked_order_on_near_and_tied_values(block):
 
 
 def test_marked_order_sorts_truncation_collisions_again(monkeypatch):
-    # 1 + 2 ulps (agent 0) and 1 + 1 ulp (agent 1) share their high part when
-    # n = 4 drops 2 bits, so the key sort leaves them by index and the row
-    # is sorted again; the other row has only ties and is not
+    # 1 + 2 ulps (agent 0), 1 + 1 ulp (agent 1) and 1.0 (agent 3) share their
+    # high part when n = 4 drops 2 bits, so the key sort leaves them by index
+    # and that one row is sorted again; the other row has only ties and is not
     one = np.float64(1.0).view(np.int64)
-    block = np.array([[(one + 2).view(np.float64), (one + 1).view(np.float64), 3.0, 1.0], [2.0, 2.0, 1.0, 1.0]])
+    up1, up2 = (one + 1).view(np.float64), (one + 2).view(np.float64)
+    block = np.array([[up2, up1, 3.0, 1.0], [2.0, 2.0, 1.0, 1.0]])
     calls = []
     argsort = np.argsort
 
-    def counted(row, *args, **kwargs):
-        calls.append(row.tolist())
-        return argsort(row, *args, **kwargs)
+    def counted(rows, *args, **kwargs):
+        calls.append(rows.shape)
+        return argsort(rows, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counted)
     marked = _marked_order(block)
-    assert calls == [block[0].tolist()]
+    assert calls == [(1, 4)]
     assert marked.tolist() == [[~3, ~1, ~0, ~2], [2, ~3, 0, ~1]]
 
 
