@@ -77,7 +77,7 @@ the written file, so two trees' figures show whether their outputs agree.
 Results are merged into ``--out`` under ``--label``, so one file can hold the
 figures of two trees made by this same script.  ``--layers`` runs only the
 named layers, and replaces only their cells under the label; ``--sizes``
-runs only their cells at the given n (and replaces all of theirs).  The runs are
+runs (and replaces) only their cells at the given n.  The runs are
 sequential; BLAS and OpenMP thread counts are pinned to 1.
 """
 
@@ -332,7 +332,11 @@ def main(argv=None) -> None:
         cells.append(cell)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("script", "benchmarks/layers.py")
-    kept = [cell for cell in record.get(args.label, {}).get("cells", []) if cell["layer"] not in layers]
+    kept = [
+        cell
+        for cell in record.get(args.label, {}).get("cells", [])
+        if cell["layer"] not in layers or (args.sizes and cell["n"] not in args.sizes)
+    ]
     record[args.label] = {"environment": _environment(), "cells": kept + cells}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -36,7 +36,7 @@ other temporary holds more than ``_BLOCK`` entries (or one row, where a
 row is longer).  Beside the distance matrix, at n = 1000 on 2-D points,
 the set-up then peaks at about 0.6 times the matrix's bytes and a sweep
 or greedy run at about 0.8 times; with 500 discrete candidates, at about
-0.7 and 1.1 times that (smaller) matrix.
+0.7 and 1.05 times that (smaller) matrix.
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
