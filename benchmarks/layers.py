@@ -24,6 +24,11 @@ n/k is large:
 - ``sweep``: ``select_prf_centers``, on a built matrix;
 - ``greedy``: ``baselines.greedy_capture``, on a built matrix.
 
+The ``thresholds``, ``sweep`` and ``greedy`` layers also run at the shape of
+``perfbench``'s ``cluster-quantized`` workload: n = 1200 points on a 3-level
+integer grid in 8-D (each coordinate drawn from 0, 1 and 2), at k = 20, where
+about 30 distinct distances make long runs of ties.
+
 The ``thresholds_discrete`` layer constructs ``engine._Thresholds`` the same
 way on the discrete instance with m = n/2 Gaussian candidates, at n = 500,
 1000, 2000 and 5000 on 2-D points.
@@ -114,11 +119,14 @@ GRID_LAYERS = ("kmeanspp", "grid_sweep", "grid_greedy")
 KMEANSPP_GRID_KS = (5, 10, 20)
 KMEANSPP_GRID_SEEDS = range(5)
 RECORD_DIMS = (2, 8)
+QUANTIZED = (1200, 8)  # (n, dim) of the cluster-quantized cells
+QUANTIZED_LEVELS = 3
 K = 20
 GRID = (
     [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in (*DISTANCE_LAYERS, *LAYERS[1:])]
     + [(layer, n, 2, None, k) for n in SIZES for k in SMALL_KS for layer in LAYERS[1:]]
     + [("thresholds_discrete", n, 2, None, K) for n in SIZES]
+    + [(layer, *QUANTIZED, None, K) for layer in LAYERS[1:]]
     + [
         (layer, n, dim, decimals, K)
         for n in CHECK_SIZES
@@ -161,7 +169,8 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     if not Path(propclust.__file__).is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
         raise SystemExit(f"imported propclust from {propclust.__file__}, not from {os.environ['PYTHONPATH']}")
     rng = np.random.default_rng(SEED + 7919 * n + dim)
-    points = rng.normal(size=(n, dim))
+    quantized = layer in LAYERS[1:] and (n, dim) == QUANTIZED
+    points = rng.integers(0, QUANTIZED_LEVELS, size=(n, dim)).astype(float) if quantized else rng.normal(size=(n, dim))
     candidates = rng.normal(size=(n // 2, dim))
     if decimals is not None:
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
@@ -259,6 +268,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         "dim": dim,
         "decimals": decimals,
         "k": k,
+        **({"levels": QUANTIZED_LEVELS} if quantized else {}),
         "repeats": repeats,
         "median_s": round(float(np.median(times)), 5),
         "times_s": [round(t, 5) for t in times],

@@ -91,6 +91,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _non_negative(text: str) -> int:
+    """A --seed or --samples value: a non-negative integer, checked when the arguments are parsed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_number(text: str):
     try:
         return int(text)
@@ -327,7 +338,7 @@ def _check_mode_options(p: argparse.ArgumentParser) -> None:
     mode.add_argument(
         "--sampling", dest="exhaustive", action="store_const", const=False, help="force sampling mode"
     )
-    p.add_argument("--samples", type=int, default=200, help="random subsets in sampling mode")
+    p.add_argument("--samples", type=_non_negative, default=200, help="random subsets in sampling mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="select centers with one algorithm")
     p.add_argument("--algo", choices=ALGORITHM_NAMES, default="prf")
     _input_options(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for kmeanspp and sampled checks")
+    p.add_argument("--seed", type=_non_negative, default=0, help="seed for kmeanspp and sampled checks")
     p.add_argument("--pad", action="store_true", help="fill greedy underfill up to k")
     p.add_argument("--axioms", metavar="NAME,...", help="also run axiom checks (or 'all')")
     _check_mode_options(p)
@@ -360,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of up,pf,core,prf,prf2,prf3 or 'all' "
         "(default: the record's stored axioms, else all)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     _check_mode_options(p)
     p.set_defaults(func=_cmd_check)
 

@@ -484,14 +484,19 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     keys.sort(axis=1)
     np.bitwise_and(keys, low, out=out, casting="unsafe")
     keys >>= bits
-    ends = keys[:, 1:] != keys[:, :-1]
+    ends = _run_ends(keys)
     del keys  # before the gather below
     tied = np.flatnonzero(~ends.all(axis=1))
     if tied.size:
+        # a block in which every row ties (as on a grid of few levels) is read without subsetting its rows
+        part = slice(None) if tied.size == r else tied
+        picked = out[part]
         # a flat take is faster than a 2-D gather (it copies rows that are not C-contiguous)
-        vals = rows.take(out[tied] + (tied * n)[:, None])
-        runs = vals[:, 1:] != vals[:, :-1]
-        bad = np.flatnonzero((runs & ~ends[tied]).any(axis=1))
+        vals = rows.take(picked + (tied * n)[:, None])
+        runs = _run_ends(vals)
+        # a run end of the high parts is one of the values, so the two differ
+        # only where values differ in the dropped bits
+        bad = np.flatnonzero((runs != ends[part]).any(axis=1))
         if bad.size:
             # values that differ only in the dropped bits: a stable sort of the
             # nearly sorted values puts them in order, equal ones still by index
@@ -499,16 +504,29 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
             ints = _ordered_ints(ints, ints.view(np.int64))
             fix = np.argsort(ints, axis=1, kind="stable")
             fix += (np.arange(bad.size) * n)[:, None]
-            out[tied[bad]] = out[tied[bad]].take(fix)
-            ranked = ints.take(fix)
-            runs[bad] = ranked[:, 1:] != ranked[:, :-1]
-        ends[tied] = runs
+            out[tied[bad]] = picked[bad].take(fix)
+            runs[bad] = _run_ends(ints.take(fix))
+        ends[part] = runs
     # ~i is i ^ -1: the bools read as int8 0 or 1 and are negated in place
     marks = ends.view(np.int8)
     np.negative(marks, out=marks)
-    np.bitwise_xor(out[:, :-1], marks, out=out[:, :-1])
-    np.invert(out[:, -1], out=out[:, -1])
+    np.bitwise_xor(out, marks, out=out)
     return out
+
+
+def _run_ends(block: np.ndarray) -> np.ndarray:
+    """Where each run of equal values ends in each sorted row of the C-ordered ``block``.
+
+    The last column always ends a run.  Neighbours are compared along the
+    flat block and the row seams then overwritten: comparing two strided
+    2-D views instead makes numpy buffer both, which set the peak of a
+    small block and took twice as long.
+    """
+    ends = np.empty(block.shape, dtype=bool)
+    flat = block.reshape(-1)
+    np.not_equal(flat[1:], flat[:-1], out=ends.reshape(-1)[:-1])
+    ends[:, -1] = True
+    return ends
 
 
 def _unmarked(order: np.ndarray) -> np.ndarray:

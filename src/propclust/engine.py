@@ -10,33 +10,40 @@ fall, so thresholds only rise and the rounds visit radii in ascending
 order: the outcome is the same as lowering one shared threshold through
 every distinct distance.
 
-Each candidate's distances are sorted once.  Per candidate the sweep keeps
-the end of the run of equal distances at which its prefix weight first
-reaches the quota, so its counted prefix is its whole ball and the
+Each candidate's distances are sorted once.  Per candidate the sweep
+keeps the end of the run of equal distances at which its prefix weight
+first reaches the quota, so its counted prefix is its whole ball and the
 prefix weight is its support.  The sort marks the end of every run in the
 sorted order itself, so finding that end reads no distance.  The weights
 start uniform, so every row starts ceil(quota / w0) - 1 positions in,
-just short of its threshold.
-After a payment only the candidates whose ball held a paying agent are
-charged, and those that fall below the quota move their position forward
-in chunks that double on each pass.  After round k - 1 the weight left
+just short of its threshold.  After a payment only the candidates whose
+ball held a paying agent are charged, and those that fall below the
+quota move their position forward in chunks that double on each pass.  A
+pass reads a chunk's marked agents with one flat take and their weights
+with one more, through a copy of the weights laid out as ``w[::-1]``
+then ``w``, so that a code shifted by n reads its agent's weight whether
+it is marked or not; a cumulative sum and one ``argmax`` per row find
+where each row ends.  A charge subtracts the payments within each ball as
+one float64 product (numpy's BLAS path; it has none for integers), which
+is exact: every partial sum is a whole number no larger than one round's
+payment, at most n, far below 2**53.  After round k - 1 the weight left
 is exactly one quota, which every remaining ball must hold whole, so the
 last round takes no charge: each remaining candidate's threshold is its
-distance to the farthest agent with weight, and its support is the
-quota.  The work is O(k·n·m) in vector operations, plus one
-O(n·m·log n) sort.  This ball-threshold structure
-(``_Thresholds``) also runs greedy capture in :mod:`propclust.baselines`,
-with unit weights and quota ceil(n/k).
+distance to the farthest agent with weight, read from the rows of the
+agents with weight, and its support is the quota.  The work is O(k·n·m)
+in vector operations, plus one O(n·m·log n) sort.  This ball-threshold
+structure (``_Thresholds``) also runs greedy capture in
+:mod:`propclust.baselines`, with unit weights and quota ceil(n/k).
 
-The structure keeps its marked order as int32, half a matrix's bytes, and
-reads who lies in a ball from the distances themselves: a candidate's
-distances are a column of the matrix, which is never copied.  Its sort,
-its advance passes and its charges work a block of rows at a time, so no
-other temporary holds more than ``_BLOCK`` entries (or one row, where a
-row is longer).  Beside the distance matrix, at n = 1000 on 2-D points,
-the set-up then peaks at about 0.6 times the matrix's bytes and a sweep
-or greedy run at about 0.8 times; with 500 discrete candidates, at about
-0.7 and 1.05 times that (smaller) matrix.
+The structure keeps its marked order as int32, half a matrix's bytes,
+and reads who lies in a ball from the distances themselves: a
+candidate's distances are a column of the matrix, which is never copied.
+Its sort, its advance passes, its charges and ``settle`` work a block of
+rows at a time, so no other temporary holds more than ``_BLOCK`` entries
+(or one row, where a row is longer).  Beside the distance matrix, at
+n = 1000 on 2-D points, the set-up then peaks at about 0.6 times the
+matrix's bytes and a sweep or greedy run at about 0.76 times; with 500
+discrete candidates, at about 0.7 and 1.0 times that (smaller) matrix.
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -52,7 +59,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome, _marked_order, _unmarked
+from propclust.core import InputError, Instance, Outcome, _marked_order
 
 __all__ = [
     "SweepRound",
@@ -105,11 +112,13 @@ class _Thresholds:
     ``_pos[c]`` is the last position in ``_order[c]`` within ``radius[c]``,
     always a marked one: the counted prefix ``_order[c, : _pos[c] + 1]`` is
     the whole ball, so none of ``_pos``, ``support`` and ``radius`` depends
-    on how ties are broken.  An advance pass reads only the order and the
-    weights, and one distance per row it finishes, its radius.  No other
-    temporary holds more than ``_BLOCK`` entries (or one row, where a row
-    is longer): the sort, the advance passes and the charges each take a
-    block of rows at a time.
+    on how ties are broken.  ``_wr`` is ``w[::-1]`` then ``w``, refreshed on
+    every charge, so that the code ``order + n`` of agent a indexes a's
+    weight, marked (``n - 1 - a``) or not (``n + a``).  An advance pass
+    reads only the order and ``_wr``, and one distance per row it
+    finishes, its radius.  No other temporary holds more than ``_BLOCK``
+    entries (or one row, where a row is longer): the sort, the advance
+    passes, the charges and ``settle`` each take a block of rows at a time.
     """
 
     def __init__(self, inst: Instance, w: np.ndarray, quota: int):
@@ -136,6 +145,7 @@ class _Thresholds:
         w0 = int(w[0])
         p = min(n, -(-quota // w0) - 1) if w0 > 0 and (w == w0).all() else 0
         self._w, self._quota = w, quota
+        self._wr = np.concatenate((w[::-1], w))
         self._pos = np.full(m, p - 1, dtype=np.intp)
         self.support = np.full(m, p * w0, dtype=np.int64)
         self.radius = np.empty(m)
@@ -145,11 +155,17 @@ class _Thresholds:
         """Account for ``w[agents]`` having fallen by ``amounts``.
 
         Each candidate loses the amounts paid within its radius, and those in
-        the ``live`` mask left below the quota move their threshold up.
+        the ``live`` mask left below the quota move their threshold up.  The
+        loss is a float64 product, exact because each of its sums is a whole
+        number of at most one round's payment.
         """
+        np.concatenate((self._w[::-1], self._w), out=self._wr)
+        # float64 takes numpy's BLAS path, which integers lack
+        paid = amounts.astype(np.float64)
         rows = max(1, _BLOCK // self.D.shape[1])
         for i in range(0, agents.size, rows):
-            self.support -= amounts[i : i + rows] @ (self.D[agents[i : i + rows]] <= self.radius)
+            lost = paid[i : i + rows] @ (self.D[agents[i : i + rows]] <= self.radius)
+            np.subtract(self.support, lost, out=self.support, casting="unsafe")
         short = np.flatnonzero(live & (self.support < self._quota))
         if short.size:
             self._advance(short)
@@ -159,15 +175,17 @@ class _Thresholds:
 
         Every ball must then hold all the weight left, so a candidate's radius
         is its distance to the farthest agent with weight, and its support is
-        the quota.  Rows are read ``_BLOCK // n`` at a time.  No charge
-        follows: ``_pos`` is left as it was.
+        the quota.  The rows of the agents with weight are read ``_BLOCK // m``
+        at a time, every candidate's maximum kept.  No charge follows:
+        ``_pos`` is left as it was.
         """
         cands = np.flatnonzero(live)
         alive = np.flatnonzero(self._w > 0)
-        rows = max(1, _BLOCK // self.D.shape[0])
-        for i in range(0, cands.size, rows):
-            block = cands[i : i + rows]
-            self.radius[block] = self.D[np.ix_(alive, block)].max(axis=0)
+        rows = max(1, _BLOCK // self.D.shape[1])
+        far = self.D[alive[:rows]].max(axis=0)
+        for i in range(rows, alive.size, rows):
+            np.maximum(far, self.D[alive[i : i + rows]].max(axis=0), out=far)
+        self.radius[cands] = far[cands]
         self.support[cands] = self._quota
 
     def _advance(self, cands: np.ndarray) -> None:
@@ -194,36 +212,47 @@ class _Thresholds:
 
         A row is done at the first position where its prefix weight has
         reached the quota and a run of equal distances ends; only then is a
-        distance read, its radius.
+        distance read, its radius.  The weights are read straight from the
+        marked codes shifted by n, through ``_wr``.  Only a chunk that
+        reaches its row end is clamped to the row.
         """
         order, pos, support, quota = self._order, self._pos, self.support, self._quota
         n = order.shape[1]
         start = pos[cands] + 1
-        idx = start[:, None] + np.arange(size)
-        past = idx >= n
-        np.minimum(idx, n - 1, out=idx)
-        codes = order.take(cands[:, None] * n + idx)
-        agents = _unmarked(codes)
-        cums = self._w.take(agents)
-        cums[past] = 0
+        flat = (cands * n + start)[:, None] + np.arange(size)
+        # positions past the row end are clamped to its last and add nothing
+        left = n - start
+        past = None
+        if size > left.min():
+            past = np.arange(size) >= left[:, None]
+            np.minimum(flat, (cands * n + n - 1)[:, None], out=flat)
+        codes = order.take(flat)
+        codes += n
+        cums = self._wr.take(codes)
+        if past is not None:
+            cums[past] = 0
         np.cumsum(cums, axis=1, out=cums)
         cums += support[cands][:, None]
         # the last position is a run end, and positions past it add nothing
-        reached = (cums >= quota) & (codes < 0)
-        ends = reached.any(axis=1)
-        stuck = past[:, -1] & ~ends
-        if stuck.any():
-            raise RuntimeError(
-                f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
-                f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
-            )
+        reached = cums >= quota
+        reached &= codes < n
+        rows = np.arange(cands.size)
+        col = reached.argmax(axis=1)
+        ends = reached[rows, col]
+        if past is not None:
+            stuck = past[:, -1] & ~ends
+            if stuck.any():
+                raise RuntimeError(
+                    f"prefix advance ran past the row end: candidate {int(cands[stuck][0])} holds "
+                    f"{int(cums[stuck][0, -1])} over its whole row, below the quota {quota}"
+                )
         # the column each row stops at: where it ends, or the chunk's last for the rest
-        col = np.full(cands.size, size - 1)
-        col[ends] = reached[ends].argmax(axis=1)
+        col[~ends] = size - 1
         pos[cands] = start + col
-        support[cands] = cums[np.arange(cands.size), col]
+        support[cands] = cums[rows, col]
         hit = cands[ends]
-        self.radius[hit] = self.D[agents[ends, col[ends]], hit]
+        # a marked code c + n is n - 1 - a for agent a
+        self.radius[hit] = self.D[n - 1 - codes[ends, col[ends]], hit]
         return cands[~ends]
 
 
@@ -271,8 +300,8 @@ def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
                 radius=float(radius),
                 winner=winner,
                 supporters=tuple(members.tolist()),
-                weights_before=tuple(frac[b] for b in before.tolist()),
-                weights_after=tuple(frac[a] for a in w[members].tolist()),
+                weights_before=tuple(map(frac.__getitem__, before.tolist())),
+                weights_after=tuple(map(frac.__getitem__, w[members].tolist())),
                 support=Fraction(sup_val, k),
             )
         )

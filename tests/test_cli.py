@@ -102,14 +102,22 @@ def test_cluster_requires_input(capsys):
         ["check", "--input", "{csv}", "--k", "11", "--selected", "0,100", "--axioms", "prf",
          "--samples", "-1"],
         ["experiment", "--grid", "{grid}"],
+        # neither option is used by these runs, and both are still checked
+        ["cluster", "--algo", "greedy", "--input", "{csv}", "--k", "11", "--seed", "-1"],
+        ["check", "--input", "{csv}", "--k", "11", "--selected", "0,100", "--axioms", "up", "--seed", "-2"],
+        ["check", "--input", "{small}", "--k", "2", "--selected", "0,1", "--axioms", "prf", "--samples", "-3"],
     ],
-    ids=["kmeanspp-seed", "check-seed", "check-samples", "experiment-seed"],
+    ids=["kmeanspp-seed", "check-seed", "check-samples", "experiment-seed", "greedy-seed", "check-up-seed",
+         "check-exhaustive-samples"],
 )
 def test_negative_seed_or_samples_exit_1(two_mass_csv, tmp_path, capsys, argv):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"datasets": [{"generator": "hexagon"}], "ks": [2],
                                 "algorithms": ["kmeanspp"], "seeds": [-1]}))
-    argv = [a.format(csv=two_mass_csv, grid=grid) for a in argv]
+    # n <= 16, so the prf check enumerates subsets and draws no samples
+    small = tmp_path / "small.csv"
+    small.write_text("x0\n0.0\n1.0\n2.0\n5.0\n")
+    argv = [a.format(csv=two_mass_csv, grid=grid, small=small) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-negative" in err

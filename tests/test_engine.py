@@ -278,6 +278,8 @@ def _assert_balls_match_brute_force(balls, inst, w, quota, live):
     # every live candidate's support, radius and counted prefix, read straight off its column
     D = inst.distance_matrix
     order = _unmarked(balls._order)
+    # the passes read each position's weight through its marked code, and must read w
+    assert np.array_equal(balls._wr.take(balls._order + inst.n), w[order])
     for c in np.flatnonzero(live):
         col, radius = D[:, c], balls.radius[c]
         assert balls.support[c] == w[col <= radius].sum()
@@ -288,6 +290,27 @@ def _assert_balls_match_brute_force(balls, inst, w, quota, live):
         assert balls._order[c, balls._pos[c]] < 0
         if balls._pos[c] + 1 < inst.n:
             assert D[order[c, balls._pos[c] + 1], c] > radius
+
+
+def _charge_and_check(inst, w, quota, rng, chunk, block, charges=8, most=11):
+    # random payments lower w (in place), and after each charge the live rows match brute force
+    m = inst.m
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CHUNK", chunk)
+        mp.setattr(engine, "_BLOCK", block)
+        balls = engine._Thresholds(inst, w, quota)
+        live = np.ones(m, dtype=bool)
+        _assert_balls_match_brute_force(balls, inst, w, quota, live)
+        for _ in range(charges):
+            paying = np.flatnonzero(w > 0)
+            agents = rng.choice(paying, size=min(int(rng.integers(1, most + 1)), paying.size), replace=False)
+            amounts = rng.integers(1, w[agents] + 1)
+            if w.sum() - amounts.sum() < quota:
+                break  # every row holds all the weight, so it must keep a quota
+            w[agents] -= amounts
+            live[rng.integers(m)] = False
+            balls.charge(agents, amounts, live)
+            _assert_balls_match_brute_force(balls, inst, w, quota, live)
 
 
 @pytest.mark.parametrize("discrete", [False, True])
@@ -302,28 +325,43 @@ def test_thresholds_match_brute_force_after_charges(discrete, decimals, chunk, b
     if decimals is not None:
         points, cands = np.round(points, decimals), np.round(cands, decimals)
     inst = Instance.discrete(points, cands, k=5) if discrete else Instance.unconstrained(points, k=5)
-    n, m = inst.n, inst.m
+    n = inst.n
     for w0, quota in (
         (np.full(n, 5, dtype=np.int64), n),
         (np.ones(n, dtype=np.int64), -(-n // 5)),
         (rng.integers(1, 4, size=n).astype(np.int64), n // 5),
     ):
-        w = w0.copy()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CHUNK", chunk)
-            mp.setattr(engine, "_BLOCK", block)
-            balls = engine._Thresholds(inst, w, quota)
-            live = np.ones(m, dtype=bool)
-            _assert_balls_match_brute_force(balls, inst, w, quota, live)
-            for _ in range(8):
-                agents = rng.choice(np.flatnonzero(w > 0), size=int(rng.integers(1, 12)), replace=False)
-                amounts = rng.integers(1, w[agents] + 1)
-                if w.sum() - amounts.sum() < quota:
-                    break  # every row holds all the weight, so it must keep a quota
-                w[agents] -= amounts
-                live[rng.integers(m)] = False
-                balls.charge(agents, amounts, live)
-                _assert_balls_match_brute_force(balls, inst, w, quota, live)
+        _charge_and_check(inst, w0.copy(), quota, rng, chunk, block)
+
+
+@pytest.mark.parametrize("chunk, block", [(engine._CHUNK, engine._BLOCK), (1, 7)])
+def test_thresholds_match_brute_force_after_charges_with_large_weights(chunk, block):
+    # the charges subtract a float64 product: it must stay exact for the sweep's weights at
+    # k = 1000 (k each, quota n) on a shared precomputed matrix with ties, and for weights up
+    # to 2**40, whose payments a float32 or any rounding product would get wrong
+    rng = np.random.default_rng(15)
+    dm = Instance.unconstrained(np.round(rng.normal(size=(1000, 2)), 1), k=1000).distance_matrix
+    inst = Instance.precomputed(dm, k=1000, shared_candidates=True)
+    n = inst.n
+    big = rng.integers(1 << 39, 1 << 40, size=n, dtype=np.int64)
+    for w0, quota in ((np.full(n, inst.k, dtype=np.int64), n), (big, int(big.sum()) // 7)):
+        _charge_and_check(inst, w0.copy(), quota, rng, chunk, block, charges=4, most=200)
+
+
+@settings(max_examples=300)
+@given(small_instances(), st.sampled_from((1, 2, 3, 16)), st.sampled_from((1, 7, engine._BLOCK)), st.data())
+def test_thresholds_match_brute_force_after_charges_at_row_ends(inst, chunk, block, data):
+    # small rows, so chunks cross the row end; a quota of all the weight puts every
+    # threshold on the row's last position, and charges move thresholds up to it
+    n = inst.n
+    w = np.array(data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.int64)
+    total = int(w.sum())
+    quota = data.draw(st.one_of(st.just(total), st.integers(1, total)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if quota == total:
+        # n <= 12, so the first chunk of _CHUNK = 16 positions crosses every row end
+        assert (engine._Thresholds(inst, w.copy(), quota)._pos == n - 1).all()
+    _charge_and_check(inst, w, quota, rng, chunk, block, charges=4, most=3)
 
 
 def test_matrix_layout_does_not_change_the_selection():
