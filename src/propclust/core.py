@@ -441,17 +441,12 @@ class _BlockSum:
 
 
 def _ordered_ints(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write into the int64 ``out`` integers that order as the float ``values`` do; -0.0 is 0.0."""
+    """Write into the int64 ``out`` the bits of the nonnegative ``values`` (distances), which order as they do."""
     # -0.0 + 0.0 is 0.0; a block of columns is read in its own memory order
     if values.strides[0] < values.strides[1]:
         np.add(values.T, 0.0, out=out.view(np.float64).T)
     else:
         np.add(values, 0.0, out=out.view(np.float64))
-    if out.min() < 0:
-        # a negative value's magnitude bits count up as it falls: flip them
-        neg = out >> 63
-        neg &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
-        out ^= neg
     return out
 
 
@@ -459,19 +454,19 @@ def _marked_order(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     """Each row's column indices in stable sorted order, with the end of each run of equal values marked.
 
     ``out[i]`` (int32) is ``np.argsort(rows[i], kind="stable")``, except that
-    the last index of each run of equal values (so the last column always)
-    is stored as ``~index``: :func:`_unmarked` decodes it.  ``-0.0``
-    and ``0.0`` are equal.  The rows are sorted as int64 keys: each value's
-    order-preserving integer image with its low ``b = (n-1).bit_length()``
-    bits replaced by the column index, so one integer sort orders them with
-    ties by index.  Neighbours whose high parts differ are in order and end
-    a run.  Only rows holding a neighbour pair with equal high parts gather
-    their values in that order, to mark their runs and to catch values that
-    differ only in the dropped bits (distances a few ulps apart, as rounded
-    coordinates give); only a row holding such values is put in order, by
-    ``np.argsort(kind="stable")`` of its nearly sorted values.  Beside
-    ``out`` the temporaries hold one int64 key per entry, plus a few
-    gathers of the rows with equal high parts.
+    the last index of each run of equal values (so the last column always) is
+    stored as ``~index``: :func:`_unmarked` decodes it.  The values must be
+    nonnegative (distances); ``-0.0`` and ``0.0`` are equal.  The rows are
+    sorted as int64 keys: each value's order-preserving integer image with its
+    low ``b = (n-1).bit_length()`` bits replaced by the column index, so one
+    integer sort orders them with ties by index.  Neighbours whose high parts
+    differ are in order and end a run.  Only rows holding a neighbour pair
+    with equal high parts gather their values in that order, to mark their
+    runs and to catch values that differ only in the dropped bits (distances a
+    few ulps apart, as rounded coordinates give); only a row holding such
+    values is put in order, by ``np.argsort(kind="stable")`` of its nearly
+    sorted values.  Beside ``out`` the temporaries hold one int64 key per
+    entry, plus a few gathers of the rows with equal high parts.
     """
     r, n = rows.shape
     if out is None:

@@ -10,7 +10,9 @@ back to its inputs.  Its bytes are exactly ``json.dumps(obj, indent=2)``
 plus a newline, written in pieces of bounded size (see
 :func:`write_run_record`); perfbench's ``expected.json`` digests pin them.
 An instance renders its coordinates to JSON text once, and its digest and
-the records made from it share that text.
+the records made from it share that text.  The writer lays out every
+record's coordinates from such text, one way; for a record with none, it
+renders the text from the rows and holds it while the record is written.
 
 Generators are deterministic functions of their parameters; none draw
 random numbers, so a generated CSV is byte-identical across runs.
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from propclust.axioms import AxiomReport
-from propclust.core import InputError, Instance, _exact, _number
+from propclust.core import InputError, Instance, _compact, _exact, _number
 from propclust.engine import SweepRound, SweepTrace
 from propclust.evaluation import ExperimentGrid
 
@@ -377,8 +379,8 @@ class RunRecord:
             instance_digest=_exact(obj["instance_digest"], str, "'instance_digest'", many=False),
             metric=_exact(obj["metric"], str, "'metric'", many=False),
             selected=_exact(obj["selected"], int, "'selected'"),
-            coordinates=_float_rows(coords),
-            candidate_coordinates=_float_rows(cand),
+            coordinates=_float_rows(coords, "coordinates"),
+            candidate_coordinates=_float_rows(cand, "candidate_coordinates"),
             underfilled=_exact(obj.get("underfilled", False), bool, "'underfilled'", many=False),
             padded=_exact(obj.get("padded", []), int, "'padded'"),
             trace=None if trace is None else trace_from_json_obj(trace),
@@ -387,13 +389,15 @@ class RunRecord:
         )
 
 
-def _float_rows(rows):
-    """``rows`` as a tuple of float tuples; JSON reads floats, but an int written by hand is converted."""
+def _float_rows(rows, key: str):
+    """``rows``, a JSON list of lists of numbers, as float tuples; ints are converted, ragged rows load."""
     if rows is None:
         return None
-    if set(map(type, chain.from_iterable(rows))) <= {float}:
-        return tuple(map(tuple, rows))
-    return tuple(tuple(float(v) for v in row) for row in rows)
+    if type(rows) is list and set(map(type, rows)) <= {list}:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= {int, float}:
+            return tuple(map(tuple, rows)) if kinds <= {float} else tuple(tuple(map(float, row)) for row in rows)
+    raise InputError(f"{key!r} must be a JSON list of lists of numbers")
 
 
 def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> RunRecord:
@@ -420,9 +424,8 @@ def record_for(inst: Instance, algorithm: str, outcome, seed=None, **extra) -> R
     return record
 
 
-_ROWS = 256  # rows of a numeric matrix encoded per piece
-_NUMBERS = frozenset((int, float, bool, type(None)))
-_SCALARS = _NUMBERS | {str}
+_ROWS = 256  # coordinate rows laid out per piece
+_SCALARS = frozenset((int, float, bool, type(None), str))
 _encode = json.JSONEncoder().encode  # the C encoder, for leaves and flat lists
 _string = json.encoder.encode_basestring_ascii
 
@@ -445,10 +448,10 @@ def _indented(obj, pad: str):
     weights) is joined directly.  Any other list of scalars is C-encoded at
     once, and each ``", "`` separator becomes a line break: no number
     contains a comma, and the count catches a string that does.  A
-    :class:`_RowsText`, the coordinates an instance rendered once for its
-    digest, is laid out from that text (:func:`_rows_from_text`); other
-    numeric rows are encoded ``_ROWS`` rows per piece the same way, with
-    ``"], ["`` as the row seam.  Either way no piece is ever a large string.
+    :class:`_RowsText`, the one form in which a record's coordinates reach
+    this function (see :func:`write_run_record`), is laid out from its text
+    by :func:`_rows_from_text`, so no piece is ever a large string.  Any
+    other list is laid out item by item.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -468,7 +471,7 @@ def _indented(obj, pad: str):
     elif not obj:
         yield "[]"
     else:
-        inner, deeper = pad + "  ", pad + "    "
+        inner = pad + "  "
         kinds = set(map(type, obj))
         if kinds == {str}:
             # the encoder leaves printable ASCII as it is, except '"' and '\\'
@@ -481,20 +484,11 @@ def _indented(obj, pad: str):
             if str not in kinds or text.count(", ") == len(obj) - 1:
                 yield "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
                 return
-        rows = kinds <= {list, tuple} and all(obj)
-        seam = "\n" + inner + "],\n" + inner + "[\n" + deeper
         sep = "[\n" + inner
-        for start in range(0, len(obj), _ROWS):
-            chunk = obj[start : start + _ROWS]
-            if rows and set(map(type, chain.from_iterable(chunk))) <= _NUMBERS:
-                body = _encode(chunk)[2:-2].replace("], [", seam).replace(", ", ",\n" + deeper)
-                yield sep + "[\n" + deeper + body + "\n" + inner + "]"
-                sep = ",\n" + inner
-                continue
-            for item in chunk:
-                yield sep
-                yield from _indented(item, inner)
-                sep = ",\n" + inner
+        for item in obj:
+            yield sep
+            yield from _indented(item, inner)
+            sep = ",\n" + inner
         yield "\n" + pad + "]"
 
 
@@ -526,13 +520,22 @@ def write_run_record(path, record: RunRecord) -> None:
 
     The bytes are exactly those, but :func:`_indented` produces them in
     pieces, and each piece is written as it comes, so the document is
-    never one string.  The coordinates of a record made by
-    :func:`record_for` are laid out from the compact text its instance
-    rendered once for its digest.  perfbench's ``expected.json`` digests
-    pin these bytes.
+    never one string.  Coordinates are laid out from their compact JSON
+    text: the text the instance rendered once for its digest, for a record
+    made by :func:`record_for`, or else (a record read back, or made with
+    ``dataclasses.replace``) text rendered here and held while the record
+    is written: 0.76 MiB at n = 5000 in 8-D, where the render itself peaks
+    at 4.1 MiB.  perfbench's ``expected.json`` digests pin these bytes.
     """
     obj = record.to_json_obj()
-    obj.update((key, _RowsText(text)) for key, text in record._coordinate_text.items())
+    for key in ("coordinates", "candidate_coordinates"):
+        text, rows = record._coordinate_text.get(key), obj[key]
+        # only nonempty rows of numbers have the text layout; other values take the generic one
+        if text is None and rows and set(map(type, rows)) <= {list, tuple} and all(rows):
+            if set(map(type, chain.from_iterable(rows))) <= {int, float}:
+                text = _compact(rows)
+        if text is not None:
+            obj[key] = _RowsText(text)
     with open(path, "w") as fh:
         fh.writelines(_indented(obj, ""))
         fh.write("\n")

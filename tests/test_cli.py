@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,11 @@ def test_negative_seed_or_samples_exit_1(two_mass_csv, tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-negative" in err
+
+
+def test_non_integer_seed_exits_1(two_mass_csv, capsys):
+    assert main(["cluster", "--input", str(two_mass_csv), "--k", "11", "--seed", "abc"]) == 1
+    assert capsys.readouterr().err == "error: argument --seed: invalid int value: 'abc'\n"
 
 
 def test_cluster_greedy_underfill(tmp_path, capsys):
@@ -363,6 +369,9 @@ def test_eval_outputs(two_mass_csv, tmp_path, capsys):
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0].startswith("msd1 ")
     assert out[1].startswith("msdk ")
+    # without --metrics, every key
+    assert main(["eval", "--run", str(run)]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["msd1", "msdhalfk", "msdk"]
     assert main(["eval", "--run", str(run), "--metrics", "wat"]) == 1
 
 
@@ -421,6 +430,25 @@ def test_experiment_round_trip(tmp_path, capsys):
     rows2 = tmp_path / "rows2.csv"
     main(["experiment", "--grid", str(grid_path), "--out", str(rows2)])
     assert rows2.read_bytes() == rows.read_bytes()
+
+
+def test_experiment_without_out_writes_rows_to_stdout(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"datasets": [{"generator": "hexagon"}], "ks": [2], "algorithms": ["prf"]}))
+    rows = tmp_path / "rows.csv"
+    assert main(["experiment", "--grid", str(grid_path), "--out", str(rows)]) == 0
+    capsys.readouterr()
+    assert main(["experiment", "--grid", str(grid_path)]) == 0
+    assert capsys.readouterr().out == rows.read_text()
+
+
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    for argv, code in ((["gen", "--name", "hexagon"], 0), (["frobnicate"], 1)):
+        monkeypatch.setattr(sys, "argv", ["propclust", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+    assert capsys.readouterr().out.startswith("x0,x1\n")
 
 
 def test_experiment_requires_grid(capsys):

@@ -53,6 +53,14 @@ def test_distance_overflow_raises_input_error():
         assert distance((0.0,), (1e300,), metric="manhattan") == 1e300
 
 
+def test_distance_rejects_nonfinite_points_and_the_precomputed_metric():
+    for p, q in (((0.0, math.nan), (1.0, 2.0)), ((0.0,), (math.inf,))):
+        with pytest.raises(InputError, match="^points must have finite coordinates$"):
+            distance(p, q)
+    with pytest.raises(InputError, match="^precomputed metric has no pointwise distance"):
+        distance((0.0,), (1.0,), metric="precomputed")
+
+
 def test_unconstrained_candidates_are_agents():
     inst = Instance.unconstrained([(0.0,), (1.0,), (2.0,)], k=2)
     assert inst.n == 3
@@ -226,6 +234,47 @@ def test_precomputed_rejects_nonzero_diagonal_shared():
 def test_precomputed_rejects_matrix_that_is_not_numeric_2d(matrix, shared):
     with pytest.raises(InputError, match="2-D array"):
         Instance.precomputed(matrix, k=1, shared_candidates=shared)
+
+
+_SQUARE = [[0.0, 1.0], [1.0, 0.0]]
+_NOT_2D = "distance matrix must be a nonempty 2-D array"
+_NEGATIVE = "distance matrix entries must be finite and nonnegative"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Instance(None, k=1, metric="precomputed"), "precomputed metric requires a distance matrix"),
+        (lambda: Instance([(0.0,), (1.0,)], k=1, metric="precomputed", matrix=_SQUARE),
+         "precomputed instances take a matrix, not coordinates"),
+        (lambda: Instance(None, [(0.0,)], k=1, metric="precomputed", matrix=_SQUARE),
+         "precomputed instances take a matrix, not coordinates"),
+        (lambda: Instance.precomputed([0.0, 1.0], k=1), _NOT_2D),
+        (lambda: Instance.precomputed(np.zeros((2, 2, 1)), k=1), _NOT_2D),
+        (lambda: Instance.precomputed(np.empty((0, 2)), k=1), _NOT_2D),
+        # the sort of each row's distances relies on this guard: no entry is negative
+        (lambda: Instance.precomputed([[0.0, -1.0], [1.0, 0.0]], k=1), _NEGATIVE),
+        (lambda: Instance.precomputed([[0.0, -1e-300]], k=1), _NEGATIVE),
+        (lambda: Instance.precomputed([[0.0, math.inf]], k=1), _NEGATIVE),
+        (lambda: Instance.precomputed([[0.0, math.nan]], k=1), _NEGATIVE),
+        (lambda: Instance.precomputed([[0.0, 1.0]], k=1, shared_candidates=True),
+         "shared candidates need a square distance matrix"),
+        (lambda: Instance([(0.0,), (1.0,)], k=1, matrix=_SQUARE), "metric 'euclidean' does not accept a distance matrix"),
+        (lambda: Instance(None, k=1), "coordinate instances require agent points"),
+        (lambda: Instance.unconstrained(np.empty((0, 2)), k=1), "agents must be a nonempty 2-D array of coordinates"),
+        (lambda: Instance.discrete([(0.0, 1.0)], [(0.0,)], k=1), "agents have dimension 2 but candidates have 1"),
+    ],
+    ids=["no-matrix", "agents", "candidates", "1-D", "3-D", "no-rows", "negative", "tiny-negative", "inf", "nan",
+         "shared-not-square", "coordinates-with-matrix", "no-agents", "empty-agents", "dimensions-differ"],
+)
+def test_instance_input_guards(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_precomputed_matrix_may_hold_negative_zero():
+    inst = Instance.precomputed([[0.0, -0.0], [-0.0, 0.0]], k=1, shared_candidates=True)
+    assert select_prf_centers(inst)[0].selected == (0,)
 
 
 def test_rejects_bad_k():

@@ -185,6 +185,12 @@ def test_record_round_trip(tmp_path):
     assert back.reports == (report,)
 
 
+def test_instance_to_csv_needs_coordinates():
+    inst = Instance.precomputed([[0.0, 1.0], [1.0, 0.0]], k=1, shared_candidates=True)
+    with pytest.raises(InputError, match="^instance has no coordinates to write$"):
+        instance_to_csv(inst)
+
+
 def test_record_json_is_schema_versioned(tmp_path):
     inst = generate("hexagon")
     outcome, _ = select_prf_centers(inst)
@@ -334,6 +340,29 @@ def test_written_record_equals_indented_json_dumps(tmp_path, name):
     assert p.read_bytes() == (json.dumps(record.to_json_obj(), indent=2) + "\n").encode()
 
 
+@pytest.mark.parametrize("name", ["read-back", "replaced-coordinates"])
+def test_records_without_coordinate_text_are_laid_out_from_text(tmp_path, monkeypatch, name):
+    # one layout path: a record with no text from an instance renders its rows' text to write
+    record = RECORDS[name]()
+    assert record._coordinate_text == {}
+    texts = []
+    rows_from_text = data_io._rows_from_text
+
+    def spy(text, pad):
+        texts.append(text)
+        return rows_from_text(text, pad)
+
+    monkeypatch.setattr(data_io, "_rows_from_text", spy)
+    write_run_record(tmp_path / "run.json", record)
+    assert texts == [json.dumps(record.coordinates, separators=(",", ":"))]
+    # rows that are not numbers take the generic layout
+    texts.clear()
+    other = dataclasses.replace(record, coordinates=(("a", 1.0),), candidate_coordinates=((),))
+    write_run_record(tmp_path / "other.json", other)
+    assert texts == []
+    assert (tmp_path / "other.json").read_text() == json.dumps(other.to_json_obj(), indent=2) + "\n"
+
+
 def test_only_record_for_stores_coordinate_text(tmp_path):
     inst = Instance.discrete(_gaussian(8, 2, 13), _gaussian(5, 2, 14), k=2)
     record = _prf_record(inst)
@@ -364,13 +393,9 @@ _JSON = st.recursive(
 
 
 @settings(max_examples=400)
-@given(_JSON, st.sampled_from((1, 2, data_io._ROWS)))
-def test_indented_matches_json_dumps(obj, rows):
-    # small row pieces put the row seam inside these small matrices
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_io, "_ROWS", rows)
-        text = "".join(_indented(obj, ""))
-    assert text == json.dumps(obj, indent=2)
+@given(_JSON)
+def test_indented_matches_json_dumps(obj):
+    assert "".join(_indented(obj, "")) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -578,6 +603,11 @@ def test_stored_numbers_may_be_ints(tmp_path):
     assert record.metrics == {"msd1": 1.0, "msdk": None}
 
 
+def _row_as(row: int, value):
+    # the hexagon's coordinates with one row replaced by ``value``
+    return lambda rows: [value if i == row else r for i, r in enumerate(rows)]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -591,6 +621,14 @@ def test_stored_numbers_may_be_ints(tmp_path):
         ("padded", [1.5]),
         ("k", 3.0),
         ("seed", "7"),
+        # coordinates are read exactly: float("-0.25") and float(False) would give the hexagon's own values
+        pytest.param("coordinates", _row_as(0, ["-0.25", 0.4330127018922193]), id="coordinates-str"),
+        pytest.param("coordinates", _row_as(2, [0.5, False]), id="coordinates-bool"),
+        pytest.param("coordinates", _row_as(2, [0.5, None]), id="coordinates-null"),
+        pytest.param("coordinates", [1, 2], id="coordinates-flat"),
+        pytest.param("coordinates", "[[0.0, 1.0]]", id="coordinates-text"),
+        pytest.param("candidate_coordinates", [[0.0, 1.0], ["2.0", 0.0]], id="candidate_coordinates-str"),
+        pytest.param("candidate_coordinates", {"0": [0.0, 1.0]}, id="candidate_coordinates-object"),
     ],
 )
 def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
@@ -602,12 +640,17 @@ def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
     if value is None:
         del obj[field]
     else:
-        obj[field] = value
+        obj[field] = value(obj[field]) if callable(value) else value
     p.write_text(json.dumps(obj))
     assert main(["check", "--run", str(p)]) == 1
     err = capsys.readouterr().err
-    # ragged coordinates parse, and fail when the instance is rebuilt
-    assert err.startswith("error: " if field == "coordinates" else f"error: {p}: ")
+    if value == [[0.0, 1.0], [2.0]]:
+        # ragged coordinates parse, and fail when the instance is rebuilt
+        assert err.startswith("error: ")
+    elif field.endswith("coordinates"):
+        assert err == f"error: {p}: {field!r} must be a JSON list of lists of numbers\n"
+    else:
+        assert err.startswith(f"error: {p}: ")
 
 
 @pytest.mark.parametrize(
