@@ -11,7 +11,7 @@ plus a newline, written in pieces of bounded size (see
 :func:`write_run_record`); perfbench's ``expected.json`` digests pin them.
 An instance renders its coordinates to JSON text once, and its digest and
 the records made from it share that text.  The writer lays out every
-record's coordinates from such text, one way; for a record with none, it
+record's coordinates from such text; for a record with none, it
 renders the text from the rows and holds it while the record is written.
 
 Generators are deterministic functions of their parameters; none draw
