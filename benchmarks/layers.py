@@ -62,7 +62,18 @@ the shape of ``perfbench``'s experiment grid: n = 120 log-normal points in
 6-D, in two channels shaped like the UCI Wholesale customers data, z-scored
 per column, at k = 5, 10 and 20.  The ``grid_sweep`` and ``grid_greedy``
 layers run ``select_prf_centers`` and ``greedy_capture(pad=True)`` (as the
-experiment runs it) once per call on the same points and ks.
+experiment runs it) once per call on the same points and ks.  The
+``experiment`` layer runs ``run_experiment`` end to end on a fresh instance
+of such points at n = 120 and 2000: ks 5, 10 and 20, all three algorithms,
+k-means++ seeds 0-4 and every metric, so the distances are built and
+sorted once in the call and shared by every k (its cell's ``k`` is the
+largest of the ks).
+
+The ``thresholds``, ``thresholds_discrete``, ``sweep``, ``greedy``,
+``grid_sweep`` and ``grid_greedy`` layers call a ``with_k`` copy of the
+built instance each time: it carries the matrix but not the instance's
+sorted order, so every call sorts, as a fresh instance's first rule call
+does.
 
 The ``record`` layer runs ``data_io.record_for`` and then
 ``data_io.write_run_record`` (to a file in a temporary directory) on the
@@ -77,8 +88,9 @@ matrix (the (n, m) one for ``thresholds_discrete``), and ``ru_maxrss`` of
 the process before and after the calls.  A checker cell also records the
 SHA-256 of its report's JSON; a ``kmeanspp``, ``sweep``, ``greedy``,
 ``grid_sweep`` or ``grid_greedy`` cell that of its selection, and a sweep
-cell that of its trace's compact JSON as well; and a ``record`` cell that of
-the written file, so two trees' figures show whether their outputs agree.
+cell that of its trace's compact JSON as well; a ``record`` cell that of
+the written file; and an ``experiment`` cell that of the table's CSV, so
+two trees' figures show whether their outputs agree.
 Results are merged into ``--out`` under ``--label``, so one file can hold the
 figures of two trees made by this same script.  ``--layers`` runs only the
 named layers, and replaces only their cells under the label; ``--sizes``
@@ -118,6 +130,8 @@ KMEANSPP_GRID = (120, 6)  # (n, dim) of the experiment-grid cells
 GRID_LAYERS = ("kmeanspp", "grid_sweep", "grid_greedy")
 KMEANSPP_GRID_KS = (5, 10, 20)
 KMEANSPP_GRID_SEEDS = range(5)
+EXPERIMENT_SIZES = (120, 2000)
+SORTING_LAYERS = (*LAYERS[1:], "thresholds_discrete", "grid_sweep", "grid_greedy")
 RECORD_DIMS = (2, 8)
 QUANTIZED = (1200, 8)  # (n, dim) of the cluster-quantized cells
 QUANTIZED_LEVELS = 3
@@ -136,6 +150,7 @@ GRID = (
     + [(layer, AUDIT_N, 2, None, K) for layer in AUDIT]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
     + [(layer, *KMEANSPP_GRID, None, k) for layer in GRID_LAYERS for k in KMEANSPP_GRID_KS]
+    + [("experiment", n, KMEANSPP_GRID[1], None, max(KMEANSPP_GRID_KS)) for n in EXPERIMENT_SIZES]
     + [("record", n, dim, None, K) for n in SIZES for dim in RECORD_DIMS]
     + [(layer, EXHAUSTIVE_N, 2, None, EXHAUSTIVE_K) for layer in EXHAUSTIVE]
 )
@@ -155,11 +170,13 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
 
     import propclust
     from propclust import (
+        ExperimentGrid,
         Instance,
         check_prf2,
         check_prf3,
         check_prf_discrete,
         check_prf_unconstrained,
+        run_experiment,
         select_prf_centers,
     )
     from propclust.baselines import greedy_capture, kmeanspp
@@ -175,7 +192,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     if decimals is not None:
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
     experiment_grid = layer in GRID_LAYERS and (n, dim) == KMEANSPP_GRID
-    if experiment_grid:
+    if experiment_grid or layer == "experiment":
         retail = np.arange(n) < round(0.3 * n)
         mu = np.where(retail[:, None], np.linspace(8.0, 9.0, dim), np.linspace(7.5, 8.5, dim)[::-1])
         points = np.exp(mu + np.linspace(0.8, 1.3, dim) * points)
@@ -194,12 +211,23 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         def call(inst):
             return inst.agent_distances if layer == "agent_distances" else inst.distance_matrix
 
+    elif layer == "experiment":
+
+        def prepare():
+            return fresh()
+
+        def call(inst):
+            grid = ExperimentGrid(datasets=(("wholesale", inst),), ks=KMEANSPP_GRID_KS,
+                                  seeds=tuple(KMEANSPP_GRID_SEEDS))
+            return run_experiment(grid)
+
     else:
         built = fresh()
         built.distance_matrix
 
         def prepare():
-            return built
+            # the rules get a copy that carries the matrix but not the sorted order, so each call sorts
+            return built.with_k(k) if layer in SORTING_LAYERS else built
 
         if layer in ("thresholds", "thresholds_discrete"):
 
@@ -208,7 +236,9 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
 
         elif layer in SAMPLED + EXHAUSTIVE:
             built.agent_distances
-            outcome, _ = select_prf_centers(built)
+            # the sweep sorts a copy, so the instance the check reads holds no sorted
+            # order, as in `check --run` (and likewise for the record layer below)
+            outcome, _ = select_prf_centers(built.with_k(k))
             # at n = 16 the PRF checkers enumerate subsets by default
             check = {
                 "prf_unconstrained": check_prf_unconstrained,
@@ -225,7 +255,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
                 return check(inst, outcome)
 
         elif layer == "record":
-            outcome, trace = select_prf_centers(built)
+            outcome, trace = select_prf_centers(built.with_k(k))
             out = Path(tempfile.mkdtemp()) / "run.json"
 
             def call(inst):
@@ -291,6 +321,8 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         cell["trace_sha256"] = hashlib.sha256(blob).hexdigest()
     elif layer in ("greedy", "grid_greedy"):
         cell["selection_sha256"] = hashlib.sha256(json.dumps(result.outcome.selected).encode()).hexdigest()
+    elif layer == "experiment":
+        cell["csv_sha256"] = hashlib.sha256(result.to_csv().encode()).hexdigest()
     elif layer == "record":
         cell["record_sha256"] = hashlib.sha256(result.read_bytes()).hexdigest()
         cell["record_bytes"] = result.stat().st_size

@@ -177,7 +177,10 @@ def _instance_and_outcome(args) -> tuple[Instance, Outcome, RunRecord | None]:
         inst = None if args.input is None else _load_input_instance(args)
         record = read_run_record(args.run, instance=inst)
         if inst is None:
-            inst = instance_from_record(record)
+            try:
+                inst = instance_from_record(record)
+            except InputError as exc:
+                raise InputError(f"{args.run}: {exc}") from None
         if args.selected is not None:
             raise InputError("--selected cannot be combined with --run")
         outcome = Outcome(record.selected)

@@ -12,7 +12,8 @@ integers scaled by k, so the selection quota n/k is never rounded.
 
 A matrix whose candidates are the agents is symmetric bit for bit, so
 its build sums only the entries on and right of the diagonal (in slabs
-of rows) and copies them across.
+of rows) and copies them across.  Each candidate's distances are sorted
+once per instance, for the engine, and that order is shared by every k.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ class Instance:
         """The same instance with another k.
 
         A shallow copy: the points, the matrix and every cached property
-        already built are shared, except the digest, which covers k.
+        already built (the distance matrices, the engine's sorted order,
+        the coordinate text) are shared, except the digest, which covers k.
         """
         out = copy.copy(self)
         object.__setattr__(out, "k", _checked_k(k, self.n))
@@ -292,6 +294,38 @@ class Instance:
         out = _pairwise(self.agents, self.agents, self.metric)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def _candidate_order(self) -> np.ndarray:
+        """(m, n) int32: each candidate's agents by distance, ties by index, run ends marked.
+
+        Row c is :func:`_marked_order` of column c of ``distance_matrix``.
+        It does not depend on k, so the k-variants share it, and the sweep
+        and greedy capture both read it: one sort per dataset.  It is
+        sorted ``_SORT_BLOCK // n`` rows at a time, from the matrix's rows
+        where they are its columns (shared candidates) and from transposed
+        blocks of columns otherwise, so no temporary but the order holds
+        more than a block.  Read-only, half the matrix's bytes, and held as
+        long as the instance.
+        """
+        n, m = self.n, self.m
+        # checked before the matrix is read
+        if n > np.iinfo(np.int32).max:
+            raise InputError(f"{n} agents are too many: sorted positions are int32")
+        dm = self.distance_matrix
+        rows = max(1, _SORT_BLOCK // n)
+        try:
+            order = np.empty((m, n), dtype=np.int32)
+            for i in range(0, m, rows):
+                block = dm[i : i + rows] if self.is_unconstrained else dm[:, i : i + rows].T
+                _marked_order(block, out=order[i : i + rows])
+        except MemoryError:
+            raise InputError(
+                f"the ball thresholds of {n} agents and {m} candidates need {n * m * 4 / 2**30:.1f} GiB "
+                "beside the distance matrix, more than can be allocated"
+            ) from None
+        order.flags.writeable = False
+        return order
 
     @cached_property
     def _coordinate_json(self) -> tuple[str, str] | None:
@@ -332,6 +366,8 @@ class Instance:
 _PLANE = 1 << 16
 #: Rows per slab of a symmetric matrix, which is summed from each slab's first column on.
 _TILE = 128
+#: Entries in one block of rows of ``Instance._candidate_order`` sorted at a time.
+_SORT_BLOCK = 1 << 16
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:

@@ -10,13 +10,16 @@ fall, so thresholds only rise and the rounds visit radii in ascending
 order: the outcome is the same as lowering one shared threshold through
 every distinct distance.
 
-Each candidate's distances are sorted once.  Per candidate the sweep
-keeps the end of the run of equal distances at which its prefix weight
-first reaches the quota, so its counted prefix is its whole ball and the
-prefix weight is its support.  The sort marks the end of every run in the
-sorted order itself, so finding that end reads no distance.  The weights
-start uniform, so every row starts ceil(quota / w0) - 1 positions in,
-just short of its threshold.  After a payment only the candidates whose
+Each candidate's distances are sorted once per dataset: the instance
+holds the sorted order (``Instance._candidate_order``), which does not
+depend on k, so the sweep, greedy capture and every k-variant of an
+instance read the same one.  Per candidate the sweep keeps the end of
+the run of equal distances at which its prefix weight first reaches the
+quota, so its counted prefix is its whole ball and the prefix weight is
+its support.  The sort marks the end of every run in the sorted order
+itself, so finding that end reads no distance.  The weights start
+uniform, so every row starts ceil(quota / w0) - 1 positions in, just
+short of its threshold.  After a payment only the candidates whose
 ball held a paying agent are charged, and those that fall below the
 quota move their position forward in chunks that double on each pass.  A
 pass reads a chunk's marked agents with one flat take and their weights
@@ -31,19 +34,23 @@ is exactly one quota, which every remaining ball must hold whole, so the
 last round takes no charge: each remaining candidate's threshold is its
 distance to the farthest agent with weight, read from the rows of the
 agents with weight, and its support is the quota.  The work is O(k·n·m)
-in vector operations, plus one O(n·m·log n) sort.  This ball-threshold
-structure (``_Thresholds``) also runs greedy capture in
+in vector operations, plus one O(n·m·log n) sort per dataset.  This
+ball-threshold structure (``_Thresholds``) also runs greedy capture in
 :mod:`propclust.baselines`, with unit weights and quota ceil(n/k).
 
-The structure keeps its marked order as int32, half a matrix's bytes,
-and reads who lies in a ball from the distances themselves: a
-candidate's distances are a column of the matrix, which is never copied.
-Its sort, its advance passes, its charges and ``settle`` work a block of
-rows at a time, so no other temporary holds more than ``_BLOCK`` entries
-(or one row, where a row is longer).  Beside the distance matrix, at
-n = 1000 on 2-D points, the set-up then peaks at about 0.6 times the
-matrix's bytes and a sweep or greedy run at about 0.76 times; with 500
-discrete candidates, at about 0.7 and 1.0 times that (smaller) matrix.
+The structure reads the instance's marked order, int32 and half a
+matrix's bytes, and reads who lies in a ball from the distances
+themselves: a candidate's distances are a column of the matrix, which is
+never copied.  The instance sorts a block of rows at a time, and the
+advance passes, the charges and ``settle`` work a block of rows at a
+time too, so no other temporary holds more than ``_BLOCK`` entries (or
+one row, where a row is longer).  Beside the distance matrix, at
+n = 1000 on 2-D points, the first set-up on an instance, which sorts it,
+then peaks at about 0.6 times the matrix's bytes and a sweep or greedy
+run at about 0.76 times; with 500 discrete candidates, at about 0.7 and
+1.0 times that (smaller) matrix.  Once the order is built, a set-up
+peaks at about 0.07 times and a sweep or greedy run at about 0.26 times
+(0.29 and 0.49 discrete).
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -59,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from propclust.core import InputError, Instance, Outcome, _marked_order
+from propclust.core import InputError, Instance, Outcome
 
 __all__ = [
     "SweepRound",
@@ -69,7 +76,7 @@ __all__ = [
 
 # sorted positions a candidate reads on its first pass when it falls below the quota
 _CHUNK = 16
-# entries in any one sort block, advance pass or charge of _Thresholds; the
+# entries in any one advance pass, charge or settle read of _Thresholds; the
 # blocks keep the working memory near the int32 order
 _BLOCK = 1 << 16
 
@@ -97,7 +104,7 @@ class SweepTrace:
 
 
 class _Thresholds:
-    """Each candidate's ball threshold over its distance row, sorted once.
+    """Each candidate's ball threshold over its sorted distance row.
 
     ``D`` is the (n, m) distance matrix: column c holds candidate c's
     distance to every agent.  ``radius[c]`` is the smallest radius at which
@@ -106,9 +113,10 @@ class _Thresholds:
     lowers it, then calls :meth:`charge`, or :meth:`settle` once it holds
     just one quota.
 
-    ``_order`` (m, n), int32, lists each candidate's agents by distance
-    (ties by index), with the last agent a of each run of equal distances
-    stored as ``~a`` (see :func:`propclust.core._marked_order`), and
+    ``_order`` is the instance's read-only ``_candidate_order``: (m, n),
+    int32, it lists each candidate's agents by distance (ties by index),
+    with the last agent a of each run of equal distances stored as ``~a``.
+    The instance sorts it once, on first use; the structure sorts nothing.
     ``_pos[c]`` is the last position in ``_order[c]`` within ``radius[c]``,
     always a marked one: the counted prefix ``_order[c, : _pos[c] + 1]`` is
     the whole ball, so none of ``_pos``, ``support`` and ``radius`` depends
@@ -117,27 +125,14 @@ class _Thresholds:
     weight, marked (``n - 1 - a``) or not (``n + a``).  An advance pass
     reads only the order and ``_wr``, and one distance per row it
     finishes, its radius.  No other temporary holds more than ``_BLOCK``
-    entries (or one row, where a row is longer): the sort, the advance
-    passes, the charges and ``settle`` each take a block of rows at a time.
+    entries (or one row, where a row is longer): the advance passes, the
+    charges and ``settle`` each take a block of rows at a time.
     """
 
     def __init__(self, inst: Instance, w: np.ndarray, quota: int):
         n, m = inst.n, inst.m
-        if n > np.iinfo(np.int32).max:
-            raise InputError(f"{n} agents are too many: sorted positions are int32")
-        self.D = D = inst.distance_matrix
-        rows = max(1, _BLOCK // n)
-        try:
-            self._order = np.empty((m, n), dtype=np.int32)
-            # a shared matrix is symmetric, so its rows are its columns
-            for i in range(0, m, rows):
-                block = D[i : i + rows] if inst.is_unconstrained else D[:, i : i + rows].T
-                _marked_order(block, out=self._order[i : i + rows])
-        except MemoryError:
-            raise InputError(
-                f"the ball thresholds of {n} agents and {m} candidates need {n * m * 4 / 2**30:.1f} GiB "
-                "beside the distance matrix, more than can be allocated"
-            ) from None
+        self._order = inst._candidate_order
+        self.D = inst.distance_matrix
         # support[c] is the weight of the agents order[c, : pos[c] + 1].  Uniform
         # weights w0 (k each in the sweep, 1 in greedy) reach the quota at no
         # position before p = ceil(quota / w0) - 1, so every row starts with

@@ -16,7 +16,7 @@ from propclust import (
     kmeans_cost,
     kmeanspp,
 )
-from propclust import engine
+from propclust import core, engine
 from propclust.baselines import _draw
 from propclust.data_io import generate
 from reference_greedy import reference_greedy
@@ -94,6 +94,7 @@ def test_greedy_matches_reference(inst, pad, chunk, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
         mp.setattr(engine, "_BLOCK", block)
+        mp.setattr(core, "_SORT_BLOCK", block)
         result = greedy_capture(inst, pad=pad)
     assert result == reference_greedy(inst, pad=pad)
 

@@ -340,6 +340,38 @@ def test_with_k_shares_everything_but_the_digest(mode):
     assert out.digest == replace(inst, k=3).digest != before
 
 
+def test_with_k_variants_share_one_read_only_candidate_order():
+    rng = np.random.default_rng(6)
+    inst = Instance.discrete(rng.normal(size=(20, 2)), rng.normal(size=(8, 2)), k=1)
+    order = inst._candidate_order
+    assert inst.with_k(2)._candidate_order is order
+    assert inst.with_k(3).with_k(4)._candidate_order is order
+    with pytest.raises(ValueError, match="read-only"):
+        order[0, 0] = 0
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "discrete"])
+def test_candidate_order_sorts_each_candidates_column(monkeypatch, mode):
+    # blocks of 4 rows (rows of the shared matrix, transposed columns of the discrete
+    # one); rounding makes runs of equal distances, whose last agent is marked
+    monkeypatch.setattr(core, "_SORT_BLOCK", 4 * 30)
+    rng = np.random.default_rng(7)
+    points = np.round(rng.normal(size=(30, 2)), 0)
+    if mode == "discrete":
+        inst = Instance.discrete(points, np.round(rng.normal(size=(11, 2)), 0), k=2)
+    else:
+        inst = Instance.unconstrained(points, k=2)
+    dm = inst.distance_matrix
+    order = inst._candidate_order
+    assert order.shape == (inst.m, inst.n) and order.dtype == np.int32
+    for c in range(inst.m):
+        col = dm[:, c]
+        expected = np.argsort(col, kind="stable")
+        assert np.array_equal(core._unmarked(order[c]), expected)
+        ends = np.append(col[expected][1:] != col[expected][:-1], True)
+        assert np.array_equal(order[c] < 0, ends)
+
+
 def test_with_k_of_a_precomputed_instance_allocates_no_matrix():
     matrix = Instance.unconstrained(np.random.default_rng(4).normal(size=(2000, 2)), k=1).distance_matrix
     inst = Instance.precomputed(matrix, k=1, shared_candidates=True)

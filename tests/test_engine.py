@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propclust import Instance, InputError, select_prf_centers
-from propclust import engine
+from propclust import core, engine
 from propclust.baselines import greedy_capture
 from propclust.core import _unmarked
 from propclust.data_io import generate, trace_to_json_obj
@@ -243,6 +243,7 @@ def test_trace_matches_reference_sweep(inst, chunk, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
         mp.setattr(engine, "_BLOCK", block)
+        mp.setattr(core, "_SORT_BLOCK", block)
         outcome, trace = select_prf_centers(inst)
     assert trace == reference_sweep(inst)
     assert outcome.selected == tuple(r.winner for r in trace.rounds)
@@ -298,6 +299,7 @@ def _charge_and_check(inst, w, quota, rng, chunk, block, charges=8, most=11):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
         mp.setattr(engine, "_BLOCK", block)
+        mp.setattr(core, "_SORT_BLOCK", block)
         balls = engine._Thresholds(inst, w, quota)
         live = np.ones(m, dtype=bool)
         _assert_balls_match_brute_force(balls, inst, w, quota, live)
@@ -445,11 +447,15 @@ def test_direct_start_matches_prefix_sums_from_zero(k, discrete):
         assert np.array_equal(balls.radius, radius)
 
 
+# the instance's sorted order, built on a stand-in that holds only what its build reads
+_build_order = Instance._candidate_order.func
+
+
 def test_thresholds_too_large_to_allocate_raise_input_error():
     # a stand-in instance whose order cannot be allocated: 10**8 x 10**8 entries
     huge = SimpleNamespace(n=10**8, m=10**8, is_unconstrained=True, distance_matrix=np.zeros((1, 1)))
     with pytest.raises(InputError, match=r"100000000 agents and 100000000 candidates need 37252903\.0 GiB"):
-        engine._Thresholds(huge, np.ones(1, dtype=np.int64), 1)
+        _build_order(huge)
 
 
 @pytest.mark.parametrize("alloc", ["keys", "empty"])
@@ -466,16 +472,16 @@ def test_thresholds_allocation_failure_raises_input_error(monkeypatch, alloc):
             raise MemoryError
         return empty(shape, dtype, *args, **kwargs)
 
-    monkeypatch.setattr(engine.np, "empty", fail)
+    monkeypatch.setattr(np, "empty", fail)
     with pytest.raises(InputError, match=r"30 agents and 7 candidates need 0\.0 GiB"):
-        engine._Thresholds(inst, np.full(inst.n, inst.k, dtype=np.int64), inst.n)
+        inst._candidate_order
 
 
 def test_thresholds_reject_more_agents_than_int32_positions():
     # checked before the matrix is read, so a stand-in instance is enough
     too_many = SimpleNamespace(n=2**31, m=1)
     with pytest.raises(InputError, match="2147483648 agents"):
-        engine._Thresholds(too_many, np.ones(1, dtype=np.int64), 1)
+        _build_order(too_many)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
@@ -520,6 +526,7 @@ def test_last_round_matches_reference_on_ties(discrete, block):
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_BLOCK", block)
+        mp.setattr(core, "_SORT_BLOCK", block)
         _, trace = select_prf_centers(inst)
     assert trace == reference_sweep(inst)
     assert _last_round_ties(inst, trace) >= 8

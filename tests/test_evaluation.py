@@ -142,6 +142,24 @@ def test_experiment_builds_distances_once_per_dataset(monkeypatch):
     assert builds == [True]
 
 
+def test_experiment_sorts_each_candidate_row_once(monkeypatch):
+    import propclust.core as core
+
+    rows_sorted = []
+    real = core._marked_order
+
+    def counting(rows, out=None):
+        rows_sorted.append(rows.shape[0])
+        return real(rows, out=out)
+
+    monkeypatch.setattr(core, "_marked_order", counting)
+    # n = 300 sorts in two blocks of rows; every k of both rules reads the one order
+    inst = Instance.unconstrained(np.random.default_rng(21).normal(size=(300, 2)), k=1)
+    grid = ExperimentGrid(datasets=(("d", inst),), ks=(5, 10, 20), algorithms=("prf", "greedy"))
+    run_experiment(grid)
+    assert len(rows_sorted) == 2 and sum(rows_sorted) == inst.m
+
+
 def test_experiment_row_layout():
     inst = generate("two_blobs")
     grid = ExperimentGrid(

@@ -603,6 +603,13 @@ def test_stored_numbers_may_be_ints(tmp_path):
     assert record.metrics == {"msd1": 1.0, "msdk": None}
 
 
+def _numeric_rows(value) -> bool:
+    # a JSON list of lists of numbers, as the record reader accepts for coordinates
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in value
+    )
+
+
 def _row_as(row: int, value):
     # the hexagon's coordinates with one row replaced by ``value``
     return lambda rows: [value if i == row else r for i, r in enumerate(rows)]
@@ -629,6 +636,9 @@ def _row_as(row: int, value):
         pytest.param("coordinates", "[[0.0, 1.0]]", id="coordinates-text"),
         pytest.param("candidate_coordinates", [[0.0, 1.0], ["2.0", 0.0]], id="candidate_coordinates-str"),
         pytest.param("candidate_coordinates", {"0": [0.0, 1.0]}, id="candidate_coordinates-object"),
+        # coordinates that parse but cannot rebuild the instance: the rebuild's error names the file
+        pytest.param("coordinates", _row_as(1, [2.0]), id="coordinates-ragged-row"),
+        pytest.param("coordinates", lambda rows: rows[:2], id="coordinates-fewer-than-k"),
     ],
 )
 def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
@@ -642,15 +652,14 @@ def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
     else:
         obj[field] = value(obj[field]) if callable(value) else value
     p.write_text(json.dumps(obj))
-    assert main(["check", "--run", str(p)]) == 1
-    err = capsys.readouterr().err
-    if value == [[0.0, 1.0], [2.0]]:
-        # ragged coordinates parse, and fail when the instance is rebuilt
-        assert err.startswith("error: ")
-    elif field.endswith("coordinates"):
-        assert err == f"error: {p}: {field!r} must be a JSON list of lists of numbers\n"
-    else:
-        assert err.startswith(f"error: {p}: ")
+    for command in ("check", "eval"):
+        assert main([command, "--run", str(p)]) == 1
+        err = capsys.readouterr().err
+        if field.endswith("coordinates") and not _numeric_rows(obj[field]):
+            assert err == f"error: {p}: {field!r} must be a JSON list of lists of numbers\n", command
+        else:
+            # coordinates that parse but cannot rebuild the instance fail there, naming the record too
+            assert err.startswith(f"error: {p}: "), command
 
 
 @pytest.mark.parametrize(
