@@ -244,6 +244,9 @@ def _cmd_cluster(args) -> int:
     else:
         result = greedy_capture(inst, pad=args.pad)
         outcome, padded, underfilled = result.outcome, result.padded, result.underfilled
+    # nothing reads the rule's sorted order again: free it (half the matrix)
+    # before the checks build their own structures
+    inst.__dict__.pop("_candidate_order", None)
     metrics = {key: metric_value(inst, outcome, key) for key in METRIC_KEYS}
     names = _parse_axioms(args.axioms)
     reports = []

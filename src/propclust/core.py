@@ -302,7 +302,7 @@ class Instance:
         Row c is :func:`_marked_order` of column c of ``distance_matrix``.
         It does not depend on k, so the k-variants share it, and the sweep
         and greedy capture both read it: one sort per dataset.  It is
-        sorted ``_SORT_BLOCK // n`` rows at a time, from the matrix's rows
+        sorted ``_BLOCK // n`` rows at a time, from the matrix's rows
         where they are its columns (shared candidates) and from transposed
         blocks of columns otherwise, so no temporary but the order holds
         more than a block.  Read-only, half the matrix's bytes, and held as
@@ -313,7 +313,7 @@ class Instance:
         if n > np.iinfo(np.int32).max:
             raise InputError(f"{n} agents are too many: sorted positions are int32")
         dm = self.distance_matrix
-        rows = max(1, _SORT_BLOCK // n)
+        rows = max(1, _BLOCK // n)
         try:
             order = np.empty((m, n), dtype=np.int32)
             for i in range(0, m, rows):
@@ -366,8 +366,10 @@ class Instance:
 _PLANE = 1 << 16
 #: Rows per slab of a symmetric matrix, which is summed from each slab's first column on.
 _TILE = 128
-#: Entries in one block of rows of ``Instance._candidate_order`` sorted at a time.
-_SORT_BLOCK = 1 << 16
+#: Entries in one block of rows, for the sort of ``Instance._candidate_order`` and for
+#: the engine's advance passes, charges and last-round reads: the blocks keep the working
+#: memory near the int32 order.
+_BLOCK = 1 << 16
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:

@@ -43,14 +43,14 @@ matrix's bytes, and reads who lies in a ball from the distances
 themselves: a candidate's distances are a column of the matrix, which is
 never copied.  The instance sorts a block of rows at a time, and the
 advance passes, the charges and ``settle`` work a block of rows at a
-time too, so no other temporary holds more than ``_BLOCK`` entries (or
-one row, where a row is longer).  Beside the distance matrix, at
-n = 1000 on 2-D points, the first set-up on an instance, which sorts it,
-then peaks at about 0.6 times the matrix's bytes and a sweep or greedy
-run at about 0.76 times; with 500 discrete candidates, at about 0.7 and
-1.0 times that (smaller) matrix.  Once the order is built, a set-up
-peaks at about 0.07 times and a sweep or greedy run at about 0.26 times
-(0.29 and 0.49 discrete).
+time too, of one shared size (``core._BLOCK``), so no other temporary
+holds more than ``_BLOCK`` entries (or one row, where a row is longer).
+Beside the distance matrix, at n = 1000 on 2-D points, the first set-up
+on an instance, which sorts it, then peaks at about 0.6 times the
+matrix's bytes and a sweep or greedy run at about 0.76 times; with 500
+discrete candidates, at about 0.7 and 1.0 times that (smaller) matrix.
+Once the order is built, a set-up peaks at about 0.07 times and a sweep
+or greedy run at about 0.26 times (0.29 and 0.49 discrete).
 
 Weights are exact rationals with denominator k.  Internally the engine
 stores them as integers scaled by k, which keeps every quota comparison
@@ -66,6 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from propclust import core
 from propclust.core import InputError, Instance, Outcome
 
 __all__ = [
@@ -76,9 +77,6 @@ __all__ = [
 
 # sorted positions a candidate reads on its first pass when it falls below the quota
 _CHUNK = 16
-# entries in any one advance pass, charge or settle read of _Thresholds; the
-# blocks keep the working memory near the int32 order
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ class _Thresholds:
         np.concatenate((self._w[::-1], self._w), out=self._wr)
         # float64 takes numpy's BLAS path, which integers lack
         paid = amounts.astype(np.float64)
-        rows = max(1, _BLOCK // self.D.shape[1])
+        rows = max(1, core._BLOCK // self.D.shape[1])
         for i in range(0, agents.size, rows):
             lost = paid[i : i + rows] @ (self.D[agents[i : i + rows]] <= self.radius)
             np.subtract(self.support, lost, out=self.support, casting="unsafe")
@@ -176,7 +174,7 @@ class _Thresholds:
         """
         cands = np.flatnonzero(live)
         alive = np.flatnonzero(self._w > 0)
-        rows = max(1, _BLOCK // self.D.shape[1])
+        rows = max(1, core._BLOCK // self.D.shape[1])
         far = self.D[alive[:rows]].max(axis=0)
         for i in range(rows, alive.size, rows):
             np.maximum(far, self.D[alive[i : i + rows]].max(axis=0), out=far)
@@ -195,7 +193,7 @@ class _Thresholds:
         n = self._order.shape[1]
         size = min(_CHUNK, n)
         while cands.size:
-            rows = max(1, _BLOCK // size)
+            rows = max(1, core._BLOCK // size)
             if cands.size <= rows:
                 cands = self._pass(cands, size)
             else:

@@ -87,14 +87,13 @@ def test_greedy_opening_radii_hold_a_quota():
 
 
 @settings(max_examples=500)
-@given(small_instances(), st.booleans(), st.sampled_from((1, 2, engine._CHUNK)), st.sampled_from((1, 7, engine._BLOCK)))
+@given(small_instances(), st.booleans(), st.sampled_from((1, 2, engine._CHUNK)), st.sampled_from((1, 7, core._BLOCK)))
 def test_greedy_matches_reference(inst, pad, chunk, block):
     # small chunks make the threshold advance take several passes even at small n,
     # and small blocks split the sort, the passes and the charges into several slices
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
-        mp.setattr(engine, "_BLOCK", block)
-        mp.setattr(core, "_SORT_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         result = greedy_capture(inst, pad=pad)
     assert result == reference_greedy(inst, pad=pad)
 

@@ -188,6 +188,22 @@ def test_cluster_kmeanspp_seeded(two_mass_csv, tmp_path):
     assert read_run_record(run).seed == 7
 
 
+@pytest.mark.parametrize("algo", ["prf", "greedy"])
+def test_cluster_frees_the_sorted_order_before_its_checks(two_mass_csv, capsys, monkeypatch, algo):
+    # the rule's order (half the matrix) would otherwise be held beside the checks' structures
+    held = []
+
+    def spy(inst, *args):
+        held.append("_candidate_order" in inst.__dict__)
+        return run_checks(inst, *args)
+
+    run_checks = cli._run_checks
+    monkeypatch.setattr(cli, "_run_checks", spy)
+    assert main(["cluster", "--algo", algo, "--input", str(two_mass_csv), "--k", "11", "--axioms", "up,prf"]) == 0
+    assert held == [False]
+    assert "PRF" in capsys.readouterr().out
+
+
 def test_check_run_record_pipeline(two_mass_csv, tmp_path, capsys):
     run = tmp_path / "run.json"
     main(

@@ -354,7 +354,7 @@ def test_with_k_variants_share_one_read_only_candidate_order():
 def test_candidate_order_sorts_each_candidates_column(monkeypatch, mode):
     # blocks of 4 rows (rows of the shared matrix, transposed columns of the discrete
     # one); rounding makes runs of equal distances, whose last agent is marked
-    monkeypatch.setattr(core, "_SORT_BLOCK", 4 * 30)
+    monkeypatch.setattr(core, "_BLOCK", 4 * 30)
     rng = np.random.default_rng(7)
     points = np.round(rng.normal(size=(30, 2)), 0)
     if mode == "discrete":

@@ -236,14 +236,13 @@ def test_trace_radii_scale_with_coordinates():
 
 
 @settings(max_examples=500)
-@given(small_instances(), st.sampled_from((1, 2, engine._CHUNK)), st.sampled_from((1, 7, engine._BLOCK)))
+@given(small_instances(), st.sampled_from((1, 2, engine._CHUNK)), st.sampled_from((1, 7, core._BLOCK)))
 def test_trace_matches_reference_sweep(inst, chunk, block):
     # small chunks make the prefix advance take several passes even at small n, and
     # small blocks split the sort, the passes, the charges and the tied supports into slices
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
-        mp.setattr(engine, "_BLOCK", block)
-        mp.setattr(core, "_SORT_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         outcome, trace = select_prf_centers(inst)
     assert trace == reference_sweep(inst)
     assert outcome.selected == tuple(r.winner for r in trace.rounds)
@@ -298,8 +297,7 @@ def _charge_and_check(inst, w, quota, rng, chunk, block, charges=8, most=11):
     m = inst.m
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_CHUNK", chunk)
-        mp.setattr(engine, "_BLOCK", block)
-        mp.setattr(core, "_SORT_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         balls = engine._Thresholds(inst, w, quota)
         live = np.ones(m, dtype=bool)
         _assert_balls_match_brute_force(balls, inst, w, quota, live)
@@ -317,7 +315,7 @@ def _charge_and_check(inst, w, quota, rng, chunk, block, charges=8, most=11):
 
 @pytest.mark.parametrize("discrete", [False, True])
 @pytest.mark.parametrize("decimals", [None, 0])
-@pytest.mark.parametrize("chunk, block", [(engine._CHUNK, engine._BLOCK), (1, 7)])
+@pytest.mark.parametrize("chunk, block", [(engine._CHUNK, core._BLOCK), (1, 7)])
 def test_thresholds_match_brute_force_after_charges(discrete, decimals, chunk, block):
     # rounding to whole numbers makes long runs of equal distances; the sweep's weights
     # (k each, quota n), greedy's (1 each, quota ceil(n/k)) and weights that are not uniform
@@ -336,7 +334,7 @@ def test_thresholds_match_brute_force_after_charges(discrete, decimals, chunk, b
         _charge_and_check(inst, w0.copy(), quota, rng, chunk, block)
 
 
-@pytest.mark.parametrize("chunk, block", [(engine._CHUNK, engine._BLOCK), (1, 7)])
+@pytest.mark.parametrize("chunk, block", [(engine._CHUNK, core._BLOCK), (1, 7)])
 def test_thresholds_match_brute_force_after_charges_with_large_weights(chunk, block):
     # the charges subtract a float64 product: it must stay exact for the sweep's weights at
     # k = 1000 (k each, quota n) on a shared precomputed matrix with ties, and for weights up
@@ -351,7 +349,7 @@ def test_thresholds_match_brute_force_after_charges_with_large_weights(chunk, bl
 
 
 @settings(max_examples=300)
-@given(small_instances(), st.sampled_from((1, 2, 3, 16)), st.sampled_from((1, 7, engine._BLOCK)), st.data())
+@given(small_instances(), st.sampled_from((1, 2, 3, 16)), st.sampled_from((1, 7, core._BLOCK)), st.data())
 def test_thresholds_match_brute_force_after_charges_at_row_ends(inst, chunk, block, data):
     # small rows, so chunks cross the row end; a quota of all the weight puts every
     # threshold on the row's last position, and charges move thresholds up to it
@@ -388,17 +386,20 @@ def _traced_peak(call):
 
 
 def test_thresholds_setup_peak_memory():
-    # the int32 order is half the matrix's bytes; no other temporary of the set-up, its
-    # advance passes or its charges holds more than about _BLOCK entries.  At n = 1000
-    # those blocks are under a tenth of the matrix (at n = 600 about a fifth).
+    # the instance's int32 order is half the matrix's bytes; no other temporary of its sort,
+    # the set-up, its advance passes or its charges holds more than about _BLOCK entries.
+    # At n = 1000 those blocks are under a tenth of the matrix (at n = 600 about a fifth).
     # Small k makes large quotas, and so long first prefixes and large payments
     points = np.random.default_rng(11).normal(size=(1000, 2))
     for k in (1, 2, 5, 20):
-        inst = Instance.unconstrained(points, k=k)
-        dm = inst.distance_matrix
+        # two instances with only their matrix built, so the first call on each sorts it
+        inst, fresh = Instance.unconstrained(points, k=k), Instance.unconstrained(points, k=k)
+        dm, _ = inst.distance_matrix, fresh.distance_matrix
         setup = _traced_peak(lambda: engine._Thresholds(inst, np.full(inst.n, k, dtype=np.int64), inst.n))
         assert setup <= 0.65 * dm.nbytes, k
-        assert _traced_peak(lambda: select_prf_centers(inst)) <= dm.nbytes, k
+        assert _traced_peak(lambda: select_prf_centers(fresh)) <= dm.nbytes, k
+        # once the order is built, a run holds only per-candidate arrays and blocks
+        assert _traced_peak(lambda: select_prf_centers(inst)) <= 0.4 * dm.nbytes, k
 
 
 def test_sweep_peak_memory_with_large_tie_groups():
@@ -513,7 +514,7 @@ def _last_round_ties(inst, trace):
 
 
 @pytest.mark.parametrize("discrete", [False, True])
-@pytest.mark.parametrize("block", [7, engine._BLOCK])
+@pytest.mark.parametrize("block", [7, core._BLOCK])
 def test_last_round_matches_reference_on_ties(discrete, block):
     # points rounded to whole numbers: many candidates reach the last radius together,
     # and a 7-entry block reads their rows one at a time
@@ -525,8 +526,7 @@ def test_last_round_matches_reference_on_ties(discrete, block):
         else Instance.unconstrained(points, k=2)
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_BLOCK", block)
-        mp.setattr(core, "_SORT_BLOCK", block)
+        mp.setattr(core, "_BLOCK", block)
         _, trace = select_prf_centers(inst)
     assert trace == reference_sweep(inst)
     assert _last_round_ties(inst, trace) >= 8
