@@ -24,10 +24,10 @@ n/k is large:
 - ``sweep``: ``select_prf_centers``, on a built matrix;
 - ``greedy``: ``baselines.greedy_capture``, on a built matrix.
 
-The ``thresholds``, ``sweep`` and ``greedy`` layers also run at the shape of
-``perfbench``'s ``cluster-quantized`` workload: n = 1200 points on a 3-level
-integer grid in 8-D (each coordinate drawn from 0, 1 and 2), at k = 20, where
-about 30 distinct distances make long runs of ties.
+The ``distances``, ``thresholds``, ``sweep`` and ``greedy`` layers also run
+at the shape of ``perfbench``'s ``cluster-quantized`` workload: n = 1200
+points on a 3-level integer grid in 8-D (each coordinate drawn from 0, 1 and
+2), at k = 20, where about 30 distinct distances make long runs of ties.
 
 The ``thresholds_discrete`` layer constructs ``engine._Thresholds`` the same
 way on the discrete instance with m = n/2 Gaussian candidates, at n = 500,
@@ -83,10 +83,13 @@ sweep's outcome and trace, as ``propclust cluster --out`` does, at n = 500,
 Per cell the file records the median wall time of 5 untraced calls, 3 at
 n >= 4000 (raw, not scaled to a reference speed), made after one untimed
 warm-up call (the first calls of a fresh process are the slow ones), the
+minor page faults (``ru_minflt``) of each timed call, which show when a
+cell's time moves with the process's heap state rather than its code, the
 ``tracemalloc`` peak of one more call, that peak over the bytes of the (n, n)
 matrix (the (n, m) one for ``thresholds_discrete``), and ``ru_maxrss`` of
-the process before and after the calls.  A checker cell also records the
-SHA-256 of its report's JSON; a ``kmeanspp``, ``sweep``, ``greedy``,
+the process before and after the calls.  A ``distances`` or
+``agent_distances`` cell also records the SHA-256 of its matrix's bytes; a
+checker cell that of its report's JSON; a ``kmeanspp``, ``sweep``, ``greedy``,
 ``grid_sweep`` or ``grid_greedy`` cell that of its selection, and a sweep
 cell that of its trace's compact JSON as well; a ``record`` cell that of
 the written file; and an ``experiment`` cell that of the table's CSV, so
@@ -140,7 +143,7 @@ GRID = (
     [(layer, n, dim, None, K) for n in SIZES for dim in DIMS for layer in (*DISTANCE_LAYERS, *LAYERS[1:])]
     + [(layer, n, 2, None, k) for n in SIZES for k in SMALL_KS for layer in LAYERS[1:]]
     + [("thresholds_discrete", n, 2, None, K) for n in SIZES]
-    + [(layer, *QUANTIZED, None, K) for layer in LAYERS[1:]]
+    + [(layer, *QUANTIZED, None, K) for layer in LAYERS]
     + [
         (layer, n, dim, decimals, K)
         for n in CHECK_SIZES
@@ -186,7 +189,7 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
     if not Path(propclust.__file__).is_relative_to(Path(os.environ["PYTHONPATH"]).resolve()):
         raise SystemExit(f"imported propclust from {propclust.__file__}, not from {os.environ['PYTHONPATH']}")
     rng = np.random.default_rng(SEED + 7919 * n + dim)
-    quantized = layer in LAYERS[1:] and (n, dim) == QUANTIZED
+    quantized = layer in LAYERS and (n, dim) == QUANTIZED
     points = rng.integers(0, QUANTIZED_LEVELS, size=(n, dim)).astype(float) if quantized else rng.normal(size=(n, dim))
     candidates = rng.normal(size=(n // 2, dim))
     if decimals is not None:
@@ -278,12 +281,14 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
 
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     call(prepare())  # warm-up, untimed
-    times = []
+    times, faults = [], []
     for _ in range(repeats):
         inst = prepare()
+        flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         result = call(inst)
         times.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
     inst = prepare()
     tracemalloc.start()
     try:
@@ -302,13 +307,16 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         "repeats": repeats,
         "median_s": round(float(np.median(times)), 5),
         "times_s": [round(t, 5) for t in times],
+        "minflt": faults,
         "tracemalloc_peak_mib": round(peak / MIB, 2),
         "matrix_mib": round(matrix_bytes / MIB, 2),
         "peak_over_matrix": round(peak / matrix_bytes, 3),
         "ru_maxrss_before_mib": round(rss_before / 1024, 1),
         "ru_maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
-    if layer in SAMPLED + EXHAUSTIVE:
+    if layer in DISTANCE_LAYERS:
+        cell["matrix_sha256"] = hashlib.sha256(result.tobytes()).hexdigest()
+    elif layer in SAMPLED + EXHAUSTIVE:
         report = json.dumps(result.to_json_obj(), separators=(",", ":")).encode()
         cell["report_sha256"] = hashlib.sha256(report).hexdigest()
     elif layer == "kmeanspp":

@@ -10,10 +10,14 @@ equality against radii taken from that matrix is sound.  Agent weights,
 by contrast, are exact multiples of 1/k: the engine keeps them as
 integers scaled by k, so the selection quota n/k is never rounded.
 
-A matrix whose candidates are the agents is symmetric bit for bit, so
-its build sums only the entries on and right of the diagonal (in slabs
-of rows) and copies them across.  Each candidate's distances are sorted
-once per instance, for the engine, and that order is shared by every k.
+The distance build writes each coordinate's differences ``a_j - b_j`` as
+an exact BLAS product with inner dimension 2, ``[1, a_j] @ [-b_j ; 1]``:
+its two products are exact, so their sum is rounded once, as the
+subtraction is.  A matrix whose candidates are the agents is symmetric
+bit for bit, so its build sums only the entries on and right of the
+diagonal (in slabs of rows) and copies them across.  Each candidate's
+distances are sorted once per instance, for the engine, and that order
+is shared by every k.
 """
 
 from __future__ import annotations
@@ -414,7 +418,18 @@ class _BlockSum:
     The block is a run of rows over the candidates from column ``col`` on.
     A term plane holds one coordinate's squared (``fold=np.square``) or
     absolute (``np.abs``) differences between the block's agents and those
-    candidates.  The planes are added in the order ``np.add.reduce`` sums a
+    candidates.  Coordinate j's differences are the matrix product
+    ``[1, a_j] @ [-b_j ; 1]`` with inner dimension 2, which numpy runs on its
+    BLAS path, about three times as fast as a broadcast subtraction.  It is
+    exact: ``1 * -b_j`` and ``a_j * 1`` are exact, so their sum is rounded
+    once, to ``fl(a_j - b_j)``, whether or not the kernel fuses a
+    multiply-add and in either order (numpy's own loop, without BLAS, too).
+    Only the sign of a zero difference can differ, and the fold drops it; a
+    difference that overflows is ``inf`` either way.  The operands are the
+    ``(dim + 1, m)`` rows ``-b_j`` over a row of ones, held for the whole
+    build, and each block's ``(rows, dim + 1)`` ones column beside its
+    agents; coordinate j reads two strided views of them, with no copy.
+    The planes are added in the order ``np.add.reduce`` sums a
     contiguous axis (numpy's pairwise sum), so each entry is bit for bit
     ``fold(a[:, None] - b[None]).sum(-1)``: below 8 terms one after another;
     up to 128, eight running sums over every eighth term, combined as
@@ -425,7 +440,10 @@ class _BlockSum:
     """
 
     def __init__(self, b: np.ndarray, fold, size: int):
-        self._cols = np.ascontiguousarray(b.T)  # one contiguous row per coordinate
+        self._dim = dim = b.shape[1]
+        self._rhs = np.empty((dim + 1, b.shape[0]))
+        np.negative(b.T, out=self._rhs[:dim])
+        self._rhs[dim] = 1.0
         self._fold = fold
         self._size = size  # entries in the largest block
         # flat scratch planes, viewed in each block's shape: [0] holds a term,
@@ -433,8 +451,11 @@ class _BlockSum:
         self._spare: list[np.ndarray] = []
 
     def __call__(self, a_rows: np.ndarray, out: np.ndarray, col: int) -> None:
-        self._a, self._col = a_rows, col
-        self._sum(range(len(self._cols)), out, 1)
+        self._lhs = np.empty((len(a_rows), self._dim + 1))
+        self._lhs[:, 0] = 1.0
+        self._lhs[:, 1:] = a_rows
+        self._col = col
+        self._sum(range(self._dim), out, 1)
 
     def _sum(self, idx: range, out: np.ndarray, level: int) -> None:
         count = len(idx)
@@ -469,7 +490,9 @@ class _BlockSum:
                 onto = True
 
     def _term(self, j: int, dest: np.ndarray) -> np.ndarray:
-        np.subtract(self._a[:, j, None], self._cols[j, self._col :], out=dest)
+        # [1, a_j] @ [-b_j ; 1]: two exact products, summed and rounded once, to a_j - b_j
+        dim = self._dim
+        np.matmul(self._lhs[:, 0 : j + 2 : j + 1], self._rhs[j : dim + 1 : dim - j, self._col :], out=dest)
         return self._fold(dest, out=dest)
 
     def _plane(self, level: int, shape: tuple[int, int]) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propclust import (
@@ -146,6 +146,55 @@ def test_symmetric_half_build_bit_identical(monkeypatch, plane, tile):
             got = core._pairwise(a, a, metric)
             assert got.tobytes() == _reference_pairwise(a, a, metric).tobytes(), metric
             assert got.tobytes() == got.T.tobytes(order="C"), metric
+
+
+# coordinates whose distances fit, of mixed magnitudes, with signed zeros and subnormals
+_FITTING_COORDINATES = (
+    st.floats(-4.0, 4.0)
+    | st.floats(-1e150, 1e150)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300])
+)
+# near zero, where a difference of subnormals that is not exact shows in a manhattan sum
+_TINY_COORDINATES = st.floats(-1e-300, 1e-300) | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.5e-323])
+# and with any finite coordinate, whose differences or squares may overflow
+_EDGE_COORDINATES = (
+    _FITTING_COORDINATES
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e154, -1e154, 1e308, -1e308])
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([*range(1, 18), 127, 128, 129]),
+    st.integers(1, 6),
+    st.none() | st.integers(1, 5),
+    st.sampled_from([_FITTING_COORDINATES, _TINY_COORDINATES, _EDGE_COORDINATES]).flatmap(
+        lambda c: st.lists(c, min_size=1, max_size=12)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["euclidean", "manhattan"]),
+    st.sampled_from([1, 2, 1 << 16]),
+    st.sampled_from([1, 2, core._TILE]),
+)
+def test_pairwise_property_bit_identical_to_one_sum(dim, n, m, values, seed, metric, rows, tile):
+    # each term is a_j - b_j rounded once, so the matrix is the (n, m, dim) sum's bytes
+    # or, where that overflows, the build raises; m None takes the half build (b is a).
+    # The drawn values are laid out by a seeded generator, so 129 coordinates cost 12 draws
+    rng = np.random.default_rng(seed)
+    values = np.array(values)
+    a = values[rng.integers(len(values), size=(n, dim))]
+    b = a if m is None else values[rng.integers(len(values), size=(m, dim))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_pairwise(a, b, metric)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_PLANE", rows * b.shape[0])
+        mp.setattr(core, "_TILE", tile)
+        if np.isfinite(want).all():
+            assert core._pairwise(a, b, metric).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(InputError, match="^coordinates are too large: some distances overflow to infinity$"):
+                core._pairwise(a, b, metric)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
