@@ -4,6 +4,7 @@
     python3 benchmarks/layers.py --label parent --src OTHER/src --out BENCH_x.json
     python3 benchmarks/layers.py --label change --layers distances sweep --out BENCH_x.json
     python3 benchmarks/layers.py --label change --layers thresholds_discrete --sizes 500 --out BENCH_x.json
+    PYTHONPATH=src python3 benchmarks/layers.py --cell prf_discrete 2000 2 null 100 5
 
 Each (layer, n, dim, decimals, k) cell runs in a fresh ``python3`` process
 that imports ``propclust`` from ``--src`` (default: this checkout's ``src/``),
@@ -35,7 +36,9 @@ way on the discrete instance with m = n/2 Gaussian candidates, at n = 500,
 
 The checker layers run the sampled PRF checks with their default seed and
 samples on the sweep's outcome, at n = 1000, 2000 and 4000 on 2-D points,
-8-D points and 2-D points rounded to 0.1:
+8-D points and 2-D points rounded to 0.1, and at n = 2000 on 2-D points also
+at k = 100 and 400, where a block of seeds holds a single seed (k times the
+selected centers exceeds a quarter of ``core._BLOCK``):
 
 - ``prf_unconstrained``: ``check_prf_unconstrained`` on the unconstrained
   instance;
@@ -98,7 +101,9 @@ Results are merged into ``--out`` under ``--label``, so one file can hold the
 figures of two trees made by this same script.  ``--layers`` runs only the
 named layers, and replaces only their cells under the label; ``--sizes``
 runs (and replaces) only their cells at the given n.  The runs are
-sequential; BLAS and OpenMP thread counts are pinned to 1.
+sequential; BLAS and OpenMP thread counts are pinned to 1.  ``--cell LAYER N
+DIM DECIMALS K REPEATS`` measures one cell in the calling process, importing
+``propclust`` from ``PYTHONPATH``, and prints it without writing a file.
 """
 
 from __future__ import annotations
@@ -121,6 +126,7 @@ DIMS = (2, 8, 64)
 CHECKERS = ("prf_unconstrained", "prf_discrete")
 CHECK_SIZES = (1000, 2000, 4000)
 CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
+CHECK_LARGE_KS = (100, 400)  # at n = 2000 on 2-D points: one seed per block
 AUDIT = ("audit_unconstrained", "audit_discrete")
 AUDIT_N = 300
 EXHAUSTIVE = ("exhaustive_unconstrained", "exhaustive_discrete", "prf2", "prf3")
@@ -150,6 +156,7 @@ GRID = (
         for dim, decimals in CHECK_POINTS
         for layer in CHECKERS
     ]
+    + [(layer, 2000, 2, None, k) for k in CHECK_LARGE_KS for layer in CHECKERS]
     + [(layer, AUDIT_N, 2, None, K) for layer in AUDIT]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
     + [(layer, *KMEANSPP_GRID, None, k) for layer in GRID_LAYERS for k in KMEANSPP_GRID_KS]

@@ -68,9 +68,10 @@ distance to each center, and the owed-th nearest is compared with the
 bounds.  Only the subsets left open are sorted and reach the exact radii,
 in draw order, so the first that fails is the witness.
 
-A batch holds about ``_BATCH * _SEED_BLOCK`` entries: a subset counts its
-members times s plus one row of the form's table, and the open seeds'
-gather, which lives beside its block's arrays, takes half of that.
+Blocks and batches are shares of ``core._BLOCK`` entries, the one working
+memory budget: a block of seeds takes a quarter, its open seeds' gather
+half, and a batch of subsets, each counting its members times s plus one
+row of the form's table, the whole.
 
 Checkers are pure functions of (instance, outcome) and safe to run in
 parallel on shared instances.
@@ -84,6 +85,7 @@ from typing import Callable
 
 import numpy as np
 
+from propclust import core
 from propclust.core import InputError, Instance, Outcome, _exact, _marked_order, _number, _unmarked
 
 __all__ = [
@@ -121,17 +123,6 @@ _AXIOM_CODES = (AXIOM_UP, AXIOM_PF, AXIOM_CORE, AXIOM_PRF_UNC, AXIOM_PRF_DISC, A
 EXHAUSTIVE_LIMIT = 16
 
 _TABLE_CELL_LIMIT = 60_000_000
-
-# sampled PRF seeds are sorted and pre-tested in blocks whose arrays hold at
-# most about this many entries (128 KiB of float64): blocks of 54 seeds with
-# (54, 20, 150) cover bounds raised the peak RSS of perfbench's n = 300 audit
-# by about 9%, this cap by about 1%
-_SEED_BLOCK = 1 << 14
-
-# the open seeds and the random subsets are tested at their bounds in
-# batches of about this many seed blocks of entries; larger batches raise
-# the peak memory of the n = 1000 checks above that of their seed blocks
-_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -546,7 +537,7 @@ class _Cover(_RadiusRule):
         # last members, and so is each cover radius
         out = np.empty((len(orders), len(steps), self.width))
         # the (seeds, k, m) distances are sorted a few seeds at a time
-        per = max(1, _SEED_BLOCK // (len(steps) * self.table.shape[1]))
+        per = max(1, core._BLOCK // 4 // (len(steps) * self.table.shape[1]))
         for start in range(0, len(orders), per):
             part = orders[start : start + per]
             low = self.table[part[:, steps]]
@@ -619,9 +610,9 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     engine uses), and the block's open seeds are tested at the bound together;
     random subsets are drawn and tested at their bounds a batch at a time.
     Only the seeds and subsets short at their bounds reach the exact radii,
-    one by one: seeds in index order, subsets in draw order.  A batch's
-    temporaries hold about ``_BATCH * _SEED_BLOCK`` entries (more only
-    where one seed's or one subset's alone do).
+    one by one: seeds in index order, subsets in draw order.  Blocks and
+    batches are shares of ``core._BLOCK`` entries (more only where one
+    seed's or one subset's arrays alone are larger).
     """
     dsel = inst.distance_matrix[:, sel]
     try:
@@ -631,7 +622,7 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     witness = None if aa is None else _first_short_seed(rule, inst, aa, dsel)
     if witness is not None:
         return witness
-    budget = _BATCH * _SEED_BLOCK
+    budget = core._BLOCK
     batch, used = [], 0
     for lmax, members in _random_subsets(np.random.default_rng(seed), inst.n, inst.k, samples):
         cost = members.size * sel.size + rule.table.shape[1]
@@ -658,10 +649,10 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
     steps, blocks = _entitlement_blocks(n, k)
     req = rule.owed[1:]
     rank = np.empty(n, dtype=np.intp)
-    per = max(1, _SEED_BLOCK // max(n, k * s))
+    per = max(1, core._BLOCK // 4 // max(n, k * s))
     # the open seeds' (seeds, n, s) gather lives beside the block's orders
     # and bounds, so it takes half the budget
-    fold = max(1, _BATCH * _SEED_BLOCK // (2 * n * s))
+    fold = max(1, core._BLOCK // (2 * n * s))
     for start in range(0, n, per):
         orders = _unmarked(_marked_order(aa[start : start + per]))
         low = rule.prefix_bounds(orders, steps)
@@ -787,7 +778,9 @@ def recheck_witness(inst: Instance, outcome: Outcome, report: AxiomReport) -> bo
 
     Returns True when the witness indeed demonstrates a violation of the
     report's axiom.  Satisfied reports have nothing to re-check and
-    return True trivially.
+    return True trivially.  A witness whose agents repeat, a PF or CORE
+    witness without a candidate index in 0..m-1, or a UP witness without
+    a radius demonstrates nothing and returns False.
     """
     if report.satisfied:
         return True
@@ -796,7 +789,7 @@ def recheck_witness(inst: Instance, outcome: Outcome, report: AxiomReport) -> bo
     dm = inst.distance_matrix
     n, k, m = inst.n, inst.k, inst.m
     agents = np.asarray(w.agents, dtype=np.intp)
-    if agents.size == 0 or agents.min() < 0 or agents.max() >= n:
+    if agents.size == 0 or agents.min() < 0 or agents.max() >= n or np.unique(agents).size < agents.size:
         return False
     size = len(w.agents)
     t = _ceil_div(n, k)
@@ -807,32 +800,21 @@ def recheck_witness(inst: Instance, outcome: Outcome, report: AxiomReport) -> bo
                 return False
         elif (inst.agent_distances[np.ix_(agents, agents)] != 0.0).any():
             return False
-        if w.required is None or size // t < w.required:
+        if w.required is None or w.radius is None or size // t < w.required:
             return False
         row = dm[agents[0]]
         if int(np.count_nonzero(row <= w.radius)) < w.required:
             return False
         return int(np.count_nonzero(row[sel] <= w.radius)) < w.required
 
-    if report.axiom == AXIOM_PF:
-        d_out = _dist_to_outcome(inst, sel)
-        col = dm[:, w.candidate]
-        if size < t:
+    if report.axiom in (AXIOM_PF, AXIOM_CORE):
+        if size < t or not (isinstance(w.candidate, (int, np.integer)) and 0 <= w.candidate < m):
             return False
-        weak = bool((col[agents] <= d_out[agents]).all())
-        strict = bool((col[agents] < d_out[agents]).any())
-        return weak and strict
-
-    if report.axiom == AXIOM_CORE:
-        d_out = _dist_to_outcome(inst, sel)
-        if size < t:
-            return False
+        d_out, col = _dist_to_outcome(inst, sel)[agents], dm[agents, w.candidate]
+        if report.axiom == AXIOM_PF:
+            return bool((col <= d_out).all() and (col < d_out).any())
         # exact rational arithmetic: float summation order must not decide
-        gain = sum(
-            Fraction(float(d_out[a])) - Fraction(float(dm[a, w.candidate]))
-            for a in agents
-        )
-        return gain > 0
+        return sum(Fraction(float(d)) - Fraction(float(c)) for d, c in zip(d_out, col)) > 0
 
     if report.axiom == AXIOM_PRF_UNC:
         aa = inst.agent_distances

@@ -159,7 +159,9 @@ class Instance:
     matrix : ndarray or None
         Explicit (n, m) agent-candidate distance matrix, precomputed mode only.
     shared_candidates : bool
-        True when the candidate multiset is exactly the agent multiset.
+        True when the candidates are the agents: the same points in the same
+        order, so candidate i is agent i.  A permuted copy of the agents is a
+        discrete candidate set.
         Detected from coordinates; must be declared in precomputed mode.
     """
 
@@ -225,7 +227,7 @@ class Instance:
 
     @classmethod
     def unconstrained(cls, points, k: int, metric: str = "euclidean") -> "Instance":
-        """Instance whose candidate set is the agent multiset itself."""
+        """Instance whose candidates are its agents themselves."""
         return cls(agents=points, candidates=None, k=k, metric=metric)
 
     @classmethod
@@ -366,20 +368,22 @@ class Instance:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: Entries in one (rows, m) plane of per-coordinate terms while building distances (8 bytes each).
-_PLANE = 1 << 16
+#: The one working-memory budget, in entries.  Beside the distance matrix and the
+#: instance's order, each large temporary is built about this many entries at a time
+#: (or one row, seed or subset, where that alone is larger): the distance build's
+#: blocks and term planes, the sort of ``Instance._candidate_order``, the engine's
+#: advance passes, charges and ``settle``, and in ``axioms._sampled_scan`` a quarter
+#: for a block of seeds (and of the discrete cover bounds), half for its open seeds'
+#: gather and the whole for a batch of random subsets.
+_BLOCK = 1 << 16
 #: Rows per slab of a symmetric matrix, which is summed from each slab's first column on.
 _TILE = 128
-#: Entries in one block of rows, for the sort of ``Instance._candidate_order`` and for
-#: the engine's advance passes, charges and last-round reads: the blocks keep the working
-#: memory near the int32 order.
-_BLOCK = 1 << 16
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     # the (n, m) matrix is allocated once and written in place, a block of at
-    # most _PLANE entries (or one row, where a row is longer) at a time; the
-    # only other memory is a few planes that size
+    # most _BLOCK entries (or one row, where a row is longer) at a time; the
+    # only other memory is a few term planes that size
     n, m = a.shape[0], b.shape[0]
     try:
         out = np.empty((n, m))
@@ -391,13 +395,13 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     # equal (y - x)**2 and |y - x|: a row is built from the first column of its
     # _TILE-row slab on, and each slab's columns below it are copied across
     half = b is a
-    block_sum = _BlockSum(b, np.square if metric == "euclidean" else np.abs, max(m, min(n * m, _PLANE)))
+    block_sum = _BlockSum(b, np.square if metric == "euclidean" else np.abs, max(m, min(n * m, _BLOCK)))
     # finite coordinates can still overflow: their differences or squares reach inf
     with np.errstate(over="ignore"):
         start = 0
         while start < n:
             col = start - start % _TILE if half else 0
-            stop = start + max(1, min(n - start, _PLANE // (m - col)))
+            stop = start + max(1, min(n - start, _BLOCK // (m - col)))
             block = out[start:stop, col:]
             block_sum(a[start:stop], block, col)
             if metric == "euclidean":

@@ -252,8 +252,9 @@ class _Thresholds:
 def select_prf_centers(inst: Instance) -> tuple[Outcome, SweepTrace]:
     """Select k centers by the weighted radius sweep.
 
-    Works identically for unconstrained instances (candidates are the
-    agent multiset) and discrete candidate sets; the only precondition is
+    Works identically for unconstrained instances (the candidates are the
+    agents, in the same order) and discrete candidate sets, a permuted copy
+    of the agents among them; the only precondition is
     that at least k candidate locations exist.  Returns the ordered
     selection and a per-round audit trace.
     """

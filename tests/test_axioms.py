@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from unittest.mock import patch
@@ -25,7 +26,7 @@ from propclust import (
     recheck_witness,
     select_prf_centers,
 )
-from propclust import axioms
+from propclust import axioms, core
 from propclust.core import _marked_order, _unmarked
 from propclust.data_io import generate
 from reference_axioms import (
@@ -615,7 +616,7 @@ def test_sampled_reports_do_not_depend_on_the_block(monkeypatch, block_entries):
     # two open seeds and 2-10 subsets per batch; None: every seed in one
     # block and every open seed and subset in one batch
     if block_entries is not None:
-        monkeypatch.setattr(axioms, "_SEED_BLOCK", block_entries)
+        monkeypatch.setattr(core, "_BLOCK", 4 * block_entries)
     for seed, k in ((34, 3), (2480, 4), (647, 4)):
         inst, out = _random_precomputed(seed, k)
         for samples in (0, 20, 200):
@@ -628,7 +629,7 @@ def test_sampled_first_failing_seed_of_a_batch_is_the_witness():
     # fail the lowest, seed 3, gives the witness (seed 9's prefix differs)
     inst, out = _random_precomputed(647, k=4)
     # a seed's pre-test arrays hold k * s = 16 entries
-    assert axioms._SEED_BLOCK // 16 >= inst.n
+    assert core._BLOCK // 4 // 16 >= inst.n
     tiers = _diameter_tiers(inst, out)
     assert [i for i, tier in enumerate(tiers) if tier in ("radii", "fails")] == [0, 3, 7, 9]
     assert [i for i, tier in enumerate(tiers) if tier == "fails"] == [3, 7, 9]
@@ -655,11 +656,11 @@ def test_sampled_first_failing_subset_drawn_is_the_witness(monkeypatch, block_en
     # the other way round; the outcome takes 4-7.  A random subset fails
     # exactly when it holds neither 10 nor 20.  With no agent distances
     # only random subsets are drawn, each counting its members times 4
-    # centers plus a row of 8 entries against the budget of 4 * _SEED_BLOCK:
-    # all 18 entitled draws fit in one batch by default, each has its own
-    # at 1, and at 36 draws 1-3 (36 + 68 + 40 entries) share one
+    # centers plus a row of 8 entries against the budget of core._BLOCK, here
+    # 4 * block_entries: all 18 entitled draws fit in one batch by default,
+    # each has its own at 1, and at 36 draws 1-3 (36 + 68 + 40 entries) share one
     if block_entries is not None:
-        monkeypatch.setattr(axioms, "_SEED_BLOCK", block_entries)
+        monkeypatch.setattr(core, "_BLOCK", 4 * block_entries)
     n, k = 30, 5
     mat = np.full((n, 8), 5.0)
     mat[:, :4] = 1.0
@@ -692,7 +693,7 @@ def test_sampled_batches_match_reference(inst, data):
         picks = data.draw(st.permutations(range(inst.m)), label="candidates")
         out = Outcome(tuple(picks[: data.draw(st.integers(1, inst.m), label="size")]))
     block = data.draw(st.sampled_from((1, 8, 40, 200)), label="block")
-    with patch.object(axioms, "_SEED_BLOCK", block):
+    with patch.object(core, "_BLOCK", 4 * block):
         _sampled_reports_match_reference(inst, out, data.draw(st.integers(0, 3), label="seed"), 200)
 
 
@@ -703,12 +704,41 @@ def test_sampled_first_failure_in_a_later_block():
     points = np.concatenate([np.arange(100.0), 1000.0 + np.arange(100.0)])[:, None]
     inst = Instance.unconstrained(points, k=20)
     out = Outcome(tuple(range(0, 100, 5)))
-    assert axioms._SEED_BLOCK // inst.n <= 100
+    assert core._BLOCK // 4 // inst.n <= 100
     report = check_prf_unconstrained(inst, out, exhaustive=False, samples=0)
     assert report.witness.agents == tuple(range(100, 110))
     assert check_prf_discrete(inst, out, exhaustive=False, samples=0).witness.agents[0] >= 100
     for samples in (0, 20):
         _sampled_reports_match_reference(inst, out, seed=0, samples=samples)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_checks_peak_memory():
+    # beside the matrices, the scan's seed blocks, open-seed gathers and subset
+    # batches are shares of core._BLOCK entries, plus a few arrays of n.  On the
+    # sweep's outcome the unconstrained check peaks at about 1.3 budgets at
+    # n = 1000 and 1.7 at n = 2000; a block of every seed peaks at 31 at n = 1000
+    budget = core._BLOCK * 8
+    for n in (1000, 2000):
+        points = np.random.default_rng(11).normal(size=(n, 2))
+        inst = Instance.unconstrained(points, k=20)
+        out, _ = select_prf_centers(inst)
+        assert _traced_peak(lambda: check_prf_unconstrained(inst, out)) <= 3 * budget, n
+    # the discrete form's exact tier reads O(n*m) per open seed by design, so its
+    # bound is a share of the (n, m) matrix: it peaks at about 0.25 of it here
+    points = points[:1000]
+    inst = Instance.discrete(points, points[1::2], k=20)
+    out, _ = select_prf_centers(inst)
+    dm, _ = inst.distance_matrix, inst.agent_distances
+    assert _traced_peak(lambda: check_prf_discrete(inst, out)) <= 0.6 * dm.nbytes
 
 
 def test_sampled_scan_on_rows_that_all_hold_ties():
@@ -1094,3 +1124,51 @@ def test_recheck_rejects_a_violation_changed_in_one_field(base, change):
 def test_recheck_accepts_a_satisfied_report():
     inst, out = _RECHECK_BASES["pf"][0](), Outcome((0, 1))
     assert recheck_witness(inst, out, AxiomReport("PF", satisfied=True))
+
+
+# name -> (instance, outcome) for forged reports
+_FORGERY_BASES = {
+    # six points on a line, k = 2: the outcome satisfies UP, PF, CORE, PRF_UNC,
+    # PRF_DISC and PRF2, yet agent 2 named three times is a group of ceil(6/2)
+    "line": (lambda: Instance.unconstrained(np.arange(6.0)[:, None], k=2), (1, 4)),
+    # CORE is violated at candidate 1, the last one
+    "core": (_RECHECK_BASES["core"][0], (0,)),
+    "two_mass": (lambda: generate("two_mass"), TWO_MASS_GOOD.selected),
+}
+_CHECKER_OF = {
+    "UP": check_up,
+    "PF": check_pf,
+    "CORE": check_core,
+    "PRF_UNC": check_prf_unconstrained,
+    "PRF_DISC": check_prf_discrete,
+    "PRF2": check_prf2,
+}
+
+
+@pytest.mark.parametrize(
+    "base, axiom, witness",
+    [
+        ("line", "UP", {"agents": [2, 2, 2], "radius": 0.0, "required": 1}),
+        ("line", "PF", {"agents": [2, 2, 2], "candidate": 2}),
+        ("line", "CORE", {"agents": [2, 2, 2], "candidate": 2}),
+        ("line", "PRF_UNC", {"agents": [2, 2, 2], "radius": 0.0, "required": 1}),
+        ("line", "PRF_DISC", {"agents": [2, 2, 2], "radius": 0.0, "required": 1}),
+        ("line", "PRF2", {"agents": [2, 2, 2], "radius": 0.0, "required": 1}),
+        ("line", "PF", {"agents": [1, 2, 3], "candidate": None}),
+        ("line", "PF", {"agents": [1, 2, 3], "candidate": 6}),
+        ("line", "CORE", {"agents": [1, 2, 3], "candidate": None}),
+        ("line", "CORE", {"agents": [1, 2, 3], "candidate": 6}),
+        # the real witness's candidate is 1, which -1 must not be read as
+        ("core", "CORE", {"agents": [0, 1, 2, 3], "candidate": -1}),
+        ("two_mass", "UP", {"agents": list(range(100)), "radius": None, "required": 10}),
+    ],
+)
+def test_recheck_rejects_forged_and_malformed_witnesses(base, axiom, witness):
+    # a stored report is read back with these values, and the recheck must say
+    # False rather than confirm it or raise
+    make, selected = _FORGERY_BASES[base]
+    inst, out = make(), Outcome(selected)
+    if base != "core":
+        assert _CHECKER_OF[axiom](inst, out).satisfied
+    report = AxiomReport.from_json_obj({"axiom": axiom, "satisfied": False, "witness": witness})
+    assert recheck_witness(inst, out, report) is False

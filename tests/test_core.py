@@ -75,6 +75,10 @@ def test_discrete_mode_separates_candidates():
     assert inst.n == 2
     assert inst.m == 3
     assert not inst.is_unconstrained
+    # the same points in another order: candidate i is not agent i
+    permuted = Instance.discrete([(0.0,), (1.0,), (2.0,)], [(2.0,), (0.0,), (1.0,)], k=1)
+    assert not permuted.is_unconstrained
+    assert permuted.candidates is not permuted.agents
 
 
 def test_distance_matrix_matches_pointwise():
@@ -98,7 +102,7 @@ def test_distance_blocks_match_one_block(monkeypatch):
         inst = random_instance(rng, n_max=30)
         whole = inst.distance_matrix
         for rows in (1, 3, inst.n):
-            monkeypatch.setattr(core, "_PLANE", rows * inst.m)
+            monkeypatch.setattr(core, "_BLOCK", rows * inst.m)
             again = core._pairwise(inst.agents, inst.candidates, inst.metric)
             assert again.tobytes() == whole.tobytes()
 
@@ -125,7 +129,7 @@ def test_pairwise_bit_identical_to_one_sum(monkeypatch, rows, dims):
         # coordinates of mixed magnitudes, so a different summation order shows
         a = rng.normal(size=(5, dim)) * 10.0 ** rng.uniform(-4, 4, size=dim)
         for b in (a, rng.normal(size=(3, dim)) * 10.0 ** rng.uniform(-4, 4, size=dim)):
-            monkeypatch.setattr(core, "_PLANE", b.shape[0] * (rows or a.shape[0]))
+            monkeypatch.setattr(core, "_BLOCK", b.shape[0] * (rows or a.shape[0]))
             for metric in ("euclidean", "manhattan"):
                 got = core._pairwise(a, b, metric)
                 assert got.tobytes() == _reference_pairwise(a, b, metric).tobytes(), (dim, metric)
@@ -139,7 +143,7 @@ def test_symmetric_half_build_bit_identical(monkeypatch, plane, tile):
     rng = np.random.default_rng(23)
     grid = rng.integers(0, 3, size=(40, 8)).astype(float)  # coincident points and tied distances
     mixed = rng.normal(size=(40, 9)) * 10.0 ** rng.uniform(-4, 4, size=9)
-    monkeypatch.setattr(core, "_PLANE", plane)
+    monkeypatch.setattr(core, "_BLOCK", plane)
     monkeypatch.setattr(core, "_TILE", tile)
     for a in (grid, mixed):
         for metric in ("euclidean", "manhattan"):
@@ -188,7 +192,7 @@ def test_pairwise_property_bit_identical_to_one_sum(dim, n, m, values, seed, met
     with np.errstate(over="ignore", invalid="ignore"):
         want = _reference_pairwise(a, b, metric)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_PLANE", rows * b.shape[0])
+        mp.setattr(core, "_BLOCK", rows * b.shape[0])
         mp.setattr(core, "_TILE", tile)
         if np.isfinite(want).all():
             assert core._pairwise(a, b, metric).tobytes() == want.tobytes()
