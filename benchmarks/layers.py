@@ -49,6 +49,17 @@ The ``audit_unconstrained`` and ``audit_discrete`` layers run the same two
 checks at the shape of ``perfbench``'s ``audit-sampled`` workload: n = 300
 2-D points, k = 20, and m = 150 candidates for the discrete one.
 
+On the sweep's outcome no seed reaches the sampled scan's exact tier, so
+four more checker layers run the checks where it does: at n = 2000, k = 20,
+on 2-D points in six Gaussian clumps (centres drawn with standard deviation
+4), with the odd-numbered agents as the m = 1000 candidates of the discrete
+instance.  ``exact_unconstrained_greedy`` and ``exact_discrete_greedy``
+check the padded greedy capture outcome, where a seed short at its bounds
+fails at its exact radii; ``exact_unconstrained_kmeanspp`` and
+``exact_discrete_kmeanspp`` check the default k-means++ outcome, where 64
+and 748 seeds (and one random subset in the discrete form) reach their
+exact radii and pass.
+
 The exhaustive checker layers enumerate every agent subset, on the sweep's
 outcome at n = 16, k = 4 on 2-D points:
 
@@ -129,10 +140,15 @@ CHECK_POINTS = ((2, None), (8, None), (2, 1))  # (dim, decimals)
 CHECK_LARGE_KS = (100, 400)  # at n = 2000 on 2-D points: one seed per block
 AUDIT = ("audit_unconstrained", "audit_discrete")
 AUDIT_N = 300
+EXACT = ("exact_unconstrained_greedy", "exact_discrete_greedy", "exact_unconstrained_kmeanspp",
+         "exact_discrete_kmeanspp")
+EXACT_N = 2000
+CLUMPS, CLUMP_SCALE = 6, 4.0  # the exact-tier cells' points: six clumps, centres drawn with this deviation
 EXHAUSTIVE = ("exhaustive_unconstrained", "exhaustive_discrete", "prf2", "prf3")
 EXHAUSTIVE_N, EXHAUSTIVE_K = 16, 4
-SAMPLED = CHECKERS + AUDIT
-DISCRETE_LAYERS = ("agent_distances", "thresholds_discrete", "prf_discrete", "audit_discrete", *EXHAUSTIVE[1:])
+SAMPLED = CHECKERS + AUDIT + EXACT
+DISCRETE_LAYERS = ("agent_distances", "thresholds_discrete", "prf_discrete", "audit_discrete", *EXHAUSTIVE[1:],
+                   "exact_discrete_greedy", "exact_discrete_kmeanspp")
 KMEANSPP_SIZES = (500, 1000, 2000, 4000)
 KMEANSPP_DIMS = (2, 8)
 KMEANSPP_GRID = (120, 6)  # (n, dim) of the experiment-grid cells
@@ -158,6 +174,7 @@ GRID = (
     ]
     + [(layer, 2000, 2, None, k) for k in CHECK_LARGE_KS for layer in CHECKERS]
     + [(layer, AUDIT_N, 2, None, K) for layer in AUDIT]
+    + [(layer, EXACT_N, 2, None, K) for layer in EXACT]
     + [("kmeanspp", n, dim, None, K) for n in KMEANSPP_SIZES for dim in KMEANSPP_DIMS]
     + [(layer, *KMEANSPP_GRID, None, k) for layer in GRID_LAYERS for k in KMEANSPP_GRID_KS]
     + [("experiment", n, KMEANSPP_GRID[1], None, max(KMEANSPP_GRID_KS)) for n in EXPERIMENT_SIZES]
@@ -197,8 +214,14 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
         raise SystemExit(f"imported propclust from {propclust.__file__}, not from {os.environ['PYTHONPATH']}")
     rng = np.random.default_rng(SEED + 7919 * n + dim)
     quantized = layer in LAYERS and (n, dim) == QUANTIZED
-    points = rng.integers(0, QUANTIZED_LEVELS, size=(n, dim)).astype(float) if quantized else rng.normal(size=(n, dim))
-    candidates = rng.normal(size=(n // 2, dim))
+    if layer in EXACT:
+        centres = rng.normal(scale=CLUMP_SCALE, size=(CLUMPS, dim))
+        points = centres[rng.integers(0, CLUMPS, size=n)] + rng.normal(size=(n, dim))
+    elif quantized:
+        points = rng.integers(0, QUANTIZED_LEVELS, size=(n, dim)).astype(float)
+    else:
+        points = rng.normal(size=(n, dim))
+    candidates = points[1::2] if layer in EXACT else rng.normal(size=(n // 2, dim))
     if decimals is not None:
         points, candidates = np.round(points, decimals), np.round(candidates, decimals)
     experiment_grid = layer in GRID_LAYERS and (n, dim) == KMEANSPP_GRID
@@ -246,9 +269,14 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
 
         elif layer in SAMPLED + EXHAUSTIVE:
             built.agent_distances
-            # the sweep sorts a copy, so the instance the check reads holds no sorted
+            # the rule sorts a copy, so the instance the check reads holds no sorted
             # order, as in `check --run` (and likewise for the record layer below)
-            outcome, _ = select_prf_centers(built.with_k(k))
+            if layer.endswith("_greedy"):
+                outcome = greedy_capture(built.with_k(k), pad=True).outcome
+            elif layer.endswith("_kmeanspp"):
+                outcome = kmeanspp(built.with_k(k))
+            else:
+                outcome, _ = select_prf_centers(built.with_k(k))
             # at n = 16 the PRF checkers enumerate subsets by default
             check = {
                 "prf_unconstrained": check_prf_unconstrained,
@@ -256,6 +284,10 @@ def _cell(layer: str, n: int, dim: int, decimals: int | None, k: int, repeats: i
                 "audit_unconstrained": check_prf_unconstrained,
                 "audit_discrete": check_prf_discrete,
                 "exhaustive_unconstrained": check_prf_unconstrained,
+                "exact_unconstrained_greedy": check_prf_unconstrained,
+                "exact_unconstrained_kmeanspp": check_prf_unconstrained,
+                "exact_discrete_greedy": check_prf_discrete,
+                "exact_discrete_kmeanspp": check_prf_discrete,
                 "exhaustive_discrete": check_prf_discrete,
                 "prf2": check_prf2,
                 "prf3": check_prf3,

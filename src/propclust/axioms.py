@@ -12,9 +12,10 @@ m).  Past r = l the owed count stays l while the radius and the centers
 found never fall, so every failing group fails first at some r <= min(l, m).
 A form is the distance rows a group folds (agent-agent for the diameter,
 agent-candidate for the cover radii) plus one reading of the radii off
-the folded rows; bitmask groups, seed prefixes and random subsets differ
-only in how they fold.  The lower bounds the sampling scan tests first
-are kept apart from that reading.
+the folded rows.  Bitmask groups are folded all at once; a seed's
+prefixes and a random subset (one prefix: its sorted members) are folded
+by one exact tier.  The lower bounds the sampling scan tests first are
+kept apart from that reading.
 The exhaustive checkers (unconstrained, discrete, PRF2 and PRF3) run one
 scan over all 2^n agent bitmasks; the witness is the smallest failing mask
 at its first failing r.
@@ -56,7 +57,9 @@ before leaves open, with s selected centers:
 3. exact radii, seed by seed in index order, through the seed's last
    step short at its bound (the steps after it pass at their bounds):
    O(n^2) for the diameters or O(n*m) for the cover radii.  The first
-   failure is the same as without the bounds.
+   failure is the same as without the bounds.  The exact tier folds the
+   prefix's rows a block at a time (``core._prefix_max``), cut at the
+   steps, into one running maximum.
 
 A random subset is likewise tested first at a bound from its first
 (smallest) member's row: that member's farthest distance into the subset
@@ -66,12 +69,15 @@ generator, and pre-tested a batch at a time: the batch's members are
 concatenated, one ``np.minimum.reduceat`` gives each subset's nearest
 distance to each center, and the owed-th nearest is compared with the
 bounds.  Only the subsets left open are sorted and reach the exact radii,
-in draw order, so the first that fails is the witness.
+in draw order, so the first that fails is the witness; their exact tier
+is the seeds', with a subset's sorted members as its one prefix.
 
 Blocks and batches are shares of ``core._BLOCK`` entries, the one working
 memory budget: a block of seeds takes a quarter, its open seeds' gather
 half, and a batch of subsets, each counting its members times s plus one
-row of the form's table, the whole.
+row of the form's table, the whole.  The exact tier reads its group's
+rows a whole budget at a time; beside them it holds the tested prefixes'
+cover rows, one row of the table each, and their reading.
 
 Checkers are pure functions of (instance, outcome) and safe to run in
 parallel on shared instances.
@@ -174,6 +180,8 @@ class AxiomReport:
             raise InputError("a satisfied report cannot carry a witness")
         if not self.satisfied and self.witness is None:
             raise InputError("a violation report requires a witness")
+        if not (self.satisfied or self.definitive):
+            raise InputError("a violation report is always definitive")
 
     def to_json_obj(self) -> dict:
         witness = None if self.witness is None else self.witness.to_json_obj()
@@ -467,11 +475,11 @@ class _RadiusRule:
     reading, ``radii(cover, inside)``, of a group's radii off its folded
     cover rows: cover[g, j] is the largest distance in column j of the
     table from a member of group g, and inside[g] marks those members.
-    Bitmask groups, a seed's prefixes and random subsets differ only in
-    how they fold.  Lower bounds on the radii, read from rows of a
-    group's own members (for a block of seeds' orders, or a batch of
-    random subsets, at once), are kept apart from the reading: they are
-    the scan's hot path.  A form also gives its axiom code and the notes
+    Bitmask groups are folded all at once, a seed's prefixes and random
+    subsets by one exact tier, :func:`_first_short_prefix`.  Lower bounds
+    on the radii, read from rows of a group's own members (for a block of
+    seeds' orders, or a batch of random subsets, at once), are kept apart
+    from the reading: they are the scan's hot path.  A form also gives its axiom code and the notes
     of its exhaustive, seeded and random witnesses.
     """
 
@@ -568,24 +576,16 @@ def _check_prf(form, inst, outcome, exhaustive, seed, samples) -> AxiomReport:
     return AxiomReport(form.axiom, satisfied=False, witness=witness)
 
 
-def _entitlement_blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where a seed's prefixes step up in entitlement, and the blocks between.
+def _entitlement_steps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where a seed's prefixes step up in entitlement, and where each level starts.
 
     A prefix of t + 1 agents is entitled to ((t+1)*k)//n centers, which is
     exactly l from t_l = ceil(l*n/k) - 1 up to t_(l+1) - 1 (k <= n keeps
-    the steps distinct, and t_k = n - 1).  Returns the steps t_1..t_k and a
-    (k, width) array whose row l lists the positions t_(l-1) + 1 .. t_l,
-    padded by repeating t_l, so a max or min over a row is the block's.
+    the steps distinct, and t_k = n - 1).  Returns the steps t_1..t_k and
+    the first positions 0, t_1 + 1, ..., t_(k-1) + 1 of their levels.
     """
     steps = (np.arange(1, k + 1) * n + k - 1) // k - 1
-    starts = np.concatenate(([0], steps[:-1] + 1))
-    width = int((steps - starts).max()) + 1
-    return steps, np.minimum(starts[:, None] + np.arange(width), steps[:, None])
-
-
-def _fold_prefixes(values: np.ndarray, op, blocks: np.ndarray) -> np.ndarray:
-    """Row l: op-fold of the rows of ``values`` in blocks 0..l."""
-    return op.accumulate(op.reduce(values[blocks], axis=1), axis=0)
+    return steps, np.concatenate(([0], steps[:-1] + 1))
 
 
 def _kth_nearest(nearest: np.ndarray, req: np.ndarray) -> np.ndarray:
@@ -610,9 +610,10 @@ def _sampled_scan(rule: _RadiusRule, inst, sel, seed, samples) -> Witness | None
     engine uses), and the block's open seeds are tested at the bound together;
     random subsets are drawn and tested at their bounds a batch at a time.
     Only the seeds and subsets short at their bounds reach the exact radii,
-    one by one: seeds in index order, subsets in draw order.  Blocks and
-    batches are shares of ``core._BLOCK`` entries (more only where one
-    seed's or one subset's arrays alone are larger).
+    one by one: seeds in index order, subsets in draw order, each through
+    :func:`_first_short_prefix`, which folds the group's rows a block at a
+    time.  Blocks, batches and folds are shares of ``core._BLOCK`` entries
+    (more only where one seed's or one subset's arrays alone are larger).
     """
     dsel = inst.distance_matrix[:, sel]
     try:
@@ -646,9 +647,8 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
     agent index), decoded from its marked order.
     """
     n, k, s = inst.n, inst.k, dsel.shape[1]
-    steps, blocks = _entitlement_blocks(n, k)
+    steps, starts = _entitlement_steps(n, k)
     req = rule.owed[1:]
-    rank = np.empty(n, dtype=np.intp)
     per = max(1, core._BLOCK // 4 // max(n, k * s))
     # the open seeds' (seeds, n, s) gather lives beside the block's orders
     # and bounds, so it takes half the budget
@@ -663,30 +663,46 @@ def _first_short_seed(rule: _RadiusRule, inst, aa, dsel) -> Witness | None:
         open_seeds = np.flatnonzero((_kth_nearest(upper, req) > low).any(axis=(1, 2)))
         for at in range(0, open_seeds.size, fold):
             seeds = open_seeds[at : at + fold]
-            # row l: each center's nearest distance from blocks 0..l of a seed's order
-            nearest = np.minimum.reduceat(dsel[orders[seeds]], blocks[:, 0], axis=1)
+            # row l: each center's nearest distance from levels 0..l of a seed's order
+            nearest = np.minimum.reduceat(dsel[orders[seeds]], starts, axis=1)
             np.minimum.accumulate(nearest, axis=1, out=nearest)
             kth = _kth_nearest(nearest, req)
             short = (kth > low[seeds]).any(axis=2)
             for i in np.flatnonzero(short.any(axis=1)):
-                # a step that passes at its bound passes at its radii
-                last = int(np.flatnonzero(short[i])[-1]) + 1
-                order = orders[seeds[i]]
-                rank[order] = np.arange(n)
-                cover = _fold_prefixes(rule.table, np.maximum, order[blocks[:last]])
-                y = rule.radii(cover, rank <= steps[:last, None])
-                bad = kth[i, :last] > y
-                if bad.any():
-                    r0 = int(np.argmax(bad.any(axis=0)))
-                    j = int(np.argmax(bad[:, r0]))
-                    return Witness(
-                        agents=tuple(sorted(int(a) for a in order[: steps[j] + 1])),
-                        radius=float(y[j, r0]),
-                        required=int(req[j, r0]),
-                        found=int(np.count_nonzero(nearest[i, j] <= y[j, r0])),
-                        note=rule.notes[1],
-                    )
+                # a step that passes at its bound passes at its radii: the
+                # exact tier runs through the last step short at its bound
+                upto = slice(int(np.flatnonzero(short[i])[-1]) + 1)
+                if witness := _first_short_prefix(rule, orders[seeds[i]], steps[upto], nearest[i, upto],
+                                                  kth[i, upto], req[upto], rule.notes[1]):
+                    return witness
     return None
+
+
+def _first_short_prefix(rule: _RadiusRule, order, ends, nearest, kth, req, note) -> Witness | None:
+    """The exact tier: the first prefix ``order[: end + 1]``, for ``end`` in ``ends``, that fails.
+
+    Row j of ``nearest`` holds each center's nearest distance from prefix j,
+    ``kth[j]`` the ``req[j]``-th smallest of them, and kth > radius is
+    found < req.  The prefixes' cover rows come from one blocked fold,
+    :func:`propclust.core._prefix_max`.  The witness is the first failing
+    column, then that column's first failing prefix; None if all pass.
+    """
+    cover = core._prefix_max(rule.table, order, ends)
+    rank = np.full(rule.table.shape[0], order.size)
+    rank[order] = np.arange(order.size)
+    y = rule.radii(cover, rank <= ends[:, None])
+    bad = kth > y
+    if not bad.any():
+        return None
+    r0 = int(np.argmax(bad.any(axis=0)))
+    j = int(np.argmax(bad[:, r0]))
+    return Witness(
+        agents=tuple(sorted(int(a) for a in order[: ends[j] + 1])),
+        radius=float(y[j, r0]),
+        required=int(req[j, r0]),
+        found=int(np.count_nonzero(nearest[j] <= y[j, r0])),
+        note=note,
+    )
 
 
 def _random_subsets(rng, n: int, k: int, samples: int):
@@ -713,23 +729,13 @@ def _first_short_subset(rule: _RadiusRule, dsel, batch) -> Witness | None:
     nearest = np.minimum.reduceat(dsel[joined], starts, axis=0)
     owed = rule.owed[[lmax for lmax, _ in batch]]
     low = rule.subset_bounds(np.minimum.reduceat(joined, starts), joined, starts)
-    for i in np.flatnonzero((_kth_nearest(nearest, owed) > low).any(axis=1)):
+    kth = _kth_nearest(nearest, owed)
+    for i in np.flatnonzero((kth > low).any(axis=1)):
         members = np.sort(batch[i][1])
-        to_sel = np.sort(nearest[i])
-        inside = np.zeros((1, len(dsel)), dtype=bool)
-        inside[0, members] = True
-        y = rule.radii(rule.table[members].max(axis=0, keepdims=True), inside)[0]
-        found = np.searchsorted(to_sel, y, side="right")
-        bad = np.flatnonzero(found < owed[i])
-        if bad.size:
-            r0 = int(bad[0])
-            return Witness(
-                agents=tuple(int(a) for a in members),
-                radius=float(y[r0]),
-                required=int(owed[i, r0]),
-                found=int(found[r0]),
-                note=rule.notes[2],
-            )
+        one = slice(i, i + 1)
+        if witness := _first_short_prefix(rule, members, np.array([members.size - 1]), nearest[one], kth[one],
+                                          owed[one], rule.notes[2]):
+            return witness
     return None
 
 
@@ -817,8 +823,7 @@ def recheck_witness(inst: Instance, outcome: Outcome, report: AxiomReport) -> bo
         return sum(Fraction(float(d)) - Fraction(float(c)) for d, c in zip(d_out, col)) > 0
 
     if report.axiom == AXIOM_PRF_UNC:
-        aa = inst.agent_distances
-        diam = float(aa[np.ix_(agents, agents)].max()) if size > 1 else 0.0
+        diam = float(core._prefix_max(inst.agent_distances, agents, [size - 1])[0, agents].max())
         if w.radius != diam or w.required is None:
             return False
         if w.required > _entitlement(size, k, n):
@@ -829,7 +834,7 @@ def recheck_witness(inst: Instance, outcome: Outcome, report: AxiomReport) -> bo
     if report.axiom in (AXIOM_PRF_DISC, AXIOM_PRF2, AXIOM_PRF3):
         if w.required is None or w.radius is None:
             return False
-        offered = int(np.count_nonzero(dm[agents].max(axis=0) <= w.radius))
+        offered = int(np.count_nonzero(core._prefix_max(dm, agents, [size - 1])[0] <= w.radius))
         if w.required > min(_entitlement(size, k, n), offered):
             return False
         if report.axiom == AXIOM_PRF_DISC:

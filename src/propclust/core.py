@@ -372,9 +372,10 @@ class Instance:
 #: instance's order, each large temporary is built about this many entries at a time
 #: (or one row, seed or subset, where that alone is larger): the distance build's
 #: blocks and term planes, the sort of ``Instance._candidate_order``, the engine's
-#: advance passes, charges and ``settle``, and in ``axioms._sampled_scan`` a quarter
-#: for a block of seeds (and of the discrete cover bounds), half for its open seeds'
-#: gather and the whole for a batch of random subsets.
+#: advance passes and charges, every row fold of :func:`_prefix_max` (the engine's
+#: ``settle``, the sampled scan's exact radii and ``axioms.recheck_witness``), and in
+#: ``axioms._sampled_scan`` a quarter for a block of seeds (and of the discrete cover
+#: bounds), half for its open seeds' gather and the whole for a batch of random subsets.
 _BLOCK = 1 << 16
 #: Rows per slab of a symmetric matrix, which is summed from each slab's first column on.
 _TILE = 128
@@ -599,6 +600,24 @@ def _unmarked(order: np.ndarray) -> np.ndarray:
     out = order >> 31
     out ^= order
     return out.astype(np.intp)
+
+
+def _prefix_max(table: np.ndarray, rows: np.ndarray, ends) -> np.ndarray:
+    """Row j: each column's maximum over ``table[rows[: ends[j] + 1]]``, for ascending ``ends``.
+
+    The rows from one end to the next are gathered ``_BLOCK // columns`` at
+    a time (one at least), and each block's maximum is folded into one
+    running maximum.  A maximum is exact, so the result does not depend on
+    the blocks.
+    """
+    out = np.empty((len(ends), table.shape[1]))
+    per = max(1, _BLOCK // table.shape[1])
+    far, start = np.full(table.shape[1], -np.inf), 0
+    for j, end in enumerate(ends):
+        for i in range(start, end + 1, per):
+            np.maximum(far, table[rows[i : min(i + per, end + 1)]].max(axis=0), out=far)
+        out[j], start = far, end + 1
+    return out
 
 
 def _squares_fit(func):

@@ -168,16 +168,14 @@ class _Thresholds:
 
         Every ball must then hold all the weight left, so a candidate's radius
         is its distance to the farthest agent with weight, and its support is
-        the quota.  The rows of the agents with weight are read ``_BLOCK // m``
-        at a time, every candidate's maximum kept.  No charge follows:
-        ``_pos`` is left as it was.
+        the quota.  The rows of the agents with weight are folded by
+        :func:`propclust.core._prefix_max`, ``_BLOCK // m`` at a time, every
+        candidate's maximum kept.  No charge follows: ``_pos`` is left as it
+        was.
         """
         cands = np.flatnonzero(live)
         alive = np.flatnonzero(self._w > 0)
-        rows = max(1, core._BLOCK // self.D.shape[1])
-        far = self.D[alive[:rows]].max(axis=0)
-        for i in range(rows, alive.size, rows):
-            np.maximum(far, self.D[alive[i : i + rows]].max(axis=0), out=far)
+        far = core._prefix_max(self.D, alive, [alive.size - 1])[0]
         self.radius[cands] = far[cands]
         self.support[cands] = self._quota
 

@@ -27,6 +27,7 @@ from propclust import (
     select_prf_centers,
 )
 from propclust import axioms, core
+from propclust.baselines import greedy_capture, kmeanspp
 from propclust.core import _marked_order, _unmarked
 from propclust.data_io import generate
 from reference_axioms import (
@@ -732,13 +733,49 @@ def test_sampled_checks_peak_memory():
         inst = Instance.unconstrained(points, k=20)
         out, _ = select_prf_centers(inst)
         assert _traced_peak(lambda: check_prf_unconstrained(inst, out)) <= 3 * budget, n
-    # the discrete form's exact tier reads O(n*m) per open seed by design, so its
-    # bound is a share of the (n, m) matrix: it peaks at about 0.25 of it here
+    # the discrete form's bound is a share of the (n, m) matrix, which the scan
+    # reads in blocks, as the unconstrained form does the (n, n) one: it peaks at
+    # about 0.25 of it here
     points = points[:1000]
     inst = Instance.discrete(points, points[1::2], k=20)
     out, _ = select_prf_centers(inst)
     dm, _ = inst.distance_matrix, inst.agent_distances
     assert _traced_peak(lambda: check_prf_discrete(inst, out)) <= 0.6 * dm.nbytes
+
+
+def test_exact_tier_peak_memory(monkeypatch):
+    # 2-D points in six clumps: on the padded greedy outcome 14 seeds reach
+    # their exact diameters and the last fails there; on the k-means++ outcome
+    # of the discrete form (m = 1000) 242 seeds and a random subset reach their
+    # exact cover radii.  Each folds its rows a block at a time, so beside the
+    # matrices the check stays within 3 budgets, as a scan that never reaches
+    # the exact tier does (a fold of all a group's rows at once peaked at 5.2
+    # and 6.8 MiB here, 10 and 14 budgets)
+    budget = core._BLOCK * 8
+    rng = np.random.default_rng(0)
+    points = rng.normal(scale=3.0, size=(6, 2))[rng.integers(0, 6, size=2000)] + rng.normal(size=(2000, 2))
+    notes = []
+    exact = axioms._first_short_prefix
+
+    def spy(rule, order, ends, nearest, kth, req, note):
+        notes.append(note)
+        return exact(rule, order, ends, nearest, kth, req, note)
+
+    monkeypatch.setattr(axioms, "_first_short_prefix", spy)
+    unconstrained = Instance.unconstrained(points, k=20)
+    discrete = Instance.discrete(points, points[1::2], k=20)
+    cases = [
+        (check_prf_unconstrained, unconstrained, greedy_capture(unconstrained, pad=True).outcome),
+        (check_prf_discrete, discrete, kmeanspp(discrete)),
+    ]
+    ran = []
+    for check, inst, out in cases:
+        inst.distance_matrix, inst.agent_distances
+        notes.clear()
+        assert _traced_peak(lambda: check(inst, out)) <= 3 * budget, check.__name__
+        ran.append(list(notes))
+    assert ran[0] == [axioms._Diameter.notes[1]] * 14
+    assert ran[1].count(axioms._Cover.notes[1]) == 242 and ran[1].count(axioms._Cover.notes[2]) == 1
 
 
 def test_sampled_scan_on_rows_that_all_hold_ties():
@@ -852,10 +889,20 @@ def _defined_radii(form, inst, group):
     return covers[: min(inst.k, inst.m)]
 
 
+def _exact_tier_witness(rule, order, ends, j, r):
+    """The exact tier's witness when only prefix j is short, and only in column r."""
+    kth = np.full((ends.size, rule.width), -np.inf)
+    kth[j, r] = np.inf
+    req = np.ones(kth.shape, dtype=np.intp)
+    witness = axioms._first_short_prefix(rule, order, ends, np.zeros((ends.size, 1)), kth, req, "")
+    return witness.agents, witness.radius
+
+
 @pytest.mark.parametrize("form", [axioms._Diameter, axioms._Cover])
 def test_radii_follow_the_definitions(form):
     # a form reads one group's radii however the group was folded: as a
-    # bitmask, as a seed's prefix at an entitlement step or as a random subset
+    # bitmask, or by the exact tier as a seed's prefix at an entitlement
+    # step or as a random subset (one prefix, its whole sorted members)
     rng = np.random.default_rng(7)
     for inst in _radius_instances():
         n, rule = inst.n, form(inst)
@@ -863,19 +910,16 @@ def test_radii_follow_the_definitions(form):
         radii = rule.radii(axioms._fold_masks(rule.table, np.maximum, -np.inf), members)
         for mask in range(1, 1 << n):
             assert radii[mask].tolist() == _defined_radii(form, inst, np.flatnonzero(members[mask]))
-        steps, blocks = axioms._entitlement_blocks(n, inst.k)
-        rank = np.empty(n, dtype=np.intp)
-        for order in _unmarked(_marked_order(inst.agent_distances)):
-            rank[order] = np.arange(n)
-            cover = axioms._fold_prefixes(rule.table, np.maximum, order[blocks])
-            for t, y in zip(steps, rule.radii(cover, rank <= steps[:, None])):
-                assert y.tolist() == _defined_radii(form, inst, order[: t + 1])
+        steps, _ = axioms._entitlement_steps(n, inst.k)
+        groups = [(order, steps) for order in _unmarked(_marked_order(inst.agent_distances))]
         for _ in range(20):
             group = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-            inside = np.zeros((1, n), dtype=bool)
-            inside[0, group] = True
-            y = rule.radii(rule.table[group].max(axis=0, keepdims=True), inside)[0]
-            assert y.tolist() == _defined_radii(form, inst, group)
+            groups.append((group, np.array([group.size - 1])))
+        for order, ends in groups:
+            for j, end in enumerate(ends):
+                prefix = order[: end + 1]
+                for r, y in enumerate(_defined_radii(form, inst, prefix)):
+                    assert _exact_tier_witness(rule, order, ends, j, r) == (tuple(sorted(prefix.tolist())), y)
 
 
 def _pinned_reports(inst):
@@ -1172,3 +1216,16 @@ def test_recheck_rejects_forged_and_malformed_witnesses(base, axiom, witness):
         assert _CHECKER_OF[axiom](inst, out).satisfied
     report = AxiomReport.from_json_obj({"axiom": axiom, "satisfied": False, "witness": witness})
     assert recheck_witness(inst, out, report) is False
+
+
+def test_violation_report_is_always_definitive():
+    # only a sampled check's clean verdict is not definitive: a violation
+    # marked so, in a stored record or built directly, is rejected
+    witness = {"agents": [0, 1], "candidate": 2, "required": 2, "found": 2}
+    stored = {"axiom": "PF", "satisfied": False, "definitive": False, "witness": witness}
+    with pytest.raises(InputError, match="^a violation report is always definitive$"):
+        AxiomReport.from_json_obj(stored)
+    with pytest.raises(InputError, match="^a violation report is always definitive$"):
+        AxiomReport("PF", satisfied=False, witness=Witness(agents=(0, 1)), definitive=False)
+    clean = AxiomReport.from_json_obj({"axiom": "PRF_UNC", "satisfied": True, "definitive": False})
+    assert clean.satisfied and not clean.definitive

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -423,6 +424,24 @@ def test_candidate_order_sorts_each_candidates_column(monkeypatch, mode):
         assert np.array_equal(core._unmarked(order[c]), expected)
         ends = np.append(col[expected][1:] != col[expected][:-1], True)
         assert np.array_equal(order[c] < 0, ends)
+
+
+@settings(max_examples=200)
+@given(
+    cols=st.integers(1, 9),
+    rows=st.integers(1, 30),
+    block=st.sampled_from([1, 2, 7, 20, 1 << 16]),
+    data=st.data(),
+)
+def test_prefix_max_matches_one_fold_per_prefix(cols, rows, block, data):
+    # blocks of one row up to all rows, cut at ends on, inside and across their seams
+    table = np.round(np.random.default_rng(rows * cols).exponential(size=(rows + 5, cols)), 1)
+    picked = np.array(data.draw(st.permutations(range(rows + 5)), label="rows")[:rows])
+    ends = data.draw(st.sets(st.integers(0, rows - 1), min_size=1), label="ends")
+    ends = np.array(sorted(ends))
+    with patch.object(core, "_BLOCK", block * cols):
+        out = core._prefix_max(table, picked, ends)
+    assert np.array_equal(out, [table[picked[: end + 1]].max(axis=0) for end in ends])
 
 
 def test_with_k_of_a_precomputed_instance_allocates_no_matrix():

@@ -639,6 +639,12 @@ def _row_as(row: int, value):
         # coordinates that parse but cannot rebuild the instance: the rebuild's error names the file
         pytest.param("coordinates", _row_as(1, [2.0]), id="coordinates-ragged-row"),
         pytest.param("coordinates", lambda rows: rows[:2], id="coordinates-fewer-than-k"),
+        # a violation report is always definitive
+        pytest.param(
+            "reports",
+            [{"axiom": "PF", "satisfied": False, "definitive": False, "witness": {"agents": [0, 1], "candidate": 2}}],
+            id="reports-violation-not-definitive",
+        ),
     ],
 )
 def test_check_malformed_record_exits_1(tmp_path, capsys, field, value):
